@@ -1,0 +1,880 @@
+"""Pre-Bloch and refined Bloch groups of small finite fields.
+
+The pre-Bloch group of F is generated by symbols [x], x in F^x \\ {1}, with
+one five-term relation per ordered pair x != y; the symbol [1] is identified
+with 0 at construction time, so it never appears as a generator.  The refined
+version carries coefficients in the square-class group ring, with the twisted
+five-term relations
+
+    0 = [x] - [y] + <x>[y/x] - <x^-1 - 1>[(1-x^-1)/(1-y^-1)] + <1-x>[(1-x)/(1-y)].
+
+The fields with 2 and 3 elements get their standard ad-hoc replacements (an
+order-3 group with a distinguished generator, and the cyclic module on [-1]
+with the single relation 2([-1] + <-1>[-1]) = 0).
+
+Downstream of the presentations: the invariant maps lambda_one (into the
+square of the augmentation ideal) and lambda_two (into the antisymmetric
+square of F^x), their joint kernel (the refined Bloch group, computed per
+character after inverting 2), the inversion elements psi_1/psi_2, the
+constant elements b and c = 2b, the cyclic submodule generated by c, the
+reduced quotient presentations, and the verification sweeps for all the
+identities these objects satisfy.
+
+Presentations and lattices are cached per field; everything observable is a
+pure function of the field.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Mapping, Optional, Union
+
+from .exact_linalg import (
+    AbelianInvariants,
+    FpPresentation,
+    IntMatrix,
+    Lattice,
+    kernel_with_embedding,
+)
+from .finite_field import FieldElement, FieldSpec, plus_minus_norm_codes, has_root_x2_minus_x_plus_1
+from .group_ring import (
+    Character,
+    GroupRingElement,
+    RModulePresentation,
+    SquareClassGroup,
+    bracket,
+    character_specialize,
+    double_bracket,
+    z_expand,
+    z_vector,
+)
+
+
+class InternalConsistencyError(AssertionError):
+    """A computation contradicted an identity that must hold; a bug, not data."""
+
+
+# ---------------------------------------------------------------------------
+# square classes and symbol bookkeeping
+
+
+@lru_cache(maxsize=None)
+def square_class_group(F: FieldSpec) -> SquareClassGroup:
+    if F.q % 2 == 0:
+        return SquareClassGroup(0, ())
+    return SquareClassGroup(1, ("nonsquare unit",))
+
+
+def class_of(F: FieldSpec, code: int) -> int:
+    """The square class of a nonzero element as a group bitmask."""
+    if code == 0:
+        raise ValueError("zero has no square class")
+    if F.q % 2 == 0:
+        return 0
+    return F.dlog_code(code) & 1
+
+
+@lru_cache(maxsize=None)
+def symbol_generators(F: FieldSpec) -> tuple[int, ...]:
+    """Codes indexing the symbol generators: F^x without 1, ascending."""
+    if F.q == 2:
+        return ()
+    return tuple(c for c in F.units() if c != 1)
+
+
+@lru_cache(maxsize=None)
+def _symbol_index(F: FieldSpec) -> dict[int, int]:
+    return {code: i for i, code in enumerate(symbol_generators(F))}
+
+
+def generator_count(F: FieldSpec) -> int:
+    """Number of presentation generators (1 for the ad-hoc q=2 group)."""
+    return 1 if F.q == 2 else len(symbol_generators(F))
+
+
+class SymbolVector:
+    """A formal group-ring combination of symbol generators.
+
+    Coefficients are keyed by generator index.  The special q=2 presentation
+    has a single synthetic generator at index 0.
+    """
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FieldSpec, coeffs: Optional[Mapping[int, GroupRingElement]] = None):
+        self.field = field
+        self.coeffs = {i: c for i, c in (coeffs or {}).items() if not c.is_zero()}
+
+    @classmethod
+    def zero(cls, field: FieldSpec) -> "SymbolVector":
+        return cls(field)
+
+    @classmethod
+    def symbol(cls, field: FieldSpec, code: int, coeff: Union[int, GroupRingElement] = 1) -> "SymbolVector":
+        """coeff * [code]; the symbol [1] is zero by construction."""
+        if code == 0:
+            raise ValueError("[0] is not a symbol")
+        if code == 1:
+            return cls.zero(field)
+        if isinstance(coeff, int):
+            coeff = GroupRingElement(square_class_group(field), {0: coeff})
+        return cls(field, {_symbol_index(field)[code]: coeff})
+
+    def _check(self, other: "SymbolVector") -> None:
+        if self.field != other.field:
+            raise ValueError("symbol vectors over different fields")
+
+    def __add__(self, other: "SymbolVector") -> "SymbolVector":
+        self._check(other)
+        out = dict(self.coeffs)
+        for i, c in other.coeffs.items():
+            out[i] = out[i] + c if i in out else c
+        return SymbolVector(self.field, out)
+
+    def __sub__(self, other: "SymbolVector") -> "SymbolVector":
+        return self + (-other)
+
+    def __neg__(self) -> "SymbolVector":
+        return SymbolVector(self.field, {i: -c for i, c in self.coeffs.items()})
+
+    def scale(self, factor: Union[int, GroupRingElement]) -> "SymbolVector":
+        if isinstance(factor, int):
+            return SymbolVector(self.field, {i: c.scale(factor) for i, c in self.coeffs.items()})
+        return SymbolVector(self.field, {i: factor * c for i, c in self.coeffs.items()})
+
+    def is_zero_vector(self) -> bool:
+        return not self.coeffs
+
+    def z_coordinates(self) -> list[int]:
+        """Integer coordinates in the scalar-restricted presentation."""
+        return z_vector(square_class_group(self.field), generator_count(self.field), self.coeffs)
+
+    def augmentation_coordinates(self) -> list[int]:
+        """Coordinates in the coinvariant (plain pre-Bloch) presentation."""
+        out = [0] * generator_count(self.field)
+        for i, c in self.coeffs.items():
+            a = c.augmentation()
+            if a.denominator != 1:
+                raise ValueError("augmentation is not integral")
+            out[i] += int(a)
+        return out
+
+    def __repr__(self) -> str:
+        return f"SymbolVector({self.field.spec_string()}, {self.coeffs!r})"
+
+
+# ---------------------------------------------------------------------------
+# presentations
+
+
+def _five_term_arguments(F: FieldSpec, x: int, y: int) -> tuple[tuple[int, int, int], ...]:
+    """The five (argument, sign, twist-class) terms of the relation at (x, y)."""
+    one = 1
+    inv_x = F.inv_code(x)
+    inv_y = F.inv_code(y)
+    a3 = F.mul_code(y, inv_x)
+    n4 = F.sub_code(one, inv_x)
+    d4 = F.sub_code(one, inv_y)
+    a4 = F.mul_code(n4, F.inv_code(d4))
+    n5 = F.sub_code(one, x)
+    d5 = F.sub_code(one, y)
+    a5 = F.mul_code(n5, F.inv_code(d5))
+    if 0 in (a3, a4, a5):  # pragma: no cover - impossible for x != y away from 0, 1
+        raise InternalConsistencyError("five-term relation produced a zero argument")
+    return (
+        (x, 1, 0),
+        (y, -1, 0),
+        (a3, 1, class_of(F, x)),
+        (a4, -1, class_of(F, F.sub_code(inv_x, one))),
+        (a5, 1, class_of(F, n5)),
+    )
+
+
+@lru_cache(maxsize=None)
+def prebloch_presentation(F: FieldSpec) -> FpPresentation:
+    """The pre-Bloch group of F as an integer presentation."""
+    if F.q == 2:
+        return FpPresentation(1, IntMatrix.from_rows([[3]]), labels=("b",))
+    if F.q == 3:
+        return FpPresentation(1, IntMatrix.from_rows([[4]]), labels=("[-1]",))
+    gens = symbol_generators(F)
+    index = _symbol_index(F)
+    rows = []
+    for x, y in itertools.permutations(gens, 2):
+        row = [0] * len(gens)
+        for arg, sign, _cls in _five_term_arguments(F, x, y):
+            if arg != 1:
+                row[index[arg]] += sign
+        rows.append(row)
+    labels = tuple(f"[{c}]" for c in gens)
+    return FpPresentation(len(gens), IntMatrix.from_rows(rows, cols=len(gens)), labels=labels)
+
+
+@lru_cache(maxsize=None)
+def refined_presentation(F: FieldSpec) -> RModulePresentation:
+    """The refined pre-Bloch module over the square-class group ring."""
+    G = square_class_group(F)
+    if F.q == 2:
+        return RModulePresentation(G, 1, ({0: GroupRingElement(G, {0: 3})},), labels=("b",))
+    if F.q == 3:
+        minus_one_class = class_of(F, 2)
+        rel = GroupRingElement(G, {0: 2}) + GroupRingElement(G, {minus_one_class: 2})
+        return RModulePresentation(G, 1, ({0: rel},), labels=("[-1]",))
+    gens = symbol_generators(F)
+    index = _symbol_index(F)
+    rows: list[dict[int, GroupRingElement]] = []
+    for x, y in itertools.permutations(gens, 2):
+        row: dict[int, GroupRingElement] = {}
+        for arg, sign, cls in _five_term_arguments(F, x, y):
+            if arg == 1:
+                continue
+            term = GroupRingElement(G, {cls: sign})
+            i = index[arg]
+            row[i] = row[i] + term if i in row else term
+        rows.append({i: c for i, c in row.items() if not c.is_zero()})
+    labels = tuple(f"[{c}]" for c in gens)
+    return RModulePresentation(G, len(gens), tuple(rows), labels=labels)
+
+
+# ---------------------------------------------------------------------------
+# the two invariant maps
+
+
+@dataclass(frozen=True)
+class Asym2Element:
+    """Element of the antisymmetric square of the cyclic group F^x.
+
+    For F_q this group is Z/gcd(2, q-1) on the generator g o g, and
+    g^a o g^b = ab * (g o g).
+    """
+
+    value: int
+    modulus: int
+
+    def __post_init__(self):
+        if self.modulus not in (1, 2):
+            raise ValueError("antisymmetric square of a cyclic group has exponent dividing 2")
+        if not 0 <= self.value < max(self.modulus, 1):
+            raise ValueError("value must be reduced")
+
+    def is_zero(self) -> bool:
+        return self.value == 0
+
+
+def asym2_modulus(F: FieldSpec) -> int:
+    return 2 if F.q % 2 else 1
+
+
+def asym2_pairing(F: FieldSpec, a: int, b: int) -> Asym2Element:
+    """a o b for nonzero codes a, b."""
+    mod = asym2_modulus(F)
+    if mod == 1:
+        return Asym2Element(0, 1)
+    return Asym2Element((F.dlog_code(a) * F.dlog_code(b)) % 2, 2)
+
+
+def lambda_two(F: FieldSpec, x: Union[int, FieldElement]) -> Asym2Element:
+    """(1 - x) o x in the antisymmetric square."""
+    code = x.code if isinstance(x, FieldElement) else x
+    if code in (0, 1):
+        raise ValueError("lambda_two needs x outside {0, 1}")
+    return asym2_pairing(F, F.sub_code(1, code), code)
+
+
+@lru_cache(maxsize=None)
+def _aug_square_lattice(G: SquareClassGroup) -> Lattice:
+    """Integer lattice spanned by the products <<a>><<b>> inside the group ring."""
+    rows = []
+    for a in G.elements():
+        for b in G.elements():
+            prod = double_bracket(G, a) * double_bracket(G, b)
+            if not prod.is_zero():
+                rows.append(prod.to_int_vector())
+    return Lattice(IntMatrix.from_rows(rows, cols=G.size))
+
+
+@dataclass(frozen=True)
+class AugSquareElement:
+    """A group-ring element verified to lie in the square of the augmentation ideal."""
+
+    value: GroupRingElement
+
+    def __post_init__(self):
+        if self.value.augmentation() != 0:
+            raise ValueError("element has nonzero augmentation")
+        lat = _aug_square_lattice(self.value.group)
+        if lat.contains(self.value.to_int_vector()) is None:
+            raise ValueError("element is not in the square of the augmentation ideal")
+
+    def is_zero(self) -> bool:
+        return self.value.is_zero()
+
+
+def lambda_one(F: FieldSpec, x: Union[int, FieldElement]) -> AugSquareElement:
+    """<<1-x>><<x>>, the augmentation-square invariant of the symbol [x]."""
+    code = x.code if isinstance(x, FieldElement) else x
+    if code in (0, 1):
+        raise ValueError("lambda_one needs x outside {0, 1}")
+    G = square_class_group(F)
+    one_minus = F.sub_code(1, code)
+    return AugSquareElement(double_bracket(G, class_of(F, one_minus)) * double_bracket(G, class_of(F, code)))
+
+
+def _lambda_one_of_generator(F: FieldSpec, gen_index: int) -> GroupRingElement:
+    G = square_class_group(F)
+    if F.q == 2:
+        return GroupRingElement.zero(G)
+    code = symbol_generators(F)[gen_index]
+    return lambda_one(F, code).value
+
+
+def _lambda_two_of_generator(F: FieldSpec, gen_index: int) -> int:
+    if F.q == 2:
+        return 0
+    code = symbol_generators(F)[gen_index]
+    return lambda_two(F, code).value
+
+
+def lambda_one_of_vector(v: SymbolVector) -> GroupRingElement:
+    """The group-ring-linear extension of lambda_one to symbol combinations."""
+    F = v.field
+    G = square_class_group(F)
+    out = GroupRingElement.zero(G)
+    for i, coeff in v.coeffs.items():
+        out = out + coeff * _lambda_one_of_generator(F, i)
+    return out
+
+
+def lambda_two_of_vector(v: SymbolVector) -> Asym2Element:
+    """lambda_two extended through the coinvariants (group action is trivial)."""
+    F = v.field
+    mod = asym2_modulus(F)
+    if mod == 1:
+        return Asym2Element(0, 1)
+    total = 0
+    for i, coeff in v.coeffs.items():
+        aug = coeff.augmentation()
+        if aug.denominator != 1:
+            raise ValueError("augmentation is not integral")
+        total += int(aug) * _lambda_two_of_generator(F, i)
+    return Asym2Element(total % mod, mod)
+
+
+# ---------------------------------------------------------------------------
+# Bloch groups
+
+
+def asym2_presentation(F: FieldSpec) -> FpPresentation:
+    return FpPresentation(1, IntMatrix.from_rows([[asym2_modulus(F)]]), labels=("gog",))
+
+
+def _lambda_two_matrix(F: FieldSpec) -> IntMatrix:
+    n = generator_count(F)
+    rows = [[_lambda_two_of_generator(F, i)] for i in range(n)]
+    return IntMatrix.from_rows(rows, cols=1)
+
+
+@lru_cache(maxsize=None)
+def bloch_group(F: FieldSpec) -> FpPresentation:
+    """The Bloch group: kernel of lambda_two on the pre-Bloch group."""
+    pres, _ = kernel_with_embedding(prebloch_presentation(F), asym2_presentation(F), _lambda_two_matrix(F))
+    return pres
+
+
+def bloch_invariants(F: FieldSpec) -> AbelianInvariants:
+    return bloch_group(F).invariants()
+
+
+def _refined_lambda_matrix(F: FieldSpec, chi: Character) -> IntMatrix:
+    """Per-character matrix of (lambda_one, lambda_two) into Z + asym2."""
+    n = generator_count(F)
+    rows = []
+    for i in range(n):
+        l1 = _lambda_one_of_generator(F, i).apply_character(chi)
+        if l1.denominator != 1:  # pragma: no cover - products of integral elements
+            raise InternalConsistencyError("lambda_one specialization not integral")
+        rows.append([int(l1), _lambda_two_of_generator(F, i)])
+    return IntMatrix.from_rows(rows, cols=2)
+
+
+@lru_cache(maxsize=None)
+def refined_bloch(F: FieldSpec) -> dict[Character, AbelianInvariants]:
+    """Odd invariants of the refined Bloch group, one entry per character.
+
+    Characters split the 2-inverted module into eigenspaces, so each entry is
+    the odd part of the kernel of the specialized invariant map.  The trivial
+    character recovers the odd part of the plain Bloch group.
+    """
+    rp = refined_presentation(F)
+    mod = asym2_modulus(F)
+    codomain = FpPresentation(2, IntMatrix.from_rows([[0, mod]]))
+    out: dict[Character, AbelianInvariants] = {}
+    for chi in rp.group.characters():
+        mat, gens = character_specialize(rp, chi)
+        domain = FpPresentation(gens, mat)
+        kernel, _ = kernel_with_embedding(domain, codomain, _refined_lambda_matrix(F, chi))
+        out[chi] = kernel.invariants().odd_part()
+    return out
+
+
+def rb0(F: FieldSpec) -> dict[Character, AbelianInvariants]:
+    """The nontrivial-character part: kernel of refined Bloch -> Bloch, odd."""
+    return {chi: inv for chi, inv in refined_bloch(F).items() if not chi.is_trivial}
+
+
+def rb0_is_trivial(F: FieldSpec) -> bool:
+    return all(inv.is_trivial() for inv in rb0(F).values())
+
+
+# ---------------------------------------------------------------------------
+# inversion elements, constants, and the cyclic module they generate
+
+
+def suslin_element(F: FieldSpec, i: int, x: Union[int, FieldElement]) -> SymbolVector:
+    """The two standard liftings of [x] + [x^-1]:
+
+    psi_1(x) = [x] + <-1>[x^-1]
+    psi_2(x) = <1-x>(<x>[x] + [x^-1])   (0 at x = 1)
+    """
+    if i not in (1, 2):
+        raise ValueError("index must be 1 or 2")
+    code = x.code if isinstance(x, FieldElement) else x
+    if code == 0:
+        raise ValueError("x must be nonzero")
+    if code == 1:
+        return SymbolVector.zero(F)
+    G = square_class_group(F)
+    inv = F.inv_code(code)
+    minus_one = F.neg_code(1)
+    if i == 1:
+        return SymbolVector.symbol(F, code) + SymbolVector.symbol(F, inv, bracket(G, class_of(F, minus_one)))
+    cls_1mx = class_of(F, F.sub_code(1, code))
+    cls_x = class_of(F, code)
+    return SymbolVector.symbol(F, code, bracket(G, cls_1mx ^ cls_x)) + SymbolVector.symbol(
+        F, inv, bracket(G, cls_1mx)
+    )
+
+
+def constant_element(F: FieldSpec, x: Union[int, FieldElement]) -> SymbolVector:
+    """C(x) = [x] + <-1>[1-x] + <<1-x>> psi_1(x); independent of x."""
+    code = x.code if isinstance(x, FieldElement) else x
+    if code in (0, 1):
+        raise ValueError("x must avoid 0 and 1")
+    G = square_class_group(F)
+    one_minus = F.sub_code(1, code)
+    minus_one = F.neg_code(1)
+    out = SymbolVector.symbol(F, code)
+    out = out + SymbolVector.symbol(F, one_minus, bracket(G, class_of(F, minus_one)))
+    out = out + suslin_element(F, 1, code).scale(double_bracket(G, class_of(F, one_minus)))
+    return out
+
+
+@dataclass(frozen=True)
+class BlochConstants:
+    """The constant b (common value of C(x)), c = 2b, and their exact orders."""
+
+    b: SymbolVector
+    c: SymbolVector
+    b_order: int
+    c_order: int
+    base_point: Optional[int]
+    constancy_checked: int
+
+
+@lru_cache(maxsize=None)
+def constant_b(F: FieldSpec) -> BlochConstants:
+    """Compute b (checking independence of the base point) and its order.
+
+    For q in {2, 3} the standard replacements are used: the distinguished
+    order-3 generator, and psi_1(-1) respectively.  Orders are integral,
+    computed in the scalar-restricted presentation so that both the 2- and
+    3-parts are visible.
+
+    Raises InternalConsistencyError if the values C(x) fail to agree, which
+    would indicate a bug rather than interesting mathematics.
+    """
+    lat = rp_lattice(F)
+    if F.q == 2:
+        b = SymbolVector(F, {0: GroupRingElement(square_class_group(F), {0: 1})})
+        base: Optional[int] = None
+        checked = 0
+    elif F.q == 3:
+        b = suslin_element(F, 1, 2)
+        base = None
+        checked = 0
+    else:
+        candidates = symbol_generators(F)
+        base = candidates[0]
+        b = constant_element(F, base)
+        checked = 0
+        for code in candidates[1:]:
+            diff = constant_element(F, code) - b
+            if lat.contains(diff.z_coordinates()) is None:
+                raise InternalConsistencyError(f"C({code}) differs from C({base}) in F_{F.spec_string()}")
+            checked += 1
+    c = b.scale(2)
+    b_order = lat.order_mod(b.z_coordinates())
+    c_order = lat.order_mod(c.z_coordinates())
+    if not isinstance(b_order, int) or 6 % b_order:
+        raise InternalConsistencyError(f"constant element must have order dividing 6, got {b_order}")
+    return BlochConstants(b, c, b_order, int(c_order), base, checked)
+
+
+# ---------------------------------------------------------------------------
+# lattices for zero-testing inside the presented modules
+
+
+@lru_cache(maxsize=None)
+def _rp_zmatrix(F: FieldSpec) -> IntMatrix:
+    mat, _ = z_expand(refined_presentation(F))
+    return mat
+
+
+@lru_cache(maxsize=None)
+def rp_lattice(F: FieldSpec) -> Lattice:
+    """Relation lattice of the scalar-restricted refined presentation."""
+    return Lattice(_rp_zmatrix(F))
+
+
+@lru_cache(maxsize=None)
+def prebloch_lattice(F: FieldSpec) -> Lattice:
+    return Lattice(prebloch_presentation(F).relations)
+
+
+def is_zero_in_refined(F: FieldSpec, v: SymbolVector, invert_two: bool = True) -> bool:
+    """Does v vanish in the refined module (by default up to odd torsion)?"""
+    lat = rp_lattice(F)
+    coords = v.z_coordinates()
+    if invert_two:
+        return lat.contains_two_inverted(coords) is not None
+    return lat.contains(coords) is not None
+
+
+def is_zero_in_prebloch(F: FieldSpec, v: SymbolVector) -> bool:
+    return prebloch_lattice(F).contains(v.augmentation_coordinates()) is not None
+
+
+# ---------------------------------------------------------------------------
+# the cyclic module on c and the reduced quotients
+
+
+@dataclass(frozen=True)
+class DfModuleReport:
+    """Verification data for the cyclic module generated by c."""
+
+    c_order: int
+    difference_identity_two_inverted: bool
+    difference_identity_integral: bool
+    norm_annihilation_two_inverted: bool
+    failures: tuple[str, ...]
+
+
+def _df_checks(F: FieldSpec) -> DfModuleReport:
+    consts = constant_b(F)
+    G = square_class_group(F)
+    lat = rp_lattice(F)
+    failures: list[str] = []
+    df1_half = True
+    df1_int = True
+    for code in F.units():
+        diff = (
+            suslin_element(F, 1, code)
+            - suslin_element(F, 2, code)
+            - consts.c.scale(double_bracket(G, class_of(F, code)))
+        )
+        coords = diff.z_coordinates()
+        if lat.contains_two_inverted(coords) is None:
+            df1_half = False
+            failures.append(f"difference identity fails at x={code} even with 2 inverted")
+        if lat.contains(coords) is None:
+            df1_int = False
+    df2 = True
+    for code in sorted(plus_minus_norm_codes(F)):
+        twisted = consts.c.scale(double_bracket(G, class_of(F, code)))
+        if lat.contains_two_inverted(twisted.z_coordinates()) is None:
+            df2 = False
+            failures.append(f"norm annihilation fails at x={code}")
+    return DfModuleReport(consts.c_order, df1_half, df1_int, df2, tuple(failures))
+
+
+def df_module(F: FieldSpec) -> DfModuleReport:
+    """Check the defining identities of the module generated by c.
+
+    (1) psi_1(x) - psi_2(x) = <<x>> c for every x (after inverting 2; the
+        integral outcome is recorded separately rather than asserted).
+    (2) <<x>> c = 0 whenever x is, up to sign, a norm from F(zeta3).
+
+    A failed check is fatal: these identities hold for every field, so a
+    failure means the implementation is wrong.
+    """
+    report = _df_checks(F)
+    if report.failures:
+        raise InternalConsistencyError("; ".join(report.failures))
+    return report
+
+
+@dataclass(frozen=True)
+class ReducedQuotients:
+    """The two reduced quotients of the refined module.
+
+    ``mod_inversions_and_ic``: quotient by all psi_1(x) plus the augmentation
+    multiples of c (symbols stay meaningful across specialization).
+    ``mod_inversions_and_c``: the further quotient by c itself.
+    """
+
+    mod_inversions_and_ic: RModulePresentation
+    mod_inversions_and_c: RModulePresentation
+
+
+def _suslin_rows(F: FieldSpec) -> list[dict[int, GroupRingElement]]:
+    rows = []
+    for code in F.units():
+        psi = suslin_element(F, 1, code)
+        if not psi.is_zero_vector():
+            rows.append(dict(psi.coeffs))
+    return rows
+
+
+@lru_cache(maxsize=None)
+def reduced_quotients(F: FieldSpec) -> ReducedQuotients:
+    rp = refined_presentation(F)
+    G = rp.group
+    consts = constant_b(F)
+    psi_rows = _suslin_rows(F)
+    ic_rows = []
+    for elem in G.elements():
+        if elem == 0:
+            continue
+        row = consts.c.scale(double_bracket(G, elem))
+        if not row.is_zero_vector():
+            ic_rows.append(dict(row.coeffs))
+    c_rows = [] if consts.c.is_zero_vector() else [dict(consts.c.coeffs)]
+    return ReducedQuotients(
+        mod_inversions_and_ic=rp.with_extra_relations(psi_rows + ic_rows),
+        mod_inversions_and_c=rp.with_extra_relations(psi_rows + c_rows),
+    )
+
+
+@lru_cache(maxsize=None)
+def reduced_lattice(F: FieldSpec, which: str) -> Lattice:
+    """Zero-testing lattice for the reduced quotients ("ic" or "c")."""
+    quotients = reduced_quotients(F)
+    pres = quotients.mod_inversions_and_ic if which == "ic" else quotients.mod_inversions_and_c
+    mat, _ = z_expand(pres)
+    return Lattice(mat)
+
+
+def is_zero_in_reduced(F: FieldSpec, v: SymbolVector, which: str = "ic", invert_two: bool = True) -> bool:
+    lat = reduced_lattice(F, which)
+    coords = v.z_coordinates()
+    if invert_two:
+        return lat.contains_two_inverted(coords) is not None
+    return lat.contains(coords) is not None
+
+
+# ---------------------------------------------------------------------------
+# verification sweeps
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    name: str
+    checked: int
+    failures: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "status": "pass" if self.ok else "fail",
+            "checked": self.checked,
+            "failures": list(self.failures),
+        }
+
+
+def verify_lambda_well_defined(F: FieldSpec) -> SweepResult:
+    """Both invariant maps must kill every relation row, exactly."""
+    rp = refined_presentation(F)
+    G = rp.group
+    mod = asym2_modulus(F)
+    failures = []
+    checked = 0
+    for ridx, rel in enumerate(rp.relations):
+        total_l1 = GroupRingElement.zero(G)
+        total_l2 = 0
+        for i, coeff in rel.items():
+            total_l1 = total_l1 + coeff * _lambda_one_of_generator(F, i)
+            aug = coeff.augmentation()
+            total_l2 += int(aug) * _lambda_two_of_generator(F, i)
+        checked += 1
+        if not total_l1.is_zero():
+            failures.append(f"lambda_one nonzero on relation {ridx}")
+        if mod > 1 and total_l2 % mod:
+            failures.append(f"lambda_two nonzero on relation {ridx}")
+    return SweepResult("lambda_well_defined", checked, tuple(failures))
+
+
+def verify_suslin_identities(F: FieldSpec) -> SweepResult:
+    """psi_i(xy) = <x> psi_i(y) + psi_i(x), exactly in the refined module."""
+    G = square_class_group(F)
+    failures = []
+    checked = 0
+    for i in (1, 2):
+        for x in F.units():
+            for y in F.units():
+                lhs = suslin_element(F, i, F.mul_code(x, y))
+                rhs = suslin_element(F, i, y).scale(bracket(G, class_of(F, x))) + suslin_element(F, i, x)
+                checked += 1
+                if not is_zero_in_refined(F, lhs - rhs, invert_two=False):
+                    failures.append(f"psi_{i} cocycle fails at x={x}, y={y}")
+    return SweepResult("suslin_cocycle", checked, tuple(failures))
+
+
+def verify_suslin_lambda_one(F: FieldSpec) -> SweepResult:
+    """lambda_one(psi_i(x)) = <<-x>><<x>> as group-ring elements."""
+    G = square_class_group(F)
+    failures = []
+    checked = 0
+    for i in (1, 2):
+        for x in F.units():
+            lhs = lambda_one_of_vector(suslin_element(F, i, x))
+            rhs = double_bracket(G, class_of(F, F.neg_code(x))) * double_bracket(G, class_of(F, x))
+            checked += 1
+            if lhs != rhs:
+                failures.append(f"lambda_one(psi_{i}) mismatch at x={x}")
+    return SweepResult("suslin_lambda_one", checked, tuple(failures))
+
+
+def verify_two_torsion(F: FieldSpec) -> SweepResult:
+    """2([x] + [x^-1]) dies in the plain pre-Bloch group."""
+    failures = []
+    checked = 0
+    if F.q == 2:
+        return SweepResult("inversion_two_torsion", 0, ())
+    for x in F.units():
+        if x == 1:
+            continue
+        v = SymbolVector.symbol(F, x, 2) + SymbolVector.symbol(F, F.inv_code(x), 2)
+        checked += 1
+        if not is_zero_in_prebloch(F, v):
+            failures.append(f"2([x]+[x^-1]) nonzero at x={x}")
+    return SweepResult("inversion_two_torsion", checked, tuple(failures))
+
+
+def verify_suslin_image_lattice(F: FieldSpec) -> SweepResult:
+    """lambda_one of the inversion submodule spans (1 + <-1>) * augmentation ideal."""
+    G = square_class_group(F)
+    size = G.size
+    failures = []
+    left_rows = []
+    for i in (1, 2):
+        for x in F.units():
+            val = lambda_one_of_vector(suslin_element(F, i, x))
+            for e in G.elements():
+                shifted = bracket(G, e) * val
+                if not shifted.is_zero():
+                    left_rows.append(shifted.to_int_vector())
+    right_rows = []
+    minus_one_cls = class_of(F, F.neg_code(1)) if F.q > 2 else 0
+    p_minus = GroupRingElement.one(G) + bracket(G, minus_one_cls)
+    for a in G.elements():
+        for e in G.elements():
+            val = bracket(G, e) * (p_minus * double_bracket(G, a))
+            if not val.is_zero():
+                right_rows.append(val.to_int_vector())
+    checked = len(left_rows) + len(right_rows)
+    if left_rows or right_rows:
+        left = Lattice(IntMatrix.from_rows(left_rows, cols=size)) if left_rows else None
+        right = Lattice(IntMatrix.from_rows(right_rows, cols=size)) if right_rows else None
+        for row in left_rows:
+            if right is None or right.contains(row) is None:
+                failures.append("inversion image not inside (1+<-1>)*I")
+                break
+        for row in right_rows:
+            if left is None or left.contains(row) is None:
+                failures.append("(1+<-1>)*I not inside inversion image")
+                break
+    return SweepResult("suslin_lambda_one_image", checked, tuple(failures))
+
+
+def verify_constants(F: FieldSpec) -> SweepResult:
+    """Constancy of C(x), order dividing 6, and the solvability criterion."""
+    failures = []
+    try:
+        consts = constant_b(F)
+    except InternalConsistencyError as exc:
+        return SweepResult("constants", 1, (str(exc),))
+    checked = consts.constancy_checked + 2
+    if 6 % consts.b_order:
+        failures.append(f"order of b is {consts.b_order}, not a divisor of 6")
+    solvable = has_root_x2_minus_x_plus_1(F)
+    if solvable and consts.c_order != 1:
+        failures.append("X^2-X+1 solvable but c != 0")
+    if not solvable and consts.c_order != 3:
+        failures.append(f"X^2-X+1 unsolvable but c has order {consts.c_order}")
+    return SweepResult("constants", checked, tuple(failures))
+
+
+def verify_df_identities(F: FieldSpec) -> SweepResult:
+    report = _df_checks(F)
+    checked = (F.q - 1) + len(plus_minus_norm_codes(F))
+    return SweepResult("difference_identity", checked, tuple(report.failures))
+
+
+def verify_reduced_identities(F: FieldSpec) -> SweepResult:
+    """Symbol identities in the reduced quotients (all after inverting 2):
+
+    in the deeper quotient: [x^-1] = -<-1>[x] and <<-x>>[x] = 0;
+    in the full quotient:   [1-x] = -<-1>[x].
+    """
+    G = square_class_group(F)
+    failures = []
+    checked = 0
+    if F.q == 2:
+        return SweepResult("reduced_quotient_identities", 0, ())
+    minus_one = F.neg_code(1)
+    for x in symbol_generators(F):
+        inv = F.inv_code(x)
+        v1 = SymbolVector.symbol(F, inv) + SymbolVector.symbol(F, x, bracket(G, class_of(F, minus_one)))
+        checked += 1
+        if not is_zero_in_reduced(F, v1, which="ic"):
+            failures.append(f"inversion identity fails at x={x}")
+        v2 = SymbolVector.symbol(F, x, double_bracket(G, class_of(F, F.neg_code(x))))
+        checked += 1
+        if not is_zero_in_reduced(F, v2, which="ic"):
+            failures.append(f"negative-class annihilation fails at x={x}")
+        one_minus = F.sub_code(1, x)
+        v3 = SymbolVector.symbol(F, one_minus) + SymbolVector.symbol(F, x, bracket(G, class_of(F, minus_one)))
+        checked += 1
+        if not is_zero_in_reduced(F, v3, which="c"):
+            failures.append(f"one-minus identity fails at x={x}")
+    return SweepResult("reduced_quotient_identities", checked, tuple(failures))
+
+
+SWEEPS = {
+    "lambda": (verify_lambda_well_defined,),
+    "suslin": (verify_suslin_identities, verify_suslin_lambda_one, verify_two_torsion, verify_suslin_image_lattice),
+    "constants": (verify_constants,),
+    "df": (verify_df_identities,),
+    "pb": (verify_reduced_identities,),
+}
+
+
+def run_suite(F: FieldSpec, suite: str) -> list[SweepResult]:
+    """Run one named verification suite, or all of them."""
+    if suite == "all":
+        names = ("lambda", "suslin", "constants", "df", "pb")
+    elif suite in SWEEPS:
+        names = (suite,)
+    else:
+        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SWEEPS)} or 'all'")
+    results = []
+    for name in names:
+        for fn in SWEEPS[name]:
+            results.append(fn(F))
+    return results

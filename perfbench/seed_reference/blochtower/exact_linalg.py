@@ -1,0 +1,751 @@
+"""Exact linear algebra over the integers.
+
+Hermite and Smith normal forms, invariant factors of finitely presented
+abelian groups, lattice membership with witnesses (optionally after
+inverting 2), element orders in presented groups, and kernels of maps
+between presented groups.
+
+All arithmetic uses Python's arbitrary-precision integers.  Pivoting is
+deterministic (minimal absolute value, ties broken in (row, col) order),
+so every result is reproducible bit for bit.  Matrices are stored sparsely;
+the Smith form runs a sparse row-reduction pass first and only then a dense
+core on the surviving block, since elimination causes fill-in.
+
+Everything here is a pure function of immutable inputs and safe to call
+concurrently.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional, Sequence
+
+#: When true, every smith_normal_form call re-multiplies U*M*V and compares
+#: against D.  The test suite switches this on; it is off in normal use.
+VERIFY_TRANSFORMS = False
+
+
+class DimensionMismatchError(ValueError):
+    """Vector or matrix dimensions do not match the operation."""
+
+
+def _factorize(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+class InconsistentMapError(ValueError):
+    """A map between presented groups does not send relations to relations."""
+
+
+class IntMatrix:
+    """Sparse integer matrix; only nonzero entries are stored."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries=None):
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        self.rows = rows
+        self.cols = cols
+        clean = {}
+        for (i, j), v in (entries or {}).items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise DimensionMismatchError(f"entry index {(i, j)} out of range")
+            if v:
+                clean[(i, j)] = int(v)
+        self.entries = clean
+
+    @classmethod
+    def from_rows(cls, data: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
+        data = [list(r) for r in data]
+        if cols is None:
+            if not data:
+                raise ValueError("cols is required for a matrix with no rows")
+            cols = len(data[0])
+        entries = {}
+        for i, row in enumerate(data):
+            if len(row) != cols:
+                raise DimensionMismatchError("ragged rows")
+            for j, v in enumerate(row):
+                if v:
+                    entries[(i, j)] = v
+        return cls(len(data), cols, entries)
+
+    @classmethod
+    def identity(cls, n: int) -> "IntMatrix":
+        return cls(n, n, {(i, i): 1 for i in range(n)})
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+        return cls(rows, cols)
+
+    @classmethod
+    def diagonal(cls, diag: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
+        n = len(diag)
+        rows = n if rows is None else rows
+        cols = n if cols is None else cols
+        return cls(rows, cols, {(i, i): d for i, d in enumerate(diag) if d})
+
+    def to_rows(self) -> list[list[int]]:
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for (i, j), v in self.entries.items():
+            out[i][j] = v
+        return out
+
+    def sparse_rows(self) -> list[dict[int, int]]:
+        out: list[dict[int, int]] = [{} for _ in range(self.rows)]
+        for (i, j), v in self.entries.items():
+            out[i][j] = v
+        return out
+
+    def row_vector(self, i: int) -> list[int]:
+        out = [0] * self.cols
+        for (r, j), v in self.entries.items():
+            if r == i:
+                out[j] = v
+        return out
+
+    def transpose(self) -> "IntMatrix":
+        return IntMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+
+    def stack(self, other: "IntMatrix") -> "IntMatrix":
+        if other.cols != self.cols:
+            raise DimensionMismatchError("column counts differ")
+        entries = dict(self.entries)
+        for (i, j), v in other.entries.items():
+            entries[(i + self.rows, j)] = v
+        return IntMatrix(self.rows + other.rows, self.cols, entries)
+
+    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        if self.cols != other.rows:
+            raise DimensionMismatchError("inner dimensions differ")
+        by_row: dict[int, dict[int, int]] = {}
+        for (i, k), v in self.entries.items():
+            by_row.setdefault(i, {})[k] = v
+        other_rows: dict[int, dict[int, int]] = {}
+        for (k, j), w in other.entries.items():
+            other_rows.setdefault(k, {})[j] = w
+        entries: dict[tuple[int, int], int] = {}
+        for i, row in by_row.items():
+            acc: dict[int, int] = {}
+            for k, v in row.items():
+                for j, w in other_rows.get(k, {}).items():
+                    acc[j] = acc.get(j, 0) + v * w
+            for j, s in acc.items():
+                if s:
+                    entries[(i, j)] = s
+        return IntMatrix(self.rows, other.cols, entries)
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def is_diagonal(self) -> bool:
+        return all(i == j for (i, j) in self.entries)
+
+    def diagonal_entries(self) -> list[int]:
+        n = min(self.rows, self.cols)
+        return [self.entries.get((i, i), 0) for i in range(n)]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, IntMatrix)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, frozenset(self.entries.items())))
+
+    def __repr__(self) -> str:
+        return f"IntMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+
+
+@dataclass(frozen=True)
+class AbelianInvariants:
+    """Canonical form of a finitely generated abelian group.
+
+    ``factors`` is the divisibility chain d1 | d2 | ... with every d >= 2;
+    ``free_rank`` counts the infinite cyclic summands.
+    """
+
+    factors: tuple[int, ...]
+    free_rank: int
+
+    def __post_init__(self):
+        for d in self.factors:
+            if d < 2:
+                raise ValueError("invariant factors must be >= 2")
+        for a, b in zip(self.factors, self.factors[1:]):
+            if b % a:
+                raise ValueError("invariant factors must form a divisibility chain")
+        if self.free_rank < 0:
+            raise ValueError("free rank must be nonnegative")
+
+    def odd_part(self) -> "AbelianInvariants":
+        """Invariants after tensoring with Z[1/2]: 2-power torsion discarded."""
+        odd = []
+        for d in self.factors:
+            while d % 2 == 0:
+                d //= 2
+            if d > 1:
+                odd.append(d)
+        return AbelianInvariants(tuple(odd), self.free_rank)
+
+    @staticmethod
+    def direct_sum(*summands: "AbelianInvariants") -> "AbelianInvariants":
+        """Canonical invariants of a direct sum (via elementary divisors)."""
+        by_prime: dict[int, list[int]] = {}
+        rank = 0
+        for s in summands:
+            rank += s.free_rank
+            for d in s.factors:
+                for p, e in _factorize(d).items():
+                    by_prime.setdefault(p, []).append(e)
+        depth = max((len(v) for v in by_prime.values()), default=0)
+        chain = []
+        for k in range(depth):
+            d = 1
+            for p, exps in by_prime.items():
+                exps_sorted = sorted(exps, reverse=True)
+                if k < len(exps_sorted):
+                    d *= p ** exps_sorted[k]
+            chain.append(d)
+        return AbelianInvariants(tuple(reversed(chain)), rank)
+
+    def order(self):
+        if self.free_rank:
+            return math.inf
+        return math.prod(self.factors) if self.factors else 1
+
+    def is_trivial(self) -> bool:
+        return not self.factors and not self.free_rank
+
+    def to_json(self) -> dict:
+        return {"factors": list(self.factors), "free_rank": self.free_rank}
+
+    def __str__(self) -> str:
+        parts = [f"Z/{d}" for d in self.factors] + ["Z"] * self.free_rank
+        return " + ".join(parts) if parts else "0"
+
+
+@dataclass(frozen=True)
+class FpPresentation:
+    """A finitely presented abelian group: generator count plus relation rows."""
+
+    generators: int
+    relations: IntMatrix
+    labels: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self):
+        if self.relations.cols != self.generators:
+            raise DimensionMismatchError("relation width must equal generator count")
+        if self.labels is not None and len(self.labels) != self.generators:
+            raise DimensionMismatchError("one label per generator")
+
+    def invariants(self) -> AbelianInvariants:
+        return cokernel_invariants(self.relations, self.generators)
+
+
+# ---------------------------------------------------------------------------
+# sparse row operations
+
+
+def _row_addmul(target: dict[int, int], source: dict[int, int], q: int) -> None:
+    if not q:
+        return
+    for c, v in source.items():
+        nv = target.get(c, 0) + q * v
+        if nv:
+            target[c] = nv
+        else:
+            target.pop(c, None)
+
+
+def _hnf_rows(rows: list[dict[int, int]], cols: int, want_u: bool):
+    """Row Hermite form of sparse rows; returns (rows, pivots, u_rows).
+
+    ``pivots`` lists (row_index, col) pairs in echelon order; rows below the
+    last pivot are zero.  When ``want_u`` the returned u_rows satisfy
+    u * original = result.
+    """
+    n = len(rows)
+    work = [dict(r) for r in rows]
+    u = [{i: 1} for i in range(n)] if want_u else None
+    pivots: list[tuple[int, int]] = []
+    pr = 0
+    for col in range(cols):
+        if pr == n:
+            break
+        while True:
+            cands = [i for i in range(pr, n) if col in work[i]]
+            if not cands:
+                break
+            best = min(cands, key=lambda i: (abs(work[i][col]), i))
+            done = True
+            for i in cands:
+                if i == best:
+                    continue
+                q = work[i][col] // work[best][col]
+                _row_addmul(work[i], work[best], -q)
+                if want_u:
+                    _row_addmul(u[i], u[best], -q)
+                if col in work[i]:
+                    done = False
+            if done:
+                if best != pr:
+                    work[pr], work[best] = work[best], work[pr]
+                    if want_u:
+                        u[pr], u[best] = u[best], u[pr]
+                break
+        if col not in work[pr]:
+            continue
+        if work[pr][col] < 0:
+            work[pr] = {c: -v for c, v in work[pr].items()}
+            if want_u:
+                u[pr] = {c: -v for c, v in u[pr].items()}
+        p = work[pr][col]
+        for i in range(pr):
+            if col in work[i]:
+                q = work[i][col] // p
+                if q:
+                    _row_addmul(work[i], work[pr], -q)
+                    if want_u:
+                        _row_addmul(u[i], u[pr], -q)
+        pivots.append((pr, col))
+        pr += 1
+    return work, pivots, u
+
+
+def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row Hermite normal form H with unimodular U such that U*M = H."""
+    work, _pivots, u = _hnf_rows(M.sparse_rows(), M.cols, want_u=True)
+    h_entries = {(i, j): v for i, row in enumerate(work) for j, v in row.items()}
+    u_entries = {(i, j): v for i, row in enumerate(u) for j, v in row.items()}
+    return IntMatrix(M.rows, M.cols, h_entries), IntMatrix(M.rows, M.rows, u_entries)
+
+
+# ---------------------------------------------------------------------------
+# dense Smith core
+
+
+def _dense_snf_core(a: list[list[int]], c: int, want_u: bool, want_v: bool, want_vinv: bool):
+    """Smith form of a small dense block with c columns.  Returns (diag, U, V, Vinv).
+
+    Pivot choice: minimal absolute value over the remaining block, ties in
+    (row, col) order.  Diagonal entries come out nonnegative and form a
+    divisibility chain.
+    """
+    k = len(a)
+    U = [[int(i == j) for j in range(k)] for i in range(k)] if want_u else None
+    V = [[int(i == j) for j in range(c)] for i in range(c)] if want_v else None
+    Vinv = [[int(i == j) for j in range(c)] for i in range(c)] if want_vinv else None
+
+    def swap_rows(i, j):
+        if i == j:
+            return
+        a[i], a[j] = a[j], a[i]
+        if want_u:
+            U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        if i == j:
+            return
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        if want_v:
+            for row in V:
+                row[i], row[j] = row[j], row[i]
+        if want_vinv:
+            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def row_addmul(i, j, q):
+        # row i += q * row j
+        ri, rj = a[i], a[j]
+        for x in range(c):
+            ri[x] += q * rj[x]
+        if want_u:
+            ui, uj = U[i], U[j]
+            for x in range(k):
+                ui[x] += q * uj[x]
+
+    def col_addmul(i, j, q):
+        # col i += q * col j
+        for row in a:
+            row[i] += q * row[j]
+        if want_v:
+            for row in V:
+                row[i] += q * row[j]
+        if want_vinv:
+            # (I + q E_ji)^-1 acts on the left of Vinv: row j -= q * row i
+            vi, vj = Vinv[i], Vinv[j]
+            for x in range(c):
+                vj[x] -= q * vi[x]
+
+    def negate_row(i):
+        a[i] = [-v for v in a[i]]
+        if want_u:
+            U[i] = [-v for v in U[i]]
+
+    t = 0
+    limit = min(k, c)
+    while t < limit:
+        best = None
+        for i in range(t, k):
+            row = a[i]
+            for j in range(t, c):
+                v = row[j]
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
+        if best is None:
+            break
+        swap_rows(t, best[1])
+        swap_cols(t, best[2])
+        while True:
+            dirty = False
+            for i in range(t + 1, k):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    row_addmul(i, t, -q)
+                    if a[i][t]:
+                        swap_rows(i, t)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, c):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    col_addmul(j, t, -q)
+                    if a[t][j]:
+                        swap_cols(j, t)
+                        dirty = True
+            if dirty:
+                continue
+            break
+        p = a[t][t]
+        offender = None
+        for i in range(t + 1, k):
+            row = a[i]
+            for j in range(t + 1, c):
+                if row[j] % p:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_addmul(t, offender, 1)
+            continue
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+    diag = [a[i][i] for i in range(limit)]
+    return diag, U, V, Vinv
+
+
+def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form: returns (D, U, V) with U*M*V = D.
+
+    U and V are unimodular; the diagonal of D is nonnegative and forms a
+    divisibility chain.  Total on all integer matrices.
+    """
+    work, pivots, u1 = _hnf_rows(M.sparse_rows(), M.cols, want_u=True)
+    k = len(pivots)
+    block = [[work[i].get(j, 0) for j in range(M.cols)] for i in range(k)]
+    diag, u2, v, _ = _dense_snf_core(block, M.cols, want_u=True, want_v=True, want_vinv=False)
+
+    D = IntMatrix.diagonal(diag, M.rows, M.cols)
+    # U = (u2 on the pivot block, identity below) * u1
+    u_entries: dict[tuple[int, int], int] = {}
+    for i in range(M.rows):
+        if i < k:
+            acc: dict[int, int] = {}
+            for j, coef in enumerate(u2[i]):
+                if coef:
+                    _row_addmul(acc, u1[j], coef)
+            row = acc
+        else:
+            row = u1[i]
+        for j, val in row.items():
+            if val:
+                u_entries[(i, j)] = val
+    U = IntMatrix(M.rows, M.rows, u_entries)
+    V = IntMatrix.from_rows(v, cols=M.cols) if M.cols else IntMatrix(0, 0)
+    if VERIFY_TRANSFORMS:
+        if (U @ M) @ V != D:
+            raise AssertionError("Smith transform verification failed")
+        if abs(_det_unimodular(U)) != 1 or (M.cols and abs(_det_unimodular(V)) != 1):
+            raise AssertionError("Smith transforms are not unimodular")
+    return D, U, V
+
+
+def _det_unimodular(M: IntMatrix) -> int:
+    """Determinant via fraction-free elimination; used only for verification."""
+    n = M.rows
+    if n != M.cols:
+        raise DimensionMismatchError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    a = [row[:] for row in M.to_rows()]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = Fraction(1, a[col][col])
+        for i in range(col + 1, n):
+            if a[i][col]:
+                f = a[i][col] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    if det.denominator != 1:
+        raise AssertionError("elimination lost exactness")
+    return int(det)
+
+
+def cokernel_invariants(M: IntMatrix, num_generators: int) -> AbelianInvariants:
+    """Invariant factors of Z^n modulo the row space of M (relations as rows)."""
+    if M.cols != num_generators:
+        raise DimensionMismatchError(
+            f"matrix has {M.cols} columns but {num_generators} generators were declared"
+        )
+    work, pivots, _ = _hnf_rows(M.sparse_rows(), M.cols, want_u=False)
+    k = len(pivots)
+    block = [[work[i].get(j, 0) for j in range(M.cols)] for i in range(k)]
+    diag, _, _, _ = _dense_snf_core(block, M.cols, want_u=False, want_v=False, want_vinv=False)
+    factors = tuple(d for d in diag if d > 1)
+    rank = sum(1 for d in diag if d)
+    return AbelianInvariants(factors, num_generators - rank)
+
+
+# ---------------------------------------------------------------------------
+# lattices
+
+
+class Lattice:
+    """The row lattice of an integer matrix, with cached reduction data.
+
+    Supports repeated membership queries (with witnesses), order-of-element
+    computations, and membership after saturating at the prime 2.
+    """
+
+    def __init__(self, matrix: IntMatrix):
+        self.matrix = matrix
+        self._h, self._pivots, self._u = _hnf_rows(matrix.sparse_rows(), matrix.cols, want_u=True)
+        self._sat: Optional[Lattice] = None
+        self._max_two_power: Optional[int] = None
+
+    @property
+    def cols(self) -> int:
+        return self.matrix.cols
+
+    def basis_rows(self) -> list[dict[int, int]]:
+        return [dict(self._h[r]) for r, _ in self._pivots]
+
+    def contains(self, v: Sequence[int]) -> Optional[list[int]]:
+        """Coefficients x (over the original rows) with x*M = v, or None."""
+        if len(v) != self.cols:
+            raise DimensionMismatchError("vector length must equal matrix width")
+        work = {i: int(x) for i, x in enumerate(v) if x}
+        used: list[tuple[int, int]] = []
+        for r, col in self._pivots:
+            if col in work:
+                p = self._h[r][col]
+                q, rem = divmod(work[col], p)
+                if rem:
+                    return None
+                _row_addmul(work, self._h[r], -q)
+                used.append((r, q))
+        if work:
+            return None
+        coeffs = [0] * self.matrix.rows
+        for r, q in used:
+            for j, val in self._u[r].items():
+                coeffs[j] += q * val
+        return coeffs
+
+    def order_mod(self, v: Sequence[int]):
+        """Least n >= 1 with n*v in the lattice, or math.inf."""
+        if len(v) != self.cols:
+            raise DimensionMismatchError("vector length must equal matrix width")
+        work: dict[int, Fraction] = {i: Fraction(x) for i, x in enumerate(v) if x}
+        denoms = [1]
+        for r, col in self._pivots:
+            if col in work:
+                q = work[col] / self._h[r][col]
+                for c, val in self._h[r].items():
+                    nv = work.get(c, Fraction(0)) - q * val
+                    if nv:
+                        work[c] = nv
+                    else:
+                        work.pop(c, None)
+                denoms.append(q.denominator)
+        if work:
+            return math.inf
+        return math.lcm(*denoms)
+
+    def saturation_two(self) -> "Lattice":
+        """The lattice of all v with 2^k * v in this lattice for some k >= 0."""
+        if self._sat is None:
+            basis = self.basis_rows()
+            if not basis:
+                self._max_two_power = 0
+                self._sat = self
+                return self._sat
+            block = [[row.get(j, 0) for j in range(self.cols)] for row in basis]
+            diag, _, _, vinv = _dense_snf_core(block, self.cols, want_u=False, want_v=False, want_vinv=True)
+            rows = []
+            max_pow = 0
+            for i, d in enumerate(diag):
+                if not d:
+                    continue
+                pow2 = 0
+                odd = d
+                while odd % 2 == 0:
+                    odd //= 2
+                    pow2 += 1
+                max_pow = max(max_pow, pow2)
+                rows.append([odd * x for x in vinv[i]])
+            self._max_two_power = max_pow
+            self._sat = Lattice(IntMatrix.from_rows(rows, cols=self.cols))
+        return self._sat
+
+    def contains_two_inverted(self, v: Sequence[int]) -> Optional[tuple[int, list[int]]]:
+        """Membership after inverting 2: least k with 2^k*v in the lattice.
+
+        Returns (k, coefficients of 2^k*v) or None.  Decided by saturating
+        the lattice at 2, not by unbounded search.
+        """
+        if len(v) != self.cols:
+            raise DimensionMismatchError("vector length must equal matrix width")
+        sat = self.saturation_two()
+        if sat is not self and sat.contains(v) is None:
+            return None
+        if sat is self:
+            direct = self.contains(v)
+            return (0, direct) if direct is not None else None
+        bound = self._max_two_power or 0
+        scaled = list(v)
+        for k in range(bound + 1):
+            coeffs = self.contains(scaled)
+            if coeffs is not None:
+                return (k, coeffs)
+            scaled = [2 * x for x in scaled]
+        raise AssertionError("saturation bound violated")  # pragma: no cover
+
+
+@dataclass(frozen=True)
+class Membership:
+    """Outcome of a lattice membership test."""
+
+    member: bool
+    coefficients: Optional[tuple[int, ...]] = None
+    two_power: int = 0
+
+
+def lattice_membership(M: IntMatrix, v: Sequence[int], invert_two: bool = False) -> Membership:
+    """Decide v in rowspace(M); with invert_two, decide 2^k*v in rowspace(M).
+
+    Returns the witness coefficients (for 2^k * v when invert_two is set).
+    """
+    lat = Lattice(M)
+    if invert_two:
+        hit = lat.contains_two_inverted(v)
+        if hit is None:
+            return Membership(False)
+        k, coeffs = hit
+        return Membership(True, tuple(coeffs), k)
+    coeffs = lat.contains(v)
+    if coeffs is None:
+        return Membership(False)
+    return Membership(True, tuple(coeffs), 0)
+
+
+def element_order(M: IntMatrix, v: Sequence[int]):
+    """Least n >= 1 with n*v in rowspace(M), or math.inf."""
+    return Lattice(M).order_mod(v)
+
+
+# ---------------------------------------------------------------------------
+# kernels of maps between presented groups
+
+
+def kernel_with_embedding(
+    domain: FpPresentation, codomain: FpPresentation, map_matrix: IntMatrix
+) -> tuple[FpPresentation, IntMatrix]:
+    """Kernel presentation plus the matrix embedding its generators in the domain.
+
+    ``map_matrix`` sends domain generators (rows) to codomain coordinate
+    vectors.  Raises InconsistentMapError when a domain relation fails to land
+    in the codomain relation lattice.
+    """
+    if map_matrix.rows != domain.generators or map_matrix.cols != codomain.generators:
+        raise DimensionMismatchError("map matrix shape must be domain gens x codomain gens")
+    cod_lat = Lattice(codomain.relations)
+    map_rows = map_matrix.sparse_rows()
+    dom_rows = domain.relations.sparse_rows()
+    for idx, row in enumerate(dom_rows):
+        image = _apply_map(row, map_rows, codomain.generators)
+        if cod_lat.contains(image) is None:
+            raise InconsistentMapError(f"domain relation {idx} does not map into the relation lattice")
+    stacked = map_matrix.stack(codomain.relations)
+    work, _pivots, u = _hnf_rows(stacked.sparse_rows(), stacked.cols, want_u=True)
+    nonzero = {i for i, row in enumerate(work) if row}
+    projected = []
+    for i in range(stacked.rows):
+        if i in nonzero:
+            continue
+        vec = [0] * domain.generators
+        for j, val in u[i].items():
+            if j < domain.generators:
+                vec[j] = val
+        projected.append(vec)
+    pre = IntMatrix.from_rows(projected, cols=domain.generators)
+    basis_rows, basis_pivots, _ = _hnf_rows(pre.sparse_rows(), pre.cols, want_u=False)
+    basis = [basis_rows[r] for r, _ in basis_pivots]
+    embedding = IntMatrix(
+        len(basis), domain.generators,
+        {(i, j): v for i, row in enumerate(basis) for j, v in row.items()},
+    )
+    for i in range(embedding.rows):
+        image = _apply_map(dict(basis[i]), map_rows, codomain.generators)
+        if cod_lat.contains(image) is None:  # pragma: no cover - construction guarantees this
+            raise AssertionError("kernel generator fails codomain membership")
+    emb_lat = Lattice(embedding)
+    rel_rows = []
+    for row in dom_rows:
+        dense = [0] * domain.generators
+        for j, v in row.items():
+            dense[j] = v
+        coords = emb_lat.contains(dense)
+        if coords is None:  # pragma: no cover - relations lie in the preimage lattice
+            raise AssertionError("domain relation missing from kernel lattice")
+        rel_rows.append(coords)
+    relations = IntMatrix.from_rows(rel_rows, cols=embedding.rows)
+    return FpPresentation(embedding.rows, relations), embedding
+
+
+def map_kernel(domain: FpPresentation, codomain: FpPresentation, map_matrix: IntMatrix) -> FpPresentation:
+    """Presentation of the kernel of the induced map on presented groups."""
+    return kernel_with_embedding(domain, codomain, map_matrix)[0]
+
+
+def _apply_map(row: dict[int, int], map_rows: list[dict[int, int]], width: int) -> list[int]:
+    out = [0] * width
+    for j, coef in row.items():
+        for c, v in map_rows[j].items():
+            out[c] += coef * v
+    return out

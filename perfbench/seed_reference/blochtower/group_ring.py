@@ -1,0 +1,353 @@
+"""Group rings of elementary abelian 2-groups of square classes.
+
+The square-class group of every field handled here (finite fields and their
+iterated Laurent extensions with square 1-units) is (Z/2)^r, so group
+elements are bitmasks multiplying by XOR.  Ring coefficients are rationals
+whose denominators are powers of 2 only: the ambient coefficient ring is
+always Z or Z localized at 2, and anything else is a logic error that should
+fail loudly.
+
+The two bridges to plain integer linear algebra are:
+
+* ``character_specialize`` - push a presentation through the ring map sending
+  each group element to its character value (the chi-eigenspace picture;
+  exact only after inverting 2).
+* ``z_expand`` - restrict scalars to Z, turning each module generator into
+  2^r integer generators (the integral picture).
+
+All values are immutable; nothing here mutates shared state.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Mapping, Optional, Union
+
+from .exact_linalg import IntMatrix
+
+Scalar = Union[int, Fraction]
+
+
+def _is_dyadic(x: Fraction) -> bool:
+    d = x.denominator
+    return d & (d - 1) == 0
+
+
+@dataclass(frozen=True)
+class SquareClassGroup:
+    """(Z/2)^rank with labelled basis; elements are bitmasks in [0, 2^rank)."""
+
+    rank: int
+    labels: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.rank < 0:
+            raise ValueError("rank must be nonnegative")
+        if self.labels and len(self.labels) != self.rank:
+            raise ValueError("one label per basis generator")
+
+    @property
+    def size(self) -> int:
+        return 1 << self.rank
+
+    def elements(self) -> range:
+        return range(self.size)
+
+    def check_element(self, elem: int) -> int:
+        if not (0 <= elem < self.size):
+            raise ValueError(f"element mask {elem} out of range for rank {self.rank}")
+        return elem
+
+    def character(self, mask: int) -> "Character":
+        return Character(self, self.check_element(mask))
+
+    def characters(self) -> tuple["Character", ...]:
+        """All 2^rank characters; the trivial character comes first."""
+        return tuple(Character(self, m) for m in self.elements())
+
+
+@dataclass(frozen=True)
+class Character:
+    """A homomorphism to {+1, -1}: bit i set means the i-th generator maps to -1."""
+
+    group: SquareClassGroup
+    mask: int
+
+    def __call__(self, elem: int) -> int:
+        self.group.check_element(elem)
+        return -1 if (self.mask & elem).bit_count() & 1 else 1
+
+    @property
+    def is_trivial(self) -> bool:
+        return self.mask == 0
+
+    @property
+    def name(self) -> str:
+        if self.group.rank == 0:
+            return "1"
+        return "".join("-" if (self.mask >> i) & 1 else "+" for i in range(self.group.rank))
+
+    def signs(self) -> list[int]:
+        return [self((1 << i)) for i in range(self.group.rank)]
+
+
+class GroupRingElement:
+    """An element of Z[1/2][G] for an elementary abelian 2-group G."""
+
+    __slots__ = ("group", "coeffs")
+
+    def __init__(self, group: SquareClassGroup, coeffs: Optional[Mapping[int, Scalar]] = None):
+        self.group = group
+        clean: dict[int, Fraction] = {}
+        for elem, c in (coeffs or {}).items():
+            group.check_element(elem)
+            f = Fraction(c)
+            if not _is_dyadic(f):
+                raise ValueError(f"coefficient {f} has a non-2-power denominator")
+            if f:
+                clean[elem] = f
+        self.coeffs = clean
+
+    # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def zero(cls, group: SquareClassGroup) -> "GroupRingElement":
+        return cls(group)
+
+    @classmethod
+    def one(cls, group: SquareClassGroup) -> "GroupRingElement":
+        return cls(group, {0: 1})
+
+    @classmethod
+    def of(cls, group: SquareClassGroup, elem: int) -> "GroupRingElement":
+        """The group element <a> as a ring element."""
+        return cls(group, {elem: 1})
+
+    # -- ring structure --------------------------------------------------------
+
+    def _check(self, other: "GroupRingElement") -> None:
+        if self.group != other.group:
+            raise ValueError("elements of different group rings")
+
+    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
+        self._check(other)
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return GroupRingElement(self.group, out)
+
+    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
+        return self + (-other)
+
+    def __neg__(self) -> "GroupRingElement":
+        return GroupRingElement(self.group, {e: -c for e, c in self.coeffs.items()})
+
+    def __mul__(self, other) -> "GroupRingElement":
+        if isinstance(other, GroupRingElement):
+            self._check(other)
+            out: dict[int, Fraction] = {}
+            for e1, c1 in self.coeffs.items():
+                for e2, c2 in other.coeffs.items():
+                    e = e1 ^ e2
+                    out[e] = out.get(e, Fraction(0)) + c1 * c2
+            return GroupRingElement(self.group, out)
+        return self.scale(other)
+
+    def __rmul__(self, other) -> "GroupRingElement":
+        return self.scale(other)
+
+    def scale(self, c: Scalar) -> "GroupRingElement":
+        return GroupRingElement(self.group, {e: v * Fraction(c) for e, v in self.coeffs.items()})
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, GroupRingElement)
+            and self.group == other.group
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.group, frozenset(self.coeffs.items())))
+
+    # -- inspection --------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_integral(self) -> bool:
+        return all(c.denominator == 1 for c in self.coeffs.values())
+
+    def coeff(self, elem: int) -> Fraction:
+        return self.coeffs.get(self.group.check_element(elem), Fraction(0))
+
+    def augmentation(self) -> Fraction:
+        return sum(self.coeffs.values(), Fraction(0))
+
+    def apply_character(self, chi: Character) -> Fraction:
+        """The ring map <a> -> chi(a) applied to this element."""
+        if chi.group != self.group:
+            raise ValueError("character of a different group")
+        return sum((c * chi(e) for e, c in self.coeffs.items()), Fraction(0))
+
+    def to_fraction_vector(self) -> list[Fraction]:
+        return [self.coeffs.get(e, Fraction(0)) for e in self.group.elements()]
+
+    def to_int_vector(self) -> list[int]:
+        if not self.is_integral():
+            raise ValueError("element has dyadic denominators; not integral")
+        return [int(self.coeffs.get(e, Fraction(0))) for e in self.group.elements()]
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for e in sorted(self.coeffs):
+            c = self.coeffs[e]
+            parts.append(f"{c}*<{e:0{max(self.group.rank, 1)}b}>")
+        return " + ".join(parts)
+
+
+def bracket(group: SquareClassGroup, elem: int) -> GroupRingElement:
+    """<a>: the group element as a ring element."""
+    return GroupRingElement.of(group, elem)
+
+
+def double_bracket(group: SquareClassGroup, elem: int) -> GroupRingElement:
+    """<<a>> = <a> - 1, a basis element of the augmentation ideal."""
+    return GroupRingElement(group, {elem: 1}) - GroupRingElement.one(group)
+
+
+def plus_form(group: SquareClassGroup, elem: int) -> GroupRingElement:
+    """1 + <a>."""
+    return GroupRingElement.one(group) + bracket(group, elem)
+
+
+def minus_form(group: SquareClassGroup, elem: int) -> GroupRingElement:
+    """1 - <a>."""
+    return GroupRingElement.one(group) - bracket(group, elem)
+
+
+def idempotent(
+    group: SquareClassGroup, S: Iterable[int], chi: Character, sign: int = 1
+) -> GroupRingElement:
+    """The product of (1 +- chi(a)<a>)/2 over a in S; empty product is 1."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    out = GroupRingElement.one(group)
+    half = Fraction(1, 2)
+    for a in S:
+        factor = (GroupRingElement.one(group) + bracket(group, a).scale(sign * chi(a))).scale(half)
+        out = out * factor
+    return out
+
+
+def group_idempotent(group: SquareClassGroup, chi: Character) -> GroupRingElement:
+    """The full idempotent e^chi cutting out the chi-eigenspace."""
+    return idempotent(group, (1 << i for i in range(group.rank)), chi)
+
+
+# ---------------------------------------------------------------------------
+# module presentations over the group ring
+
+
+@dataclass(frozen=True)
+class RModulePresentation:
+    """Finitely presented module over the group ring.
+
+    ``relations`` holds sparse rows: maps generator index -> coefficient.
+    """
+
+    group: SquareClassGroup
+    generators: int
+    relations: tuple[Mapping[int, GroupRingElement], ...]
+    labels: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self):
+        for row in self.relations:
+            for idx, coeff in row.items():
+                if not (0 <= idx < self.generators):
+                    raise ValueError(f"generator index {idx} out of range")
+                if coeff.group != self.group:
+                    raise ValueError("relation coefficient from a different group ring")
+
+    def with_extra_relations(self, rows: Iterable[Mapping[int, GroupRingElement]]) -> "RModulePresentation":
+        return RModulePresentation(
+            self.group, self.generators, self.relations + tuple(dict(r) for r in rows), self.labels
+        )
+
+
+def character_specialize(M: RModulePresentation, chi: Character) -> tuple[IntMatrix, int]:
+    """Integer relation matrix of the chi-specialization of M.
+
+    Applies <a> -> chi(a) entrywise; each row is scaled by the least power of
+    2 clearing denominators, which changes nothing once 2 is inverted.
+    """
+    rows: list[list[int]] = []
+    for rel in M.relations:
+        vals = {j: coeff.apply_character(chi) for j, coeff in rel.items()}
+        scale = 1
+        for v in vals.values():
+            scale = max(scale, v.denominator)
+        dense = [0] * M.generators
+        for j, v in vals.items():
+            scaled = v * scale
+            dense[j] = int(scaled)
+        rows.append(dense)
+    return IntMatrix.from_rows(rows, cols=M.generators), M.generators
+
+
+def z_expand(M: RModulePresentation) -> tuple[IntMatrix, int]:
+    """Integer presentation of the underlying abelian group of M.
+
+    Each module generator becomes 2^rank integer generators indexed by group
+    elements; each relation contributes one integer row per group translate.
+    Requires integral coefficients.
+    """
+    g = M.group.size
+    width = M.generators * g
+    entries: dict[tuple[int, int], int] = {}
+    row_idx = 0
+    for rel in M.relations:
+        for coeff in rel.values():
+            if not coeff.is_integral():
+                raise ValueError("z_expand needs integral relation coefficients")
+        for e in M.group.elements():
+            for j, coeff in rel.items():
+                for f, c in coeff.coeffs.items():
+                    entries[(row_idx, j * g + (e ^ f))] = entries.get((row_idx, j * g + (e ^ f)), 0) + int(c)
+            row_idx += 1
+    mat = IntMatrix(row_idx, width, entries)
+    return mat, width
+
+
+def z_vector(group: SquareClassGroup, generators: int, coeffs: Mapping[int, GroupRingElement]) -> list[int]:
+    """Integer coordinates of a module element under the z_expand indexing."""
+    g = group.size
+    out = [0] * (generators * g)
+    for j, coeff in coeffs.items():
+        if not coeff.is_integral():
+            raise ValueError("element has dyadic denominators; not integral")
+        for f, c in coeff.coeffs.items():
+            out[j * g + f] += int(c)
+    return out
+
+
+def eigenspace_reconstruction_ok(M: RModulePresentation) -> bool:
+    """Does the module rebuild from its character eigenspaces, away from 2?
+
+    Compares the odd part of the scalar-restricted presentation against the
+    direct sum of the odd parts of all character specializations (canonical
+    invariants on both sides, so Z/15 and Z/3 + Z/5 agree).  This is the
+    computable face of the eigenspace decomposition of 2-inverted modules
+    over these group rings.
+    """
+    from .exact_linalg import AbelianInvariants, cokernel_invariants
+
+    zmat, width = z_expand(M)
+    total = cokernel_invariants(zmat, width).odd_part()
+    pieces = []
+    for chi in M.group.characters():
+        mat, gens = character_specialize(M, chi)
+        pieces.append(cokernel_invariants(mat, gens).odd_part())
+    return AbelianInvariants.direct_sum(*pieces) == AbelianInvariants.direct_sum(total)
