@@ -305,7 +305,7 @@ class AugSquareElement:
         if self.value.augmentation() != 0:
             raise ValueError("element has nonzero augmentation")
         lat = _aug_square_lattice(self.value.group)
-        if lat.contains(self.value.to_int_vector()) is None:
+        if not lat.is_member(self.value.to_int_vector()):
             raise ValueError("element is not in the square of the augmentation ideal")
 
     def is_zero(self) -> bool:
@@ -322,6 +322,7 @@ def lambda_one(F: FieldSpec, x: Union[int, FieldElement]) -> AugSquareElement:
     return AugSquareElement(double_bracket(G, class_of(F, one_minus)) * double_bracket(G, class_of(F, code)))
 
 
+@lru_cache(maxsize=None)
 def _lambda_one_of_generator(F: FieldSpec, gen_index: int) -> GroupRingElement:
     G = square_class_group(F)
     if F.q == 2:
@@ -511,7 +512,7 @@ def constant_b(F: FieldSpec) -> BlochConstants:
         checked = 0
         for code in candidates[1:]:
             diff = constant_element(F, code) - b
-            if lat.contains(diff.z_coordinates()) is None:
+            if not lat.is_member(diff.z_coordinates()):
                 raise InternalConsistencyError(f"C({code}) differs from C({base}) in F_{F.spec_string()}")
             checked += 1
     c = b.scale(2)
@@ -545,15 +546,11 @@ def prebloch_lattice(F: FieldSpec) -> Lattice:
 
 def is_zero_in_refined(F: FieldSpec, v: SymbolVector, invert_two: bool = True) -> bool:
     """Does v vanish in the refined module (by default up to odd torsion)?"""
-    lat = rp_lattice(F)
-    coords = v.z_coordinates()
-    if invert_two:
-        return lat.contains_two_inverted(coords) is not None
-    return lat.contains(coords) is not None
+    return rp_lattice(F).is_member(v.z_coordinates(), invert_two=invert_two)
 
 
 def is_zero_in_prebloch(F: FieldSpec, v: SymbolVector) -> bool:
-    return prebloch_lattice(F).contains(v.augmentation_coordinates()) is not None
+    return prebloch_lattice(F).is_member(v.augmentation_coordinates())
 
 
 # ---------------------------------------------------------------------------
@@ -585,15 +582,15 @@ def _df_checks(F: FieldSpec) -> DfModuleReport:
             - consts.c.scale(double_bracket(G, class_of(F, code)))
         )
         coords = diff.z_coordinates()
-        if lat.contains_two_inverted(coords) is None:
+        if not lat.is_member(coords, invert_two=True):
             df1_half = False
             failures.append(f"difference identity fails at x={code} even with 2 inverted")
-        if lat.contains(coords) is None:
+        if not lat.is_member(coords):
             df1_int = False
     df2 = True
     for code in sorted(plus_minus_norm_codes(F)):
         twisted = consts.c.scale(double_bracket(G, class_of(F, code)))
-        if lat.contains_two_inverted(twisted.z_coordinates()) is None:
+        if not lat.is_member(twisted.z_coordinates(), invert_two=True):
             df2 = False
             failures.append(f"norm annihilation fails at x={code}")
     return DfModuleReport(consts.c_order, df1_half, df1_int, df2, tuple(failures))
@@ -667,11 +664,7 @@ def reduced_lattice(F: FieldSpec, which: str) -> Lattice:
 
 
 def is_zero_in_reduced(F: FieldSpec, v: SymbolVector, which: str = "ic", invert_two: bool = True) -> bool:
-    lat = reduced_lattice(F, which)
-    coords = v.z_coordinates()
-    if invert_two:
-        return lat.contains_two_inverted(coords) is not None
-    return lat.contains(coords) is not None
+    return reduced_lattice(F, which).is_member(v.z_coordinates(), invert_two=invert_two)
 
 
 # ---------------------------------------------------------------------------
@@ -700,15 +693,13 @@ class SweepResult:
 def verify_lambda_well_defined(F: FieldSpec) -> SweepResult:
     """Both invariant maps must kill every relation row, exactly."""
     rp = refined_presentation(F)
-    G = rp.group
     mod = asym2_modulus(F)
     failures = []
     checked = 0
     for ridx, rel in enumerate(rp.relations):
-        total_l1 = GroupRingElement.zero(G)
+        total_l1 = lambda_one_of_vector(SymbolVector(F, rel))
         total_l2 = 0
         for i, coeff in rel.items():
-            total_l1 = total_l1 + coeff * _lambda_one_of_generator(F, i)
             aug = coeff.augmentation()
             total_l2 += int(aug) * _lambda_two_of_generator(F, i)
         checked += 1
@@ -792,11 +783,11 @@ def verify_suslin_image_lattice(F: FieldSpec) -> SweepResult:
         left = Lattice(IntMatrix.from_rows(left_rows, cols=size)) if left_rows else None
         right = Lattice(IntMatrix.from_rows(right_rows, cols=size)) if right_rows else None
         for row in left_rows:
-            if right is None or right.contains(row) is None:
+            if right is None or not right.is_member(row):
                 failures.append("inversion image not inside (1+<-1>)*I")
                 break
         for row in right_rows:
-            if left is None or left.contains(row) is None:
+            if left is None or not left.is_member(row):
                 failures.append("(1+<-1>)*I not inside inversion image")
                 break
     return SweepResult("suslin_lambda_one_image", checked, tuple(failures))

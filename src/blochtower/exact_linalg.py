@@ -11,6 +11,15 @@ so every result is reproducible bit for bit.  Matrices are stored sparsely;
 the Smith form runs a sparse row-reduction pass first and only then a dense
 core on the surviving block, since elimination causes fill-in.
 
+A tall matrix whose transform is not wanted gets its row Hermite basis
+from a certified subset: the first ``CERTIFIED_SUBSET_FACTOR * cols`` rows
+are eliminated, every other row is reduced against that basis, and the
+nonzero remainders (if any) are eliminated together with it once more.
+Every row is checked, and the reduced row Hermite form of a lattice is
+unique, so the basis is the one full elimination gives.  Lattices keep
+only that basis; the transform behind membership witnesses is computed the
+first time a witness is asked for.
+
 Everything here is a pure function of immutable inputs and safe to call
 concurrently.
 """
@@ -25,6 +34,10 @@ from typing import Optional, Sequence
 #: When true, every smith_normal_form call re-multiplies U*M*V and compares
 #: against D.  The test suite switches this on; it is off in normal use.
 VERIFY_TRANSFORMS = False
+
+#: Transform-free Hermite bases of matrices with more than this many rows
+#: per column are built from that many rows per column, then certified.
+CERTIFIED_SUBSET_FACTOR = 4
 
 
 class DimensionMismatchError(ValueError):
@@ -277,9 +290,57 @@ def _hnf_rows(rows: list[dict[int, int]], cols: int, want_u: bool):
     """Row Hermite form of sparse rows; returns (rows, pivots, u_rows).
 
     ``pivots`` lists (row_index, col) pairs in echelon order; rows below the
-    last pivot are zero.  When ``want_u`` the returned u_rows satisfy
-    u * original = result.
+    last pivot are zero (and may be left out).  When ``want_u`` the returned
+    u_rows satisfy u * original = result; otherwise a tall input goes
+    through ``_certified_hnf``.
     """
+    if not want_u and len(rows) > CERTIFIED_SUBSET_FACTOR * cols:
+        return _certified_hnf(rows, cols)
+    return _eliminate(rows, cols, want_u)
+
+
+def _certified_hnf(rows: list[dict[int, int]], cols: int):
+    """Transform-free row Hermite form from a certified row subset.
+
+    The first ``CERTIFIED_SUBSET_FACTOR * cols`` rows are eliminated; each
+    later row is reduced against that basis, and if any remainder is nonzero
+    the basis and all remainders are eliminated once more.  The remainders
+    span, with the subset basis, the same lattice as the input rows, so the
+    (unique) reduced Hermite basis is the one ``_eliminate`` gives.  The
+    returned rows are the basis rows only, without trailing zero rows.
+    """
+    work, pivots, _ = _eliminate(rows[: CERTIFIED_SUBSET_FACTOR * cols], cols, want_u=False)
+    basis = [work[r] for r, _ in pivots]
+    pivot_cols = [col for _, col in pivots]
+    remainders = []
+    for row in rows[CERTIFIED_SUBSET_FACTOR * cols:]:
+        rem = _reduce(basis, pivot_cols, row)[0]
+        if rem:
+            remainders.append(rem)
+    if remainders:
+        work, pivots, _ = _eliminate(basis + remainders, cols, want_u=False)
+        basis = [work[r] for r, _ in pivots]
+    return basis, [(i, col) for i, (_, col) in enumerate(pivots)], None
+
+
+def _reduce(basis: list[dict[int, int]], pivot_cols: list[int], v: dict[int, int]):
+    """Reduce v against an echelon basis with floor quotients on the pivots.
+
+    Returns (remainder, quotients); the remainder is empty exactly when v
+    lies in the row lattice, and then v = sum(quotients[i] * basis[i]).
+    """
+    work = dict(v)
+    quotients = [0] * len(basis)
+    for i, col in enumerate(pivot_cols):
+        if col in work:
+            q = work[col] // basis[i][col]
+            _row_addmul(work, basis[i], -q)
+            quotients[i] = q
+    return work, quotients
+
+
+def _eliminate(rows: list[dict[int, int]], cols: int, want_u: bool):
+    """Full row Hermite elimination of every row; see ``_hnf_rows``."""
     n = len(rows)
     work = [dict(r) for r in rows]
     u = [{i: 1} for i in range(n)] if want_u else None
@@ -536,15 +597,21 @@ def cokernel_invariants(M: IntMatrix, num_generators: int) -> AbelianInvariants:
 
 
 class Lattice:
-    """The row lattice of an integer matrix, with cached reduction data.
+    """The row lattice of an integer matrix, kept as its row Hermite basis.
 
-    Supports repeated membership queries (with witnesses), order-of-element
-    computations, and membership after saturating at the prime 2.
+    The basis comes from a certified row subset (see ``_hnf_rows``), without
+    a transform.  Supports repeated membership queries (``is_member``, also
+    after inverting 2), order-of-element computations, and witnesses over
+    the original rows (``contains``); the transform behind the witnesses is
+    computed on the first request and cached.
     """
 
     def __init__(self, matrix: IntMatrix):
         self.matrix = matrix
-        self._h, self._pivots, self._u = _hnf_rows(matrix.sparse_rows(), matrix.cols, want_u=True)
+        work, pivots, _ = _hnf_rows(matrix.sparse_rows(), matrix.cols, want_u=False)
+        self._basis = [work[r] for r, _ in pivots]
+        self._pivot_cols = [col for _, col in pivots]
+        self._u: Optional[list[dict[int, int]]] = None
         self._sat: Optional[Lattice] = None
         self._max_two_power: Optional[int] = None
 
@@ -553,40 +620,54 @@ class Lattice:
         return self.matrix.cols
 
     def basis_rows(self) -> list[dict[int, int]]:
-        return [dict(self._h[r]) for r, _ in self._pivots]
+        return [dict(row) for row in self._basis]
+
+    def _check_width(self, v: Sequence[int]) -> None:
+        if len(v) != self.cols:
+            raise DimensionMismatchError("vector length must equal matrix width")
+
+    def _quotients(self, v: Sequence[int]) -> Optional[list[int]]:
+        """Coordinates of v over the Hermite basis, or None off the lattice."""
+        rem, quotients = _reduce(self._basis, self._pivot_cols, {i: int(x) for i, x in enumerate(v) if x})
+        return None if rem else quotients
+
+    def is_member(self, v: Sequence[int], invert_two: bool = False) -> bool:
+        """Is v in the lattice (with invert_two: is some 2^k * v in it)?"""
+        self._check_width(v)
+        lat = self.saturation_two() if invert_two else self
+        return lat._quotients(v) is not None
+
+    def _witness_rows(self) -> list[dict[int, int]]:
+        """Rows of U expressing each basis row over the original rows."""
+        if self._u is None:
+            work, pivots, u = _eliminate(self.matrix.sparse_rows(), self.cols, want_u=True)
+            if [work[r] for r, _ in pivots] != self._basis:
+                raise AssertionError("certified Hermite basis differs from full elimination")
+            self._u = [u[r] for r, _ in pivots]
+        return self._u
 
     def contains(self, v: Sequence[int]) -> Optional[list[int]]:
         """Coefficients x (over the original rows) with x*M = v, or None."""
-        if len(v) != self.cols:
-            raise DimensionMismatchError("vector length must equal matrix width")
-        work = {i: int(x) for i, x in enumerate(v) if x}
-        used: list[tuple[int, int]] = []
-        for r, col in self._pivots:
-            if col in work:
-                p = self._h[r][col]
-                q, rem = divmod(work[col], p)
-                if rem:
-                    return None
-                _row_addmul(work, self._h[r], -q)
-                used.append((r, q))
-        if work:
+        self._check_width(v)
+        quotients = self._quotients(v)
+        if quotients is None:
             return None
         coeffs = [0] * self.matrix.rows
-        for r, q in used:
-            for j, val in self._u[r].items():
-                coeffs[j] += q * val
+        for q, u_row in zip(quotients, self._witness_rows()):
+            if q:
+                for j, val in u_row.items():
+                    coeffs[j] += q * val
         return coeffs
 
     def order_mod(self, v: Sequence[int]):
         """Least n >= 1 with n*v in the lattice, or math.inf."""
-        if len(v) != self.cols:
-            raise DimensionMismatchError("vector length must equal matrix width")
+        self._check_width(v)
         work: dict[int, Fraction] = {i: Fraction(x) for i, x in enumerate(v) if x}
         denoms = [1]
-        for r, col in self._pivots:
+        for row, col in zip(self._basis, self._pivot_cols):
             if col in work:
-                q = work[col] / self._h[r][col]
-                for c, val in self._h[r].items():
+                q = work[col] / row[col]
+                for c, val in row.items():
                     nv = work.get(c, Fraction(0)) - q * val
                     if nv:
                         work[c] = nv
@@ -600,12 +681,11 @@ class Lattice:
     def saturation_two(self) -> "Lattice":
         """The lattice of all v with 2^k * v in this lattice for some k >= 0."""
         if self._sat is None:
-            basis = self.basis_rows()
-            if not basis:
+            if not self._basis:
                 self._max_two_power = 0
                 self._sat = self
                 return self._sat
-            block = [[row.get(j, 0) for j in range(self.cols)] for row in basis]
+            block = [[row.get(j, 0) for j in range(self.cols)] for row in self._basis]
             diag, _, _, vinv = _dense_snf_core(block, self.cols, want_u=False, want_v=False, want_vinv=True)
             rows = []
             max_pow = 0
@@ -629,17 +709,10 @@ class Lattice:
         Returns (k, coefficients of 2^k*v) or None.  Decided by saturating
         the lattice at 2, not by unbounded search.
         """
-        if len(v) != self.cols:
-            raise DimensionMismatchError("vector length must equal matrix width")
-        sat = self.saturation_two()
-        if sat is not self and sat.contains(v) is None:
+        if not self.is_member(v, invert_two=True):
             return None
-        if sat is self:
-            direct = self.contains(v)
-            return (0, direct) if direct is not None else None
-        bound = self._max_two_power or 0
         scaled = list(v)
-        for k in range(bound + 1):
+        for k in range((self._max_two_power or 0) + 1):
             coeffs = self.contains(scaled)
             if coeffs is not None:
                 return (k, coeffs)
@@ -699,7 +772,7 @@ def kernel_with_embedding(
     dom_rows = domain.relations.sparse_rows()
     for idx, row in enumerate(dom_rows):
         image = _apply_map(row, map_rows, codomain.generators)
-        if cod_lat.contains(image) is None:
+        if not cod_lat.is_member(image):
             raise InconsistentMapError(f"domain relation {idx} does not map into the relation lattice")
     stacked = map_matrix.stack(codomain.relations)
     work, _pivots, u = _hnf_rows(stacked.sparse_rows(), stacked.cols, want_u=True)
@@ -716,22 +789,21 @@ def kernel_with_embedding(
     pre = IntMatrix.from_rows(projected, cols=domain.generators)
     basis_rows, basis_pivots, _ = _hnf_rows(pre.sparse_rows(), pre.cols, want_u=False)
     basis = [basis_rows[r] for r, _ in basis_pivots]
+    pivot_cols = [col for _, col in basis_pivots]
     embedding = IntMatrix(
         len(basis), domain.generators,
         {(i, j): v for i, row in enumerate(basis) for j, v in row.items()},
     )
     for i in range(embedding.rows):
         image = _apply_map(dict(basis[i]), map_rows, codomain.generators)
-        if cod_lat.contains(image) is None:  # pragma: no cover - construction guarantees this
+        if not cod_lat.is_member(image):  # pragma: no cover - construction guarantees this
             raise AssertionError("kernel generator fails codomain membership")
-    emb_lat = Lattice(embedding)
+    # The embedding rows are a Hermite basis, so the reduction quotients of a
+    # domain relation are its coordinates over the kernel generators.
     rel_rows = []
     for row in dom_rows:
-        dense = [0] * domain.generators
-        for j, v in row.items():
-            dense[j] = v
-        coords = emb_lat.contains(dense)
-        if coords is None:  # pragma: no cover - relations lie in the preimage lattice
+        rem, coords = _reduce(basis, pivot_cols, row)
+        if rem:  # pragma: no cover - relations lie in the preimage lattice
             raise AssertionError("domain relation missing from kernel lattice")
         rel_rows.append(coords)
     relations = IntMatrix.from_rows(rel_rows, cols=embedding.rows)

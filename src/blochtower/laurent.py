@@ -415,9 +415,7 @@ class SpecializationTarget:
         return self.residue_symbol(a.leading())
 
     def is_zero_vector(self, vec: Sequence[int], invert_two: bool = True) -> bool:
-        if invert_two:
-            return self.lattice.contains_two_inverted(list(vec)) is not None
-        return self.lattice.contains(list(vec)) is not None
+        return self.lattice.is_member(vec, invert_two=invert_two)
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from blochtower import bloch_core as bc
-from blochtower.exact_linalg import AbelianInvariants, cokernel_invariants
+from blochtower.exact_linalg import AbelianInvariants, _eliminate, cokernel_invariants
 from blochtower.finite_field import field, field_from_q
 from blochtower.group_ring import (
     GroupRingElement,
@@ -285,6 +285,22 @@ class TestEigenspaceReconstruction:
         integral_odd = kernel.invariants().odd_part()
         merged = AbelianInvariants.direct_sum(*bc.refined_bloch(F).values())
         assert AbelianInvariants.direct_sum(integral_odd) == merged
+
+
+class TestCertifiedLattices:
+    @pytest.mark.parametrize("q", [7, 9, 16, 25, 27])
+    def test_bases_match_full_elimination(self, q):
+        F = field_from_q(q)
+        lattices = {
+            "rp": bc.rp_lattice(F),
+            "pb": bc.prebloch_lattice(F),
+            "ic": bc.reduced_lattice(F, "ic"),
+            "c": bc.reduced_lattice(F, "c"),
+        }
+        for name, lat in lattices.items():
+            M = lat.matrix
+            work, pivots, _ = _eliminate(M.sparse_rows(), M.cols, want_u=False)
+            assert lat.basis_rows() == [work[r] for r, _ in pivots], name
 
 
 class TestSuites:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochtower.exact_linalg import (
+    CERTIFIED_SUBSET_FACTOR,
     AbelianInvariants,
     DimensionMismatchError,
     FpPresentation,
@@ -19,6 +20,7 @@ from blochtower.exact_linalg import (
     lattice_membership,
     map_kernel,
     smith_normal_form,
+    _eliminate,
 )
 
 import oracle
@@ -31,6 +33,30 @@ small_matrices = st.integers(1, 5).flatmap(
         )
     )
 )
+
+
+@st.composite
+def tall_matrices(draw):
+    """Matrices with 4c < rows <= 12c, past the certified-subset threshold.
+
+    The first 4c rows are random, zero, one repeated row, or even with an
+    empty last column; in the last three cases later rows must add pivots
+    or change the index, so the basis needs the certification pass.
+    """
+    c = draw(st.integers(1, 5))
+    head_size = CERTIFIED_SUBSET_FACTOR * c
+    n = draw(st.integers(head_size + 1, 3 * head_size))
+    row = st.lists(st.integers(-9, 9), min_size=c, max_size=c)
+    kind = draw(st.sampled_from(["random", "zero", "duplicated", "even_no_last_col"]))
+    if kind == "zero":
+        head = [[0] * c for _ in range(head_size)]
+    elif kind == "duplicated":
+        head = [draw(row)] * head_size
+    else:
+        head = draw(st.lists(row, min_size=head_size, max_size=head_size))
+        if kind == "even_no_last_col":
+            head = [[2 * x for x in r[:-1]] + [0] for r in head]
+    return head + draw(st.lists(row, min_size=n - head_size, max_size=n - head_size))
 
 
 def mat(rows, cols=None):
@@ -89,6 +115,19 @@ class TestHermite:
         lat = Lattice(M)
         for i in range(H.rows):
             assert lat.contains(H.row_vector(i)) is not None
+
+
+class TestCertifiedHermite:
+    @settings(max_examples=200)
+    @given(tall_matrices())
+    def test_matches_full_elimination(self, rows):
+        M = mat(rows)
+        work, pivots, _ = _eliminate(M.sparse_rows(), M.cols, want_u=False)
+        lat = Lattice(M)
+        assert lat.basis_rows() == [work[r] for r, _ in pivots]
+        # the lazily built witness recombines the original rows
+        coeffs = lat.contains(rows[-1])
+        assert [sum(x * r[j] for x, r in zip(coeffs, rows)) for j in range(M.cols)] == rows[-1]
 
 
 class TestCokernelInvariants:
@@ -208,12 +247,15 @@ class TestLatticeMembership:
         v = (v * 5)[: len(rows[0])]
         mine = lattice_membership(mat(rows), v).member
         assert mine == oracle.member(rows, v)
+        lat = Lattice(mat(rows))
+        assert lat.is_member(v) == mine == (lat.contains(v) is not None)
 
     @settings(max_examples=60)
     @given(small_matrices, st.lists(st.integers(-6, 6), min_size=1, max_size=5))
     def test_invert_two_is_bounded_doubling(self, rows, v):
         v = (v * 5)[: len(rows[0])]
         res = lattice_membership(mat(rows), v, invert_two=True)
+        assert Lattice(mat(rows)).is_member(v, invert_two=True) == res.member
         # 2^k v can only enter the lattice for k up to the 2-part of the torsion
         bound = sum(_two_valuation(d) for d in oracle.smith_diagonal(rows) if d) + 1
         doubled = any(oracle.member(rows, [(1 << k) * x for x in v]) for k in range(bound + 1))
