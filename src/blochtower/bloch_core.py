@@ -38,7 +38,13 @@ from .exact_linalg import (
     Lattice,
     kernel_with_embedding,
 )
-from .finite_field import FieldElement, FieldSpec, plus_minus_norm_codes, has_root_x2_minus_x_plus_1
+from .finite_field import (
+    FieldElement,
+    FieldSpec,
+    has_root_x2_minus_x_plus_1,
+    plus_minus_norm_codes,
+    square_class_code,
+)
 from .group_ring import (
     Character,
     GroupRingElement,
@@ -65,15 +71,6 @@ def square_class_group(F: FieldSpec) -> SquareClassGroup:
     if F.q % 2 == 0:
         return SquareClassGroup(0, ())
     return SquareClassGroup(1, ("nonsquare unit",))
-
-
-def class_of(F: FieldSpec, code: int) -> int:
-    """The square class of a nonzero element as a group bitmask."""
-    if code == 0:
-        raise ValueError("zero has no square class")
-    if F.q % 2 == 0:
-        return 0
-    return F.dlog_code(code) & 1
 
 
 @lru_cache(maxsize=None)
@@ -186,9 +183,9 @@ def _five_term_arguments(F: FieldSpec, x: int, y: int) -> tuple[tuple[int, int, 
     return (
         (x, 1, 0),
         (y, -1, 0),
-        (a3, 1, class_of(F, x)),
-        (a4, -1, class_of(F, F.sub_code(inv_x, one))),
-        (a5, 1, class_of(F, n5)),
+        (a3, 1, square_class_code(F, x)),
+        (a4, -1, square_class_code(F, F.sub_code(inv_x, one))),
+        (a5, 1, square_class_code(F, n5)),
     )
 
 
@@ -219,7 +216,7 @@ def refined_presentation(F: FieldSpec) -> RModulePresentation:
     if F.q == 2:
         return RModulePresentation(G, 1, ({0: GroupRingElement(G, {0: 3})},), labels=("b",))
     if F.q == 3:
-        minus_one_class = class_of(F, 2)
+        minus_one_class = square_class_code(F, 2)
         rel = GroupRingElement(G, {0: 2}) + GroupRingElement(G, {minus_one_class: 2})
         return RModulePresentation(G, 1, ({0: rel},), labels=("[-1]",))
     gens = symbol_generators(F)
@@ -318,8 +315,8 @@ def lambda_one(F: FieldSpec, x: Union[int, FieldElement]) -> AugSquareElement:
     if code in (0, 1):
         raise ValueError("lambda_one needs x outside {0, 1}")
     G = square_class_group(F)
-    one_minus = F.sub_code(1, code)
-    return AugSquareElement(double_bracket(G, class_of(F, one_minus)) * double_bracket(G, class_of(F, code)))
+    cls_1mx = square_class_code(F, F.sub_code(1, code))
+    return AugSquareElement(double_bracket(G, cls_1mx) * double_bracket(G, square_class_code(F, code)))
 
 
 @lru_cache(maxsize=None)
@@ -450,9 +447,9 @@ def suslin_element(F: FieldSpec, i: int, x: Union[int, FieldElement]) -> SymbolV
     inv = F.inv_code(code)
     minus_one = F.neg_code(1)
     if i == 1:
-        return SymbolVector.symbol(F, code) + SymbolVector.symbol(F, inv, bracket(G, class_of(F, minus_one)))
-    cls_1mx = class_of(F, F.sub_code(1, code))
-    cls_x = class_of(F, code)
+        return SymbolVector.symbol(F, code) + SymbolVector.symbol(F, inv, bracket(G, square_class_code(F, minus_one)))
+    cls_1mx = square_class_code(F, F.sub_code(1, code))
+    cls_x = square_class_code(F, code)
     return SymbolVector.symbol(F, code, bracket(G, cls_1mx ^ cls_x)) + SymbolVector.symbol(
         F, inv, bracket(G, cls_1mx)
     )
@@ -467,8 +464,8 @@ def constant_element(F: FieldSpec, x: Union[int, FieldElement]) -> SymbolVector:
     one_minus = F.sub_code(1, code)
     minus_one = F.neg_code(1)
     out = SymbolVector.symbol(F, code)
-    out = out + SymbolVector.symbol(F, one_minus, bracket(G, class_of(F, minus_one)))
-    out = out + suslin_element(F, 1, code).scale(double_bracket(G, class_of(F, one_minus)))
+    out = out + SymbolVector.symbol(F, one_minus, bracket(G, square_class_code(F, minus_one)))
+    out = out + suslin_element(F, 1, code).scale(double_bracket(G, square_class_code(F, one_minus)))
     return out
 
 
@@ -516,8 +513,8 @@ def constant_b(F: FieldSpec) -> BlochConstants:
                 raise InternalConsistencyError(f"C({code}) differs from C({base}) in F_{F.spec_string()}")
             checked += 1
     c = b.scale(2)
-    b_order = lat.order_mod(b.z_coordinates())
-    c_order = lat.order_mod(c.z_coordinates())
+    b_order = lat.order(b.z_coordinates())
+    c_order = lat.order(c.z_coordinates())
     if not isinstance(b_order, int) or 6 % b_order:
         raise InternalConsistencyError(f"constant element must have order dividing 6, got {b_order}")
     return BlochConstants(b, c, b_order, int(c_order), base, checked)
@@ -579,7 +576,7 @@ def _df_checks(F: FieldSpec) -> DfModuleReport:
         diff = (
             suslin_element(F, 1, code)
             - suslin_element(F, 2, code)
-            - consts.c.scale(double_bracket(G, class_of(F, code)))
+            - consts.c.scale(double_bracket(G, square_class_code(F, code)))
         )
         coords = diff.z_coordinates()
         if not lat.is_member(coords, invert_two=True):
@@ -589,7 +586,7 @@ def _df_checks(F: FieldSpec) -> DfModuleReport:
             df1_int = False
     df2 = True
     for code in sorted(plus_minus_norm_codes(F)):
-        twisted = consts.c.scale(double_bracket(G, class_of(F, code)))
+        twisted = consts.c.scale(double_bracket(G, square_class_code(F, code)))
         if not lat.is_member(twisted.z_coordinates(), invert_two=True):
             df2 = False
             failures.append(f"norm annihilation fails at x={code}")
@@ -693,19 +690,14 @@ class SweepResult:
 def verify_lambda_well_defined(F: FieldSpec) -> SweepResult:
     """Both invariant maps must kill every relation row, exactly."""
     rp = refined_presentation(F)
-    mod = asym2_modulus(F)
     failures = []
     checked = 0
     for ridx, rel in enumerate(rp.relations):
-        total_l1 = lambda_one_of_vector(SymbolVector(F, rel))
-        total_l2 = 0
-        for i, coeff in rel.items():
-            aug = coeff.augmentation()
-            total_l2 += int(aug) * _lambda_two_of_generator(F, i)
+        v = SymbolVector(F, rel)
         checked += 1
-        if not total_l1.is_zero():
+        if not lambda_one_of_vector(v).is_zero():
             failures.append(f"lambda_one nonzero on relation {ridx}")
-        if mod > 1 and total_l2 % mod:
+        if not lambda_two_of_vector(v).is_zero():
             failures.append(f"lambda_two nonzero on relation {ridx}")
     return SweepResult("lambda_well_defined", checked, tuple(failures))
 
@@ -716,10 +708,12 @@ def verify_suslin_identities(F: FieldSpec) -> SweepResult:
     failures = []
     checked = 0
     for i in (1, 2):
+        psi = {u: suslin_element(F, i, u) for u in F.units()}
         for x in F.units():
+            twist = bracket(G, square_class_code(F, x))
             for y in F.units():
-                lhs = suslin_element(F, i, F.mul_code(x, y))
-                rhs = suslin_element(F, i, y).scale(bracket(G, class_of(F, x))) + suslin_element(F, i, x)
+                lhs = psi[F.mul_code(x, y)]
+                rhs = psi[y].scale(twist) + psi[x]
                 checked += 1
                 if not is_zero_in_refined(F, lhs - rhs, invert_two=False):
                     failures.append(f"psi_{i} cocycle fails at x={x}, y={y}")
@@ -734,7 +728,7 @@ def verify_suslin_lambda_one(F: FieldSpec) -> SweepResult:
     for i in (1, 2):
         for x in F.units():
             lhs = lambda_one_of_vector(suslin_element(F, i, x))
-            rhs = double_bracket(G, class_of(F, F.neg_code(x))) * double_bracket(G, class_of(F, x))
+            rhs = double_bracket(G, square_class_code(F, F.neg_code(x))) * double_bracket(G, square_class_code(F, x))
             checked += 1
             if lhs != rhs:
                 failures.append(f"lambda_one(psi_{i}) mismatch at x={x}")
@@ -771,7 +765,7 @@ def verify_suslin_image_lattice(F: FieldSpec) -> SweepResult:
                 if not shifted.is_zero():
                     left_rows.append(shifted.to_int_vector())
     right_rows = []
-    minus_one_cls = class_of(F, F.neg_code(1)) if F.q > 2 else 0
+    minus_one_cls = square_class_code(F, F.neg_code(1)) if F.q > 2 else 0
     p_minus = GroupRingElement.one(G) + bracket(G, minus_one_cls)
     for a in G.elements():
         for e in G.elements():
@@ -828,19 +822,19 @@ def verify_reduced_identities(F: FieldSpec) -> SweepResult:
     checked = 0
     if F.q == 2:
         return SweepResult("reduced_quotient_identities", 0, ())
-    minus_one = F.neg_code(1)
+    minus_one_twist = bracket(G, square_class_code(F, F.neg_code(1)))
     for x in symbol_generators(F):
         inv = F.inv_code(x)
-        v1 = SymbolVector.symbol(F, inv) + SymbolVector.symbol(F, x, bracket(G, class_of(F, minus_one)))
+        v1 = SymbolVector.symbol(F, inv) + SymbolVector.symbol(F, x, minus_one_twist)
         checked += 1
         if not is_zero_in_reduced(F, v1, which="ic"):
             failures.append(f"inversion identity fails at x={x}")
-        v2 = SymbolVector.symbol(F, x, double_bracket(G, class_of(F, F.neg_code(x))))
+        v2 = SymbolVector.symbol(F, x, double_bracket(G, square_class_code(F, F.neg_code(x))))
         checked += 1
         if not is_zero_in_reduced(F, v2, which="ic"):
             failures.append(f"negative-class annihilation fails at x={x}")
         one_minus = F.sub_code(1, x)
-        v3 = SymbolVector.symbol(F, one_minus) + SymbolVector.symbol(F, x, bracket(G, class_of(F, minus_one)))
+        v3 = SymbolVector.symbol(F, one_minus) + SymbolVector.symbol(F, x, minus_one_twist)
         checked += 1
         if not is_zero_in_reduced(F, v3, which="c"):
             failures.append(f"one-minus identity fails at x={x}")

@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers.
 
 Hermite and Smith normal forms, invariant factors of finitely presented
-abelian groups, lattice membership with witnesses (optionally after
-inverting 2), element orders in presented groups, and kernels of maps
-between presented groups.
+abelian groups, the quotient map of a presented group Z^n/L (membership,
+membership after inverting 2, and element orders all read it), and kernels
+of maps between presented groups.
 
 All arithmetic uses Python's arbitrary-precision integers.  Pivoting is
 deterministic (minimal absolute value, ties broken in (row, col) order),
@@ -16,9 +16,9 @@ from a certified subset: the first ``CERTIFIED_SUBSET_FACTOR * cols`` rows
 are eliminated, every other row is reduced against that basis, and the
 nonzero remainders (if any) are eliminated together with it once more.
 Every row is checked, and the reduced row Hermite form of a lattice is
-unique, so the basis is the one full elimination gives.  Lattices keep
-only that basis; the transform behind membership witnesses is computed the
-first time a witness is asked for.
+unique, so the basis is the one full elimination gives.  A lattice keeps
+that basis and the columns of one Smith transform V of it: the quotient map
+needs nothing else, and no transform over the original rows is built.
 
 Everything here is a pure function of immutable inputs and safe to call
 concurrently.
@@ -31,8 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .finite_field import factorize
+
 #: When true, every smith_normal_form call re-multiplies U*M*V and compares
-#: against D.  The test suite switches this on; it is off in normal use.
+#: against D, and every Lattice checks its quotient map (basis rows map to
+#: zero, V is unimodular).  The test suite switches this on; it is off in
+#: normal use.
 VERIFY_TRANSFORMS = False
 
 #: Transform-free Hermite bases of matrices with more than this many rows
@@ -42,19 +46,6 @@ CERTIFIED_SUBSET_FACTOR = 4
 
 class DimensionMismatchError(ValueError):
     """Vector or matrix dimensions do not match the operation."""
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 class InconsistentMapError(ValueError):
@@ -224,7 +215,7 @@ class AbelianInvariants:
         for s in summands:
             rank += s.free_rank
             for d in s.factors:
-                for p, e in _factorize(d).items():
+                for p, e in factorize(d).items():
                     by_prime.setdefault(p, []).append(e)
         depth = max((len(v) for v in by_prime.values()), default=0)
         chain = []
@@ -401,8 +392,8 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 # dense Smith core
 
 
-def _dense_snf_core(a: list[list[int]], c: int, want_u: bool, want_v: bool, want_vinv: bool):
-    """Smith form of a small dense block with c columns.  Returns (diag, U, V, Vinv).
+def _dense_snf_core(a: list[list[int]], c: int, want_u: bool, want_v: bool):
+    """Smith form of a small dense block with c columns.  Returns (diag, U, V).
 
     Pivot choice: minimal absolute value over the remaining block, ties in
     (row, col) order.  Diagonal entries come out nonnegative and form a
@@ -411,7 +402,6 @@ def _dense_snf_core(a: list[list[int]], c: int, want_u: bool, want_v: bool, want
     k = len(a)
     U = [[int(i == j) for j in range(k)] for i in range(k)] if want_u else None
     V = [[int(i == j) for j in range(c)] for i in range(c)] if want_v else None
-    Vinv = [[int(i == j) for j in range(c)] for i in range(c)] if want_vinv else None
 
     def swap_rows(i, j):
         if i == j:
@@ -428,8 +418,6 @@ def _dense_snf_core(a: list[list[int]], c: int, want_u: bool, want_v: bool, want
         if want_v:
             for row in V:
                 row[i], row[j] = row[j], row[i]
-        if want_vinv:
-            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def row_addmul(i, j, q):
         # row i += q * row j
@@ -448,11 +436,6 @@ def _dense_snf_core(a: list[list[int]], c: int, want_u: bool, want_v: bool, want
         if want_v:
             for row in V:
                 row[i] += q * row[j]
-        if want_vinv:
-            # (I + q E_ji)^-1 acts on the left of Vinv: row j -= q * row i
-            vi, vj = Vinv[i], Vinv[j]
-            for x in range(c):
-                vj[x] -= q * vi[x]
 
     def negate_row(i):
         a[i] = [-v for v in a[i]]
@@ -511,7 +494,7 @@ def _dense_snf_core(a: list[list[int]], c: int, want_u: bool, want_v: bool, want
             negate_row(t)
         t += 1
     diag = [a[i][i] for i in range(limit)]
-    return diag, U, V, Vinv
+    return diag, U, V
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -523,7 +506,7 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     work, pivots, u1 = _hnf_rows(M.sparse_rows(), M.cols, want_u=True)
     k = len(pivots)
     block = [[work[i].get(j, 0) for j in range(M.cols)] for i in range(k)]
-    diag, u2, v, _ = _dense_snf_core(block, M.cols, want_u=True, want_v=True, want_vinv=False)
+    diag, u2, v = _dense_snf_core(block, M.cols, want_u=True, want_v=True)
 
     D = IntMatrix.diagonal(diag, M.rows, M.cols)
     # U = (u2 on the pivot block, identity below) * u1
@@ -586,7 +569,7 @@ def cokernel_invariants(M: IntMatrix, num_generators: int) -> AbelianInvariants:
     work, pivots, _ = _hnf_rows(M.sparse_rows(), M.cols, want_u=False)
     k = len(pivots)
     block = [[work[i].get(j, 0) for j in range(M.cols)] for i in range(k)]
-    diag, _, _, _ = _dense_snf_core(block, M.cols, want_u=False, want_v=False, want_vinv=False)
+    diag, _, _ = _dense_snf_core(block, M.cols, want_u=False, want_v=False)
     factors = tuple(d for d in diag if d > 1)
     rank = sum(1 for d in diag if d)
     return AbelianInvariants(factors, num_generators - rank)
@@ -597,23 +580,32 @@ def cokernel_invariants(M: IntMatrix, num_generators: int) -> AbelianInvariants:
 
 
 class Lattice:
-    """The row lattice of an integer matrix, kept as its row Hermite basis.
+    """The row lattice L of an integer matrix, with the quotient map of Z^n/L.
 
-    The basis comes from a certified row subset (see ``_hnf_rows``), without
-    a transform.  Supports repeated membership queries (``is_member``, also
-    after inverting 2), order-of-element computations, and witnesses over
-    the original rows (``contains``); the transform behind the witnesses is
-    computed on the first request and cached.
+    The row Hermite basis comes from a certified row subset (see
+    ``_hnf_rows``), without a transform.  One dense Smith step on that basis
+    gives unimodular V with Z^n/L = sum of Z/d_i, read through the quotient
+    map v -> (v.V_i mod d_i).  ``moduli`` lists the d_i other than 1 (0 for a
+    free summand) and ``image`` computes the map; membership (also after
+    inverting 2) and element orders are read from the image.
     """
 
     def __init__(self, matrix: IntMatrix):
         self.matrix = matrix
-        work, pivots, _ = _hnf_rows(matrix.sparse_rows(), matrix.cols, want_u=False)
+        cols = matrix.cols
+        work, pivots, _ = _hnf_rows(matrix.sparse_rows(), cols, want_u=False)
         self._basis = [work[r] for r, _ in pivots]
-        self._pivot_cols = [col for _, col in pivots]
-        self._u: Optional[list[dict[int, int]]] = None
-        self._sat: Optional[Lattice] = None
-        self._max_two_power: Optional[int] = None
+        block = [[row.get(j, 0) for j in range(cols)] for row in self._basis]
+        diag, _, v = _dense_snf_core(block, cols, want_u=False, want_v=True)
+        diag += [0] * (cols - len(diag))
+        kept = [i for i, d in enumerate(diag) if d != 1]
+        self.moduli = tuple(diag[i] for i in kept)
+        self._columns = [{r: v[r][i] for r in range(cols) if v[r][i]} for i in kept]
+        if VERIFY_TRANSFORMS:
+            if any(any(self.image([row.get(j, 0) for j in range(cols)])) for row in self._basis):
+                raise AssertionError("a basis row has a nonzero quotient image")
+            if cols and abs(_det_unimodular(IntMatrix.from_rows(v, cols=cols))) != 1:
+                raise AssertionError("quotient transform is not unimodular")
 
     @property
     def cols(self) -> int:
@@ -622,134 +614,34 @@ class Lattice:
     def basis_rows(self) -> list[dict[int, int]]:
         return [dict(row) for row in self._basis]
 
-    def _check_width(self, v: Sequence[int]) -> None:
+    def image(self, v: Sequence[int]) -> list[int]:
+        """Coordinates of v in Z^n/L: v.V_i mod d_i, or v.V_i where d_i = 0."""
         if len(v) != self.cols:
             raise DimensionMismatchError("vector length must equal matrix width")
-
-    def _quotients(self, v: Sequence[int]) -> Optional[list[int]]:
-        """Coordinates of v over the Hermite basis, or None off the lattice."""
-        rem, quotients = _reduce(self._basis, self._pivot_cols, {i: int(x) for i, x in enumerate(v) if x})
-        return None if rem else quotients
+        out = []
+        for d, column in zip(self.moduli, self._columns):
+            x = sum(c * v[r] for r, c in column.items())
+            out.append(x % d if d else x)
+        return out
 
     def is_member(self, v: Sequence[int], invert_two: bool = False) -> bool:
         """Is v in the lattice (with invert_two: is some 2^k * v in it)?"""
-        self._check_width(v)
-        lat = self.saturation_two() if invert_two else self
-        return lat._quotients(v) is not None
+        image = self.image(v)
+        if not invert_two:
+            return not any(image)
+        # 2^k * x vanishes mod d for some k iff x vanishes mod the odd part of d
+        return all(x % (d // (d & -d)) == 0 if d else x == 0 for x, d in zip(image, self.moduli))
 
-    def _witness_rows(self) -> list[dict[int, int]]:
-        """Rows of U expressing each basis row over the original rows."""
-        if self._u is None:
-            work, pivots, u = _eliminate(self.matrix.sparse_rows(), self.cols, want_u=True)
-            if [work[r] for r, _ in pivots] != self._basis:
-                raise AssertionError("certified Hermite basis differs from full elimination")
-            self._u = [u[r] for r, _ in pivots]
-        return self._u
-
-    def contains(self, v: Sequence[int]) -> Optional[list[int]]:
-        """Coefficients x (over the original rows) with x*M = v, or None."""
-        self._check_width(v)
-        quotients = self._quotients(v)
-        if quotients is None:
-            return None
-        coeffs = [0] * self.matrix.rows
-        for q, u_row in zip(quotients, self._witness_rows()):
-            if q:
-                for j, val in u_row.items():
-                    coeffs[j] += q * val
-        return coeffs
-
-    def order_mod(self, v: Sequence[int]):
+    def order(self, v: Sequence[int]):
         """Least n >= 1 with n*v in the lattice, or math.inf."""
-        self._check_width(v)
-        work: dict[int, Fraction] = {i: Fraction(x) for i, x in enumerate(v) if x}
-        denoms = [1]
-        for row, col in zip(self._basis, self._pivot_cols):
-            if col in work:
-                q = work[col] / row[col]
-                for c, val in row.items():
-                    nv = work.get(c, Fraction(0)) - q * val
-                    if nv:
-                        work[c] = nv
-                    else:
-                        work.pop(c, None)
-                denoms.append(q.denominator)
-        if work:
-            return math.inf
-        return math.lcm(*denoms)
-
-    def saturation_two(self) -> "Lattice":
-        """The lattice of all v with 2^k * v in this lattice for some k >= 0."""
-        if self._sat is None:
-            if not self._basis:
-                self._max_two_power = 0
-                self._sat = self
-                return self._sat
-            block = [[row.get(j, 0) for j in range(self.cols)] for row in self._basis]
-            diag, _, _, vinv = _dense_snf_core(block, self.cols, want_u=False, want_v=False, want_vinv=True)
-            rows = []
-            max_pow = 0
-            for i, d in enumerate(diag):
-                if not d:
-                    continue
-                pow2 = 0
-                odd = d
-                while odd % 2 == 0:
-                    odd //= 2
-                    pow2 += 1
-                max_pow = max(max_pow, pow2)
-                rows.append([odd * x for x in vinv[i]])
-            self._max_two_power = max_pow
-            self._sat = Lattice(IntMatrix.from_rows(rows, cols=self.cols))
-        return self._sat
-
-    def contains_two_inverted(self, v: Sequence[int]) -> Optional[tuple[int, list[int]]]:
-        """Membership after inverting 2: least k with 2^k*v in the lattice.
-
-        Returns (k, coefficients of 2^k*v) or None.  Decided by saturating
-        the lattice at 2, not by unbounded search.
-        """
-        if not self.is_member(v, invert_two=True):
-            return None
-        scaled = list(v)
-        for k in range((self._max_two_power or 0) + 1):
-            coeffs = self.contains(scaled)
-            if coeffs is not None:
-                return (k, coeffs)
-            scaled = [2 * x for x in scaled]
-        raise AssertionError("saturation bound violated")  # pragma: no cover
-
-
-@dataclass(frozen=True)
-class Membership:
-    """Outcome of a lattice membership test."""
-
-    member: bool
-    coefficients: Optional[tuple[int, ...]] = None
-    two_power: int = 0
-
-
-def lattice_membership(M: IntMatrix, v: Sequence[int], invert_two: bool = False) -> Membership:
-    """Decide v in rowspace(M); with invert_two, decide 2^k*v in rowspace(M).
-
-    Returns the witness coefficients (for 2^k * v when invert_two is set).
-    """
-    lat = Lattice(M)
-    if invert_two:
-        hit = lat.contains_two_inverted(v)
-        if hit is None:
-            return Membership(False)
-        k, coeffs = hit
-        return Membership(True, tuple(coeffs), k)
-    coeffs = lat.contains(v)
-    if coeffs is None:
-        return Membership(False)
-    return Membership(True, tuple(coeffs), 0)
-
-
-def element_order(M: IntMatrix, v: Sequence[int]):
-    """Least n >= 1 with n*v in rowspace(M), or math.inf."""
-    return Lattice(M).order_mod(v)
+        n = 1
+        for x, d in zip(self.image(v), self.moduli):
+            if not d:
+                if x:
+                    return math.inf
+            else:
+                n = math.lcm(n, d // math.gcd(d, x))
+        return n
 
 
 # ---------------------------------------------------------------------------

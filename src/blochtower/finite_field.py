@@ -455,15 +455,11 @@ class FieldElement:
 
 def square_class(a: FieldElement) -> int:
     """0 for squares, 1 for nonsquares; q even is all squares."""
-    if a.is_zero():
-        raise ValueError("square class of zero is undefined")
-    F = a.owner
-    if F.q % 2 == 0:
-        return 0
-    return F.dlog_code(a.code) & 1
+    return square_class_code(a.owner, a.code)
 
 
 def square_class_code(F: FieldSpec, code: int) -> int:
+    """The square class of a nonzero code as a group bitmask (see square_class)."""
     if code == 0:
         raise ValueError("square class of zero is undefined")
     if F.q % 2 == 0:

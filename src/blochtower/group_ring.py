@@ -190,9 +190,6 @@ class GroupRingElement:
             raise ValueError("character of a different group")
         return sum((c * chi(e) for e, c in self.coeffs.items()), Fraction(0))
 
-    def to_fraction_vector(self) -> list[Fraction]:
-        return [self.coeffs.get(e, Fraction(0)) for e in self.group.elements()]
-
     def to_int_vector(self) -> list[int]:
         if not self.is_integral():
             raise ValueError("element has dyadic denominators; not integral")
@@ -216,16 +213,6 @@ def bracket(group: SquareClassGroup, elem: int) -> GroupRingElement:
 def double_bracket(group: SquareClassGroup, elem: int) -> GroupRingElement:
     """<<a>> = <a> - 1, a basis element of the augmentation ideal."""
     return GroupRingElement(group, {elem: 1}) - GroupRingElement.one(group)
-
-
-def plus_form(group: SquareClassGroup, elem: int) -> GroupRingElement:
-    """1 + <a>."""
-    return GroupRingElement.one(group) + bracket(group, elem)
-
-
-def minus_form(group: SquareClassGroup, elem: int) -> GroupRingElement:
-    """1 - <a>."""
-    return GroupRingElement.one(group) - bracket(group, elem)
 
 
 def idempotent(

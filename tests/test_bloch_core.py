@@ -4,7 +4,7 @@ import pytest
 
 from blochtower import bloch_core as bc
 from blochtower.exact_linalg import AbelianInvariants, _eliminate, cokernel_invariants
-from blochtower.finite_field import field, field_from_q
+from blochtower.finite_field import field, field_from_q, square_class_code
 from blochtower.group_ring import (
     GroupRingElement,
     bracket,
@@ -84,7 +84,7 @@ class TestLambdaMaps:
     def test_lambda_one_squares_vanish(self):
         F = field(7)
         for x in bc.symbol_generators(F):
-            if bc.class_of(F, x) == 0 and bc.class_of(F, F.sub_code(1, x)) == 0:
+            if square_class_code(F, x) == 0 and square_class_code(F, F.sub_code(1, x)) == 0:
                 assert bc.lambda_one(F, x).is_zero()
 
     def test_lambda_one_even_q_vanishes(self):
@@ -139,7 +139,7 @@ class TestSuslinElements:
         psi2 = bc.suslin_element(F, 2, 2)
         assert psi1.coeffs == psi2.coeffs
         G = bc.square_class_group(F)
-        expected = GroupRingElement.one(G) + bracket(G, bc.class_of(F, 2))
+        expected = GroupRingElement.one(G) + bracket(G, square_class_code(F, 2))
         assert psi1.coeffs == {0: expected}
 
     def test_zero_rejected(self):
@@ -225,7 +225,7 @@ class TestReducedQuotients:
         # the one-minus identity holds with the minus sign only
         F = field(7)
         G = bc.square_class_group(F)
-        m1 = bc.class_of(F, F.neg_code(1))
+        m1 = square_class_code(F, F.neg_code(1))
         bad = 0
         for x in bc.symbol_generators(F):
             om = F.sub_code(1, x)
@@ -301,6 +301,8 @@ class TestCertifiedLattices:
             M = lat.matrix
             work, pivots, _ = _eliminate(M.sparse_rows(), M.cols, want_u=False)
             assert lat.basis_rows() == [work[r] for r, _ in pivots], name
+            factors = tuple(d for d in lat.moduli if d)
+            assert AbelianInvariants(factors, lat.moduli.count(0)) == cokernel_invariants(M, M.cols), name
 
 
 class TestSuites:

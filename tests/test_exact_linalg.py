@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blochtower.bloch_core import prebloch_presentation
 from blochtower.exact_linalg import (
     CERTIFIED_SUBSET_FACTOR,
     AbelianInvariants,
@@ -14,14 +15,14 @@ from blochtower.exact_linalg import (
     IntMatrix,
     Lattice,
     cokernel_invariants,
-    element_order,
     hermite_normal_form,
     kernel_with_embedding,
-    lattice_membership,
     map_kernel,
     smith_normal_form,
     _eliminate,
+    _reduce,
 )
+from blochtower.finite_field import field_from_q
 
 import oracle
 
@@ -114,7 +115,7 @@ class TestHermite:
         assert U @ M == H
         lat = Lattice(M)
         for i in range(H.rows):
-            assert lat.contains(H.row_vector(i)) is not None
+            assert lat.is_member(H.row_vector(i))
 
 
 class TestCertifiedHermite:
@@ -125,9 +126,7 @@ class TestCertifiedHermite:
         work, pivots, _ = _eliminate(M.sparse_rows(), M.cols, want_u=False)
         lat = Lattice(M)
         assert lat.basis_rows() == [work[r] for r, _ in pivots]
-        # the lazily built witness recombines the original rows
-        coeffs = lat.contains(rows[-1])
-        assert [sum(x * r[j] for x, r in zip(coeffs, rows)) for j in range(M.cols)] == rows[-1]
+        assert lat.is_member(rows[-1])
 
 
 class TestCokernelInvariants:
@@ -206,71 +205,73 @@ class TestAbelianInvariants:
 
 
 class TestLatticeMembership:
-    def test_member_with_witness(self):
-        res = lattice_membership(mat([[2]]), [2])
-        assert res.member and list(res.coefficients) == [1]
+    def test_member(self):
+        lat = Lattice(mat([[2]]))
+        assert lat.is_member([2]) and lat.is_member([-4])
+        assert lat.moduli == (2,) and lat.image([3]) == [1]
 
     def test_non_member(self):
-        assert not lattice_membership(mat([[2]]), [1]).member
+        assert not Lattice(mat([[2]])).is_member([1])
 
     def test_invert_two(self):
-        res = lattice_membership(mat([[2]]), [1], invert_two=True)
-        assert res.member and res.two_power == 1
+        lat = Lattice(mat([[2]]))
+        assert lat.is_member([1], invert_two=True)
 
     def test_invert_two_does_not_invert_three(self):
-        assert not lattice_membership(mat([[3]]), [1], invert_two=True).member
-        assert not lattice_membership(mat([[6]]), [1], invert_two=True).member
-        res = lattice_membership(mat([[6]]), [3], invert_two=True)
-        assert res.member and res.two_power == 1
+        assert not Lattice(mat([[3]])).is_member([1], invert_two=True)
+        assert not Lattice(mat([[6]])).is_member([1], invert_two=True)
+        assert Lattice(mat([[6]])).is_member([3], invert_two=True)
+
+    def test_free_coordinate_is_never_inverted(self):
+        lat = Lattice(IntMatrix.zeros(0, 1))
+        assert lat.moduli == (0,) and lat.image([-3]) == [-3]
+        assert not lat.is_member([2], invert_two=True)
+        assert lat.is_member([0], invert_two=True)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            lattice_membership(mat([[2, 0]]), [1])
+        lat = Lattice(mat([[2, 0]]))
+        for query in (lat.is_member, lat.image, lat.order):
+            with pytest.raises(DimensionMismatchError):
+                query([1])
 
     @settings(max_examples=100)
     @given(small_matrices)
     def test_every_row_is_member(self, rows):
-        M = mat(rows)
-        lat = Lattice(M)
+        lat = Lattice(mat(rows))
         for row in rows:
-            coeffs = lat.contains(row)
-            assert coeffs is not None
-            recombined = [0] * M.cols
-            for c, r in zip(coeffs, rows):
-                for j, v in enumerate(r):
-                    recombined[j] += c * v
-            assert recombined == list(row)
+            assert lat.is_member(row)
+            assert not any(lat.image(row))
 
     @settings(max_examples=60)
     @given(small_matrices, st.lists(st.integers(-6, 6), min_size=1, max_size=5))
     def test_matches_oracle(self, rows, v):
         v = (v * 5)[: len(rows[0])]
-        mine = lattice_membership(mat(rows), v).member
-        assert mine == oracle.member(rows, v)
         lat = Lattice(mat(rows))
-        assert lat.is_member(v) == mine == (lat.contains(v) is not None)
+        mine = lat.is_member(v)
+        assert mine == oracle.member(rows, v)
+        assert (lat.order(v) == 1) == mine
+        # the reduction remainder over the Hermite basis decides it too
+        basis = lat.basis_rows()
+        rem, _ = _reduce(basis, [min(row) for row in basis], {i: x for i, x in enumerate(v) if x})
+        assert (not rem) == mine
 
     @settings(max_examples=60)
     @given(small_matrices, st.lists(st.integers(-6, 6), min_size=1, max_size=5))
     def test_invert_two_is_bounded_doubling(self, rows, v):
         v = (v * 5)[: len(rows[0])]
-        res = lattice_membership(mat(rows), v, invert_two=True)
-        assert Lattice(mat(rows)).is_member(v, invert_two=True) == res.member
+        member = Lattice(mat(rows)).is_member(v, invert_two=True)
         # 2^k v can only enter the lattice for k up to the 2-part of the torsion
         bound = sum(_two_valuation(d) for d in oracle.smith_diagonal(rows) if d) + 1
         doubled = any(oracle.member(rows, [(1 << k) * x for x in v]) for k in range(bound + 1))
-        assert res.member == doubled
-        if res.member:
-            assert oracle.member(rows, [(1 << res.two_power) * x for x in v])
-            if res.two_power:
-                assert not oracle.member(rows, [(1 << (res.two_power - 1)) * x for x in v])
+        assert member == doubled
 
 
 class TestElementOrder:
     def test_examples(self):
-        assert element_order(mat([[6]]), [2]) == 3
-        assert element_order(mat([[1]]), [5]) == 1
-        assert element_order(IntMatrix.zeros(0, 1), [1]) == math.inf
+        assert Lattice(mat([[6]])).order([2]) == 3
+        assert Lattice(mat([[1]])).order([5]) == 1
+        assert Lattice(IntMatrix.zeros(0, 1)).order([1]) == math.inf
+        assert Lattice(mat([[4, 0]])).order([1, 0]) == 4
 
     def test_random_against_brute_force(self):
         rng = random.Random(20240917)
@@ -280,9 +281,38 @@ class TestElementOrder:
             inv = cokernel_invariants(mat(rows), 4)
             if inv.order() is math.inf or inv.order() > 1000:
                 continue
-            mine = element_order(mat(rows), v)
+            mine = Lattice(mat(rows)).order(v)
             brute = oracle.order_in_quotient(rows, v, int(inv.order()))
             assert mine == brute if brute is not None else mine == math.inf
+
+
+@pytest.fixture(scope="module")
+def sympy_invariants():
+    """Cokernel invariants from sympy's invariant factors, an independent implementation."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    def invariants(rows, cols):
+        diag = [int(d) for d in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
+        return AbelianInvariants(tuple(d for d in diag if d > 1), cols - sum(1 for d in diag if d))
+
+    return invariants
+
+
+class TestSympyCrossCheck:
+    @settings(max_examples=100)
+    @given(rows=small_matrices)
+    def test_small_matrices(self, sympy_invariants, rows):
+        M = mat(rows)
+        expected = sympy_invariants(rows, M.cols)
+        assert cokernel_invariants(M, M.cols) == expected
+        moduli = Lattice(M).moduli
+        assert AbelianInvariants(tuple(d for d in moduli if d), moduli.count(0)) == expected
+
+    @pytest.mark.parametrize("q", [7, 13, 19])
+    def test_prebloch_relations(self, sympy_invariants, q):
+        M = prebloch_presentation(field_from_q(q)).relations
+        assert cokernel_invariants(M, M.cols) == sympy_invariants(M.to_rows(), M.cols)
 
 
 class TestMapKernel:
