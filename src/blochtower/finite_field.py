@@ -180,9 +180,7 @@ class FieldSpec:
         if m < 1:
             raise ValueError("extension degree must be >= 1")
         q = p**m
-        bound = max_field_size()
-        if q > bound:
-            raise FieldBoundError(f"q = {q} exceeds the bound {bound} (set {MAX_Q_ENV} to raise it)")
+        _check_bound(q)
         self.p = p
         self.m = m
         self.q = q

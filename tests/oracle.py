@@ -1,9 +1,18 @@
 """Independent dense textbook oracles used to cross-check the package.
 
-Deliberately shares no code with blochtower.exact_linalg: dense lists,
-first-nonzero pivoting, and Bezout 2x2 block transforms instead of sparse
-rows and minimal-absolute-value pivoting.
+The lattice oracles deliberately share no code with blochtower.exact_linalg:
+dense lists, first-nonzero pivoting, and Bezout 2x2 block transforms instead
+of sparse rows and minimal-absolute-value pivoting.  The relation oracle
+forms the five Laurent arguments in full with the package's truncated-series
+arithmetic, where the package itself reads only their heads.
 """
+
+from blochtower.laurent import (
+    PrecisionExhaustedError,
+    RelationCheckOutcome,
+    laurent_square_class,
+)
+
 
 def _ext_gcd(a, b):
     old_r, r = a, b
@@ -158,3 +167,44 @@ def _box_points(n, box):
     for rest in _box_points(n - 1, box):
         for x in range(box):
             yield rest + (x,)
+
+
+def relation_check_by_series(target, x, y, exact_precision=64):
+    """The five-term specialization check computed on full truncated series.
+
+    Every argument is formed as a series (two inverses, two more after
+    ``one_minus``, three products) before it is specialized.  Exact
+    multi-term series are inverted after truncation to ``exact_precision``
+    coefficients; nothing else reads that value.
+    """
+    try:
+        inv_x = x.inv(exact_precision)
+        inv_y = y.inv(exact_precision)
+        a3 = y * inv_x
+        n4 = inv_x.one_minus()
+        a4 = n4 * (inv_y.one_minus()).inv(exact_precision)
+        n5 = x.one_minus()
+        a5 = n5 * (y.one_minus()).inv(exact_precision)
+        c3 = laurent_square_class(x)
+        c4 = laurent_square_class(-n4)
+        c5 = laurent_square_class(n5)
+        terms = (
+            (1, None, x),
+            (-1, None, y),
+            (1, c3, a3),
+            (-1, c4, a4),
+            (1, c5, a5),
+        )
+        total = [0] * target.total
+        for sign, cls, arg in terms:
+            vec = target.specialize(arg)
+            if cls is not None:
+                vec = target.act(cls, vec)
+            for i, v in enumerate(vec):
+                if v:
+                    total[i] += sign * v
+    except PrecisionExhaustedError as exc:
+        return RelationCheckOutcome("inconclusive", str(exc))
+    if target.is_zero_vector(total):
+        return RelationCheckOutcome("pass")
+    return RelationCheckOutcome("fail", f"nonzero image for x={x!r}, y={y!r}")

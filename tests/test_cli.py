@@ -1,6 +1,8 @@
 import json
 
+from blochtower import cli
 from blochtower.cli import main
+from blochtower.laurent import MAX_PRECISION
 
 
 def run(capsys, *argv):
@@ -80,6 +82,14 @@ class TestLaurentFuzz:
     def test_even_q_rejected(self, capsys):
         assert main(["laurent-fuzz", "--q", "4"]) == 2
         capsys.readouterr()
+
+    def test_precision_bound(self, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(cli, "fuzz_specialization", no_sampling)
+        assert main(["laurent-fuzz", "--q", "5", "--precision", str(MAX_PRECISION + 1), "--samples", "1"]) == 2
+        assert f"exceeds the bound {MAX_PRECISION}" in capsys.readouterr().err
 
 
 class TestTower:

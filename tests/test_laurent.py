@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blochtower.exact_linalg import DimensionMismatchError, IntMatrix, Lattice
 from blochtower.finite_field import field, field_from_q
 from blochtower.laurent import (
     LaurentSquareClass,
@@ -15,7 +18,10 @@ from blochtower.laurent import (
     relation_specialization_check,
     specialization_target,
     sqrt_unit,
+    _one_minus_head,
 )
+
+import oracle
 
 F5 = field(5)
 F7 = field(7)
@@ -216,6 +222,125 @@ class TestRelationCheck:
             assert out.status in ("pass", "inconclusive")
             passes += out.status == "pass"
         assert passes > 30
+
+
+@st.composite
+def relation_arguments(draw, F):
+    """Series with valuation -3..3 and 1-6 coefficients, 1-units with long
+    zero runs after the lead, and exact constants and powers of t."""
+    kind = draw(st.sampled_from(("series", "one_unit", "constant", "uniformizer")))
+    if kind == "constant":
+        return TLS.constant(F, draw(st.integers(2, F.q - 1)))
+    if kind == "uniformizer":
+        return TLS.uniformizer(F, draw(st.sampled_from((-3, -2, -1, 1, 2, 3))))
+    precision = draw(st.integers(1, 6))
+    if kind == "one_unit":
+        valuation, lead = 0, 1
+        zeros = draw(st.integers(0, precision - 1))
+    else:
+        valuation, lead = draw(st.integers(-3, 3)), draw(st.integers(1, F.q - 1))
+        zeros = 0
+    tail = draw(st.lists(st.integers(0, F.q - 1), min_size=precision - 1 - zeros, max_size=precision - 1 - zeros))
+    return TLS(F, valuation, (lead,) + (0,) * zeros + tuple(tail))
+
+
+class TestRelationHeads:
+    """The head-only relation check against the full-series oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_series(self, data):
+        F = field_from_q(data.draw(st.sampled_from((3, 5, 7, 9, 25, 27))))
+        x = data.draw(relation_arguments(F))
+        y = data.draw(relation_arguments(F))
+        tgt = specialization_target(F)
+        assert relation_specialization_check(tgt, x, y) == oracle.relation_check_by_series(tgt, x, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_minus_heads_match_series(self, data):
+        F = field_from_q(data.draw(st.sampled_from((3, 5, 7, 9, 25, 27))))
+        a = data.draw(relation_arguments(F))
+        for invert in (False, True):
+            try:
+                w = (a.inv() if invert else a).one_minus()
+                expected = (w.valuation, w.leading())
+            except PrecisionExhaustedError as exc:
+                expected = str(exc)
+            try:
+                got = _one_minus_head(a, invert=invert)
+            except PrecisionExhaustedError as exc:
+                got = str(exc)
+            assert got == expected
+
+    @pytest.mark.parametrize(
+        "name, value, arg",
+        [
+            ("x", 1, TLS.one(F5)),
+            ("y", 1, TLS.one(F5)),
+            ("x", 1, TLS(F5, 0, (1, 0, 0), exact=True)),
+            ("y", 0, TLS.zero(F5)),
+        ],
+    )
+    def test_exact_zero_or_one_rejected(self, name, value, arg):
+        tgt = specialization_target(F5)
+        args = {"x": TLS.constant(F5, 2), "y": TLS.uniformizer(F5), name: arg}
+        with pytest.raises(ValueError, match=f"^{name} is exactly {value};"):
+            relation_specialization_check(tgt, args["x"], args["y"])
+
+    def test_series_agreeing_with_one_is_inconclusive(self):
+        tgt = specialization_target(F5)
+        y = TLS.one(F5).truncate(6)
+        outcome = relation_specialization_check(tgt, TLS.constant(F5, 2), y)
+        assert outcome.status == "inconclusive"
+        assert outcome.reason == "cancellation consumed the tracked window"
+
+    def test_other_field_rejected(self):
+        tgt = specialization_target(F5)
+        with pytest.raises(ValueError, match="^x is a series over a different residue field"):
+            relation_specialization_check(tgt, TLS.constant(F7, 2), TLS.constant(F5, 2))
+
+
+class TestInducedMembership:
+    @pytest.mark.parametrize("q", (5, 7, 9))
+    @pytest.mark.parametrize("invert_two", (False, True))
+    def test_matches_doubled_block_lattice(self, q, invert_two):
+        tgt = specialization_target(field_from_q(q))
+        rows = tgt.lattice.matrix.sparse_rows()
+        w = tgt.width
+        entries = {}
+        for coset in (0, 1):
+            for i, row in enumerate(rows):
+                for j, v in row.items():
+                    entries[(coset * len(rows) + i, coset * w + j)] = v
+        doubled = Lattice(IntMatrix(2 * len(rows), tgt.total, entries))
+        rng = random.Random(q)
+        outcomes = set()
+        for _ in range(300):
+            vec = [0] * tgt.total
+            for coset in (0, 1):
+                for _ in range(3):
+                    c = rng.randint(-3, 3)
+                    for j, v in rng.choice(rows).items():
+                        vec[coset * w + j] += c * v
+            for _ in range(rng.randint(0, 2)):
+                vec[rng.randrange(tgt.total)] += rng.randint(-2, 2)
+            expected = doubled.is_member(vec, invert_two=invert_two)
+            assert tgt.is_zero_vector(vec, invert_two=invert_two) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_invert_two_matters_at_q7(self):
+        tgt = specialization_target(F7)
+        vec = [0] * tgt.total
+        vec[tgt.width] = 1  # a generator of order 2 in coset 1
+        assert not tgt.is_zero_vector(vec, invert_two=False)
+        assert tgt.is_zero_vector(vec, invert_two=True)
+
+    def test_length_checked(self):
+        tgt = specialization_target(F5)
+        with pytest.raises(DimensionMismatchError):
+            tgt.is_zero_vector([0] * (tgt.total + 1))
 
 
 class TestFuzz:
