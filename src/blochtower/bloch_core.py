@@ -12,6 +12,12 @@ The fields with 2 and 3 elements get their standard ad-hoc replacements (an
 order-3 group with a distinguished generator, and the cyclic module on [-1]
 with the single relation 2([-1] + <-1>[-1]) = 0).
 
+Both presentations, and the integer relation matrix of every character
+specialization, are read from one term table that lists each relation row
+as (generator, integer coefficient, square class) terms: the pre-Bloch
+matrix sums the coefficients, the refined module wraps them in group-ring
+elements, and a character adds coeff * chi(class) into sparse entries.
+
 Downstream of the presentations: the invariant maps lambda_one (into the
 square of the augmentation ideal) and lambda_two (into the antisymmetric
 square of F^x), their joint kernel (the refined Bloch group, computed per
@@ -51,7 +57,6 @@ from .group_ring import (
     RModulePresentation,
     SquareClassGroup,
     bracket,
-    character_specialize,
     double_bracket,
     z_expand,
     z_vector,
@@ -190,49 +195,70 @@ def _five_term_arguments(F: FieldSpec, x: int, y: int) -> tuple[tuple[int, int, 
 
 
 @lru_cache(maxsize=None)
+def _five_term_table(F: FieldSpec) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Every relation row as (generator index, integer coefficient, square class) terms.
+
+    One row per ordered pair x != y of symbol generators, from
+    ``_five_term_arguments`` with the [1] terms dropped; q = 2 has the single
+    row 3<0> on b, and q = 3 the single row 2<0> + 2<-1> on [-1].  Terms of a
+    row may repeat a (generator, class) pair; readers add them up.
+    """
+    if F.q == 2:
+        return (((0, 3, 0),),)
+    if F.q == 3:
+        return (((0, 2, 0), (0, 2, square_class_code(F, 2))),)
+    index = _symbol_index(F)
+    return tuple(
+        tuple((index[arg], sign, cls) for arg, sign, cls in _five_term_arguments(F, x, y) if arg != 1)
+        for x, y in itertools.permutations(symbol_generators(F), 2)
+    )
+
+
+def _generator_labels(F: FieldSpec) -> tuple[str, ...]:
+    if F.q == 2:
+        return ("b",)
+    if F.q == 3:
+        return ("[-1]",)
+    return tuple(f"[{c}]" for c in symbol_generators(F))
+
+
+def specialized_relations(F: FieldSpec, chi: Character) -> IntMatrix:
+    """Relation matrix of the chi-specialized refined presentation.
+
+    Equal to ``character_specialize(refined_presentation(F), chi)``, read
+    straight from the term table: each term adds coeff * chi(class) to its
+    entry.  The trivial character gives the pre-Bloch relations.
+    """
+    if chi.group != square_class_group(F):
+        raise ValueError("character of a different square-class group")
+    signs = [chi(e) for e in chi.group.elements()]
+    table = _five_term_table(F)
+    entries: dict[tuple[int, int], int] = {}
+    for i, row in enumerate(table):
+        for j, coeff, cls in row:
+            entries[i, j] = entries.get((i, j), 0) + coeff * signs[cls]
+    return IntMatrix(len(table), generator_count(F), entries)
+
+
+@lru_cache(maxsize=None)
 def prebloch_presentation(F: FieldSpec) -> FpPresentation:
     """The pre-Bloch group of F as an integer presentation."""
-    if F.q == 2:
-        return FpPresentation(1, IntMatrix.from_rows([[3]]), labels=("b",))
-    if F.q == 3:
-        return FpPresentation(1, IntMatrix.from_rows([[4]]), labels=("[-1]",))
-    gens = symbol_generators(F)
-    index = _symbol_index(F)
-    rows = []
-    for x, y in itertools.permutations(gens, 2):
-        row = [0] * len(gens)
-        for arg, sign, _cls in _five_term_arguments(F, x, y):
-            if arg != 1:
-                row[index[arg]] += sign
-        rows.append(row)
-    labels = tuple(f"[{c}]" for c in gens)
-    return FpPresentation(len(gens), IntMatrix.from_rows(rows, cols=len(gens)), labels=labels)
+    trivial = square_class_group(F).character(0)
+    return FpPresentation(generator_count(F), specialized_relations(F, trivial), labels=_generator_labels(F))
 
 
 @lru_cache(maxsize=None)
 def refined_presentation(F: FieldSpec) -> RModulePresentation:
     """The refined pre-Bloch module over the square-class group ring."""
     G = square_class_group(F)
-    if F.q == 2:
-        return RModulePresentation(G, 1, ({0: GroupRingElement(G, {0: 3})},), labels=("b",))
-    if F.q == 3:
-        minus_one_class = square_class_code(F, 2)
-        rel = GroupRingElement(G, {0: 2}) + GroupRingElement(G, {minus_one_class: 2})
-        return RModulePresentation(G, 1, ({0: rel},), labels=("[-1]",))
-    gens = symbol_generators(F)
-    index = _symbol_index(F)
     rows: list[dict[int, GroupRingElement]] = []
-    for x, y in itertools.permutations(gens, 2):
+    for terms in _five_term_table(F):
         row: dict[int, GroupRingElement] = {}
-        for arg, sign, cls in _five_term_arguments(F, x, y):
-            if arg == 1:
-                continue
-            term = GroupRingElement(G, {cls: sign})
-            i = index[arg]
+        for i, coeff, cls in terms:
+            term = GroupRingElement(G, {cls: coeff})
             row[i] = row[i] + term if i in row else term
         rows.append({i: c for i, c in row.items() if not c.is_zero()})
-    labels = tuple(f"[{c}]" for c in gens)
-    return RModulePresentation(G, len(gens), tuple(rows), labels=labels)
+    return RModulePresentation(G, generator_count(F), tuple(rows), labels=_generator_labels(F))
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +407,7 @@ def bloch_group(F: FieldSpec) -> FpPresentation:
     return pres
 
 
+@lru_cache(maxsize=None)
 def bloch_invariants(F: FieldSpec) -> AbelianInvariants:
     return bloch_group(F).invariants()
 
@@ -403,15 +430,22 @@ def refined_bloch(F: FieldSpec) -> dict[Character, AbelianInvariants]:
 
     Characters split the 2-inverted module into eigenspaces, so each entry is
     the odd part of the kernel of the specialized invariant map.  The trivial
-    character recovers the odd part of the plain Bloch group.
+    entry is the odd part of the plain Bloch group, taken from
+    ``bloch_invariants``; each nontrivial entry is computed from the
+    specialized relation matrix of the five-term term table.
     """
-    rp = refined_presentation(F)
     mod = asym2_modulus(F)
     codomain = FpPresentation(2, IntMatrix.from_rows([[0, mod]]))
     out: dict[Character, AbelianInvariants] = {}
-    for chi in rp.group.characters():
-        mat, gens = character_specialize(rp, chi)
-        domain = FpPresentation(gens, mat)
+    for chi in square_class_group(F).characters():
+        if chi.is_trivial:
+            # The trivial specialization matrix is the pre-Bloch matrix, and
+            # lambda_one lies in I^2, so its augmentation (its trivial
+            # specialization) is 0: the specialized map is lambda_two alone,
+            # whose kernel on the pre-Bloch group is the Bloch group.
+            out[chi] = bloch_invariants(F).odd_part()
+            continue
+        domain = FpPresentation(generator_count(F), specialized_relations(F, chi))
         kernel, _ = kernel_with_embedding(domain, codomain, _refined_lambda_matrix(F, chi))
         out[chi] = kernel.invariants().odd_part()
     return out

@@ -24,7 +24,7 @@ from . import __version__
 from .bloch_core import bloch_invariants, prebloch_presentation, refined_bloch, run_suite
 from .finite_field import FieldBoundError, FieldSpec, parse_field_spec
 from .laurent import DEFAULT_SEED, MAX_PRECISION, fuzz_specialization
-from .tower import TowerSpec, census_matches_exponents, eigenspace_ledger, predict
+from .tower import MAX_LEVELS, TowerSpec, census_matches_exponents, eigenspace_ledger, predict
 
 SCHEMA_VERSION = 1
 
@@ -160,6 +160,8 @@ def _cmd_tower(args) -> tuple[dict, int]:
         base = _parse_field(args.base)
     if args.levels < 0:
         raise ConfigError("levels must be nonnegative")
+    if args.levels > MAX_LEVELS:
+        raise ConfigError(f"levels {args.levels} exceeds the bound {MAX_LEVELS}")
     spec = TowerSpec(base, args.levels)
     report_data = predict(spec)
     ledger = eigenspace_ledger(spec)
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='base field: a size like "5", or "real-closed" / "quadratically-closed"',
     )
-    t.add_argument("--levels", type=int, required=True, help="number of Laurent levels, n >= 0")
+    t.add_argument("--levels", type=int, required=True, help=f"number of Laurent levels, 0 to {MAX_LEVELS}")
     t.set_defaults(func=_cmd_tower)
     return parser
 

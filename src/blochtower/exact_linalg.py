@@ -654,8 +654,12 @@ def kernel_with_embedding(
     """Kernel presentation plus the matrix embedding its generators in the domain.
 
     ``map_matrix`` sends domain generators (rows) to codomain coordinate
-    vectors.  Raises InconsistentMapError when a domain relation fails to land
-    in the codomain relation lattice.
+    vectors.  Raises InconsistentMapError, naming the row, when a domain
+    relation fails to land in the codomain relation lattice.  The kernel's
+    relations are the coordinates, over the kernel generators, of the
+    domain's relation Hermite basis rather than of every domain relation:
+    the same lattice, so the same group, with at most ``domain.generators``
+    relation rows.
     """
     if map_matrix.rows != domain.generators or map_matrix.cols != codomain.generators:
         raise DimensionMismatchError("map matrix shape must be domain gens x codomain gens")
@@ -666,6 +670,7 @@ def kernel_with_embedding(
         image = _apply_map(row, map_rows, codomain.generators)
         if not cod_lat.is_member(image):
             raise InconsistentMapError(f"domain relation {idx} does not map into the relation lattice")
+    dom_work, dom_pivots, _ = _hnf_rows(dom_rows, domain.generators, want_u=False)
     stacked = map_matrix.stack(codomain.relations)
     work, _pivots, u = _hnf_rows(stacked.sparse_rows(), stacked.cols, want_u=True)
     nonzero = {i for i, row in enumerate(work) if row}
@@ -693,8 +698,8 @@ def kernel_with_embedding(
     # The embedding rows are a Hermite basis, so the reduction quotients of a
     # domain relation are its coordinates over the kernel generators.
     rel_rows = []
-    for row in dom_rows:
-        rem, coords = _reduce(basis, pivot_cols, row)
+    for r, _ in dom_pivots:
+        rem, coords = _reduce(basis, pivot_cols, dom_work[r])
         if rem:  # pragma: no cover - relations lie in the preimage lattice
             raise AssertionError("domain relation missing from kernel lattice")
         rel_rows.append(coords)

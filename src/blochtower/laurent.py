@@ -57,7 +57,12 @@ def _require_odd(base: FieldSpec) -> None:
 
 @dataclass(frozen=True)
 class TruncatedLaurentSeries:
-    """A t-adic element over F_q with finite tracked precision."""
+    """A t-adic element over F_q with finite tracked precision.
+
+    Exact series are canonical: trailing zero coefficients are dropped at
+    construction, so two exact series with the same value compare and hash
+    equal.
+    """
 
     base: FieldSpec
     valuation: int
@@ -73,6 +78,11 @@ class TruncatedLaurentSeries:
         for c in self.coeffs:
             if not (0 <= c < self.base.q):
                 raise ValueError("coefficient code out of range")
+        if self.exact and self.coeffs and self.coeffs[-1] == 0:
+            coeffs = list(self.coeffs)
+            while coeffs[-1] == 0:
+                coeffs.pop()
+            object.__setattr__(self, "coeffs", tuple(coeffs))
 
     # -- inspection --------------------------------------------------------
 
@@ -166,8 +176,6 @@ class TruncatedLaurentSeries:
                 for k, c in enumerate(src.coeffs):
                     e = src.valuation + k - lo
                     window[e] = F.add_code(window[e], c)
-            while window and window[-1] == 0:
-                window.pop()
             while window and window[0] == 0:
                 window.pop(0)
                 lo += 1
@@ -495,7 +503,7 @@ def relation_specialization_check(
     for name, a in (("x", x), ("y", y)):
         if a.base != F:
             raise ValueError(f"{name} is a series over a different residue field")
-        if a.is_zero() or (a.exact and a.valuation == 0 and a.coeffs[0] == 1 and not any(a.coeffs[1:])):
+        if a.is_zero() or (a.exact and a == TruncatedLaurentSeries.one(F)):
             value = 0 if a.is_zero() else 1
             raise ValueError(f"{name} is exactly {value}; the five-term relation needs x, y outside {{0, 1}}")
     try:

@@ -4,9 +4,13 @@ The lattice oracles deliberately share no code with blochtower.exact_linalg:
 dense lists, first-nonzero pivoting, and Bezout 2x2 block transforms instead
 of sparse rows and minimal-absolute-value pivoting.  The relation oracle
 forms the five Laurent arguments in full with the package's truncated-series
-arithmetic, where the package itself reads only their heads.
+arithmetic, where the package itself reads only their heads.  The kernel
+oracle is the package's earlier kernel construction, which gives the kernel
+one relation per domain relation row instead of one per row of the domain's
+Hermite basis.
 """
 
+from blochtower.exact_linalg import FpPresentation, IntMatrix, Lattice, _apply_map, _hnf_rows, _reduce
 from blochtower.laurent import (
     PrecisionExhaustedError,
     RelationCheckOutcome,
@@ -208,3 +212,40 @@ def relation_check_by_series(target, x, y, exact_precision=64):
     if target.is_zero_vector(total):
         return RelationCheckOutcome("pass")
     return RelationCheckOutcome("fail", f"nonzero image for x={x!r}, y={y!r}")
+
+
+def kernel_with_all_relation_rows(domain, codomain, map_matrix):
+    """Kernel presentation and embedding, with one relation per domain relation.
+
+    The embedding is built exactly as ``kernel_with_embedding`` builds it;
+    every domain relation row (zero rows included) is then reduced against
+    it, and its quotients become one kernel relation.
+    """
+    cod_lat = Lattice(codomain.relations)
+    map_rows = map_matrix.sparse_rows()
+    dom_rows = domain.relations.sparse_rows()
+    for row in dom_rows:
+        if not cod_lat.is_member(_apply_map(row, map_rows, codomain.generators)):
+            raise ValueError("a domain relation does not map into the relation lattice")
+    stacked = map_matrix.stack(codomain.relations)
+    work, _pivots, u = _hnf_rows(stacked.sparse_rows(), stacked.cols, want_u=True)
+    projected = []
+    for i in range(stacked.rows):
+        if not work[i]:
+            projected.append([u[i].get(j, 0) for j in range(domain.generators)])
+    pre = IntMatrix.from_rows(projected, cols=domain.generators)
+    basis_rows, basis_pivots, _ = _hnf_rows(pre.sparse_rows(), pre.cols, want_u=False)
+    basis = [basis_rows[r] for r, _ in basis_pivots]
+    pivot_cols = [col for _, col in basis_pivots]
+    embedding = IntMatrix(
+        len(basis), domain.generators,
+        {(i, j): v for i, row in enumerate(basis) for j, v in row.items()},
+    )
+    rel_rows = []
+    for row in dom_rows:
+        rem, coords = _reduce(basis, pivot_cols, row)
+        if rem:
+            raise AssertionError("domain relation missing from kernel lattice")
+        rel_rows.append(coords)
+    relations = IntMatrix.from_rows(rel_rows, cols=embedding.rows)
+    return FpPresentation(embedding.rows, relations), embedding

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from blochtower import bloch_core as bc
-from blochtower.exact_linalg import AbelianInvariants, _eliminate, cokernel_invariants
+from blochtower.exact_linalg import AbelianInvariants, FpPresentation, IntMatrix, _eliminate, cokernel_invariants
 from blochtower.finite_field import field, field_from_q, square_class_code
 from blochtower.group_ring import (
     GroupRingElement,
@@ -12,6 +12,8 @@ from blochtower.group_ring import (
     double_bracket,
     eigenspace_reconstruction_ok,
 )
+
+import oracle
 
 UNIT_TEST_FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 13]
 
@@ -51,6 +53,40 @@ class TestPresentations:
         for x, y in itertools.permutations(bc.symbol_generators(F), 2):
             for arg, _sign, _cls in bc._five_term_arguments(F, x, y):
                 assert arg != 0
+
+
+ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 25, 27]
+
+
+class TestSpecializedRelations:
+    @pytest.mark.parametrize("q", ORACLE_FIELDS)
+    def test_matches_character_specialize(self, q):
+        F = field_from_q(q)
+        rp = bc.refined_presentation(F)
+        for chi in rp.group.characters():
+            mat, n = character_specialize(rp, chi)
+            assert n == bc.generator_count(F)
+            assert bc.specialized_relations(F, chi) == mat, chi.name
+
+    @pytest.mark.parametrize("q", ORACLE_FIELDS)
+    def test_refined_bloch_matches_specialized_kernels(self, q):
+        # the earlier path: specialize the refined module, take the kernel of
+        # the specialized invariant pair with one relation per relation row
+        F = field_from_q(q)
+        rp = bc.refined_presentation(F)
+        codomain = FpPresentation(2, IntMatrix.from_rows([[0, bc.asym2_modulus(F)]]))
+        expected = {}
+        for chi in rp.group.characters():
+            mat, n = character_specialize(rp, chi)
+            kernel, _ = oracle.kernel_with_all_relation_rows(
+                FpPresentation(n, mat), codomain, bc._refined_lambda_matrix(F, chi)
+            )
+            expected[chi] = kernel.invariants().odd_part()
+        assert bc.refined_bloch(F) == expected
+
+    def test_character_of_another_group_rejected(self):
+        with pytest.raises(ValueError):
+            bc.specialized_relations(field(5), bc.square_class_group(field(4)).character(0))
 
 
 class TestLambdaMaps:

@@ -3,6 +3,7 @@ import json
 from blochtower import cli
 from blochtower.cli import main
 from blochtower.laurent import MAX_PRECISION
+from blochtower.tower import MAX_LEVELS
 
 
 def run(capsys, *argv):
@@ -114,6 +115,14 @@ class TestTower:
         assert code == 0
         deco = next(c for c in report["checks"] if c["name"] == "decomposition")
         assert [s["kind"] for s in deco["summands"]] == ["K3ind-symbolic"]
+
+    def test_levels_bound(self, capsys, monkeypatch):
+        def no_ledger(*args, **kwargs):
+            raise AssertionError("ledger started")
+
+        monkeypatch.setattr(cli, "eigenspace_ledger", no_ledger)
+        assert main(["tower", "--base", "5", "--levels", str(MAX_LEVELS + 1)]) == 2
+        assert f"exceeds the bound {MAX_LEVELS}" in capsys.readouterr().err
 
     def test_even_base_flags_surjection(self, capsys):
         code, report = run_json(capsys, "tower", "--base", "2", "--levels", "1")

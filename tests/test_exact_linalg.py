@@ -64,6 +64,36 @@ def mat(rows, cols=None):
     return IntMatrix.from_rows(rows, cols=cols)
 
 
+@st.composite
+def consistent_maps(draw):
+    """(domain, codomain, map matrix) with every domain relation landing in the codomain lattice.
+
+    Domain relations are random integer combinations of a basis of the
+    preimage of the codomain lattice (built with no domain relations), so
+    they are consistent by construction; ``kind`` forces an empty relation
+    set, added zero rows, or a free codomain summand (a last codomain
+    generator with no relation).
+    """
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "no_relations", "zero_rows", "free_summand"]))
+    entry = st.integers(-4, 4)
+    cod_rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), max_size=3))
+    if kind == "free_summand":
+        cod_rows = [r[:-1] + [0] for r in cod_rows]
+    map_matrix = mat(draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n)), cols=m)
+    codomain = FpPresentation(m, mat(cod_rows, cols=m))
+    _, preimage = oracle.kernel_with_all_relation_rows(FpPresentation(n, IntMatrix.zeros(0, n)), codomain, map_matrix)
+    basis = preimage.to_rows()
+    dom_rows = []
+    if kind != "no_relations" and basis:
+        combos = draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)), min_size=1, max_size=6))
+        dom_rows = [[sum(a * b[j] for a, b in zip(combo, basis)) for j in range(n)] for combo in combos]
+    if kind == "zero_rows":
+        dom_rows = [[0] * n] + dom_rows + [[0] * n]
+    return FpPresentation(n, mat(dom_rows, cols=n)), codomain, map_matrix
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         D, U, V = smith_normal_form(IntMatrix.identity(2))
@@ -340,3 +370,29 @@ class TestMapKernel:
         cod = FpPresentation(1, IntMatrix.zeros(0, 1))
         ker = map_kernel(dom, cod, mat([[1], [1]]))
         assert ker.invariants() == AbelianInvariants((), 1)
+
+
+class TestKernelOverHermiteBasis:
+    @settings(max_examples=300)
+    @given(consistent_maps())
+    def test_matches_all_rows_oracle(self, case):
+        domain, codomain, map_matrix = case
+        kernel, embedding = kernel_with_embedding(domain, codomain, map_matrix)
+        expected, expected_embedding = oracle.kernel_with_all_relation_rows(domain, codomain, map_matrix)
+        assert embedding == expected_embedding
+        assert kernel.invariants() == expected.invariants()
+        assert kernel.relations.rows <= domain.generators
+
+    def test_prebloch_kernel_has_at_most_n_relations(self):
+        pres = prebloch_presentation(field_from_q(13))
+        lam = IntMatrix(pres.generators, 1)
+        kernel, _ = kernel_with_embedding(pres, FpPresentation(1, mat([[1]])), lam)
+        assert pres.relations.rows == 11 * 10
+        assert kernel.relations.rows <= pres.generators
+        assert kernel.invariants() == pres.invariants()
+
+    def test_inconsistent_row_is_named(self):
+        z3 = FpPresentation(1, mat([[3]]))
+        domain = FpPresentation(1, mat([[0], [6], [2]]))
+        with pytest.raises(InconsistentMapError, match="domain relation 2 "):
+            kernel_with_embedding(domain, z3, IntMatrix.identity(1))

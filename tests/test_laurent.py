@@ -78,6 +78,17 @@ class TestArithmetic:
         t = TLS.uniformizer(F5)
         assert (t - t).is_zero()
 
+    def test_exact_trailing_zeros_are_canonical(self):
+        one = TLS.one(F5)
+        padded = TLS(F5, 0, (1, 0), exact=True)
+        assert padded.coeffs == (1,)
+        assert padded == one and hash(padded) == hash(one)
+        assert padded.agrees_with(one) and one.agrees_with(padded)
+        assert (padded - one).is_zero()
+        t = TLS.uniformizer(F5)
+        assert (t.one_minus() + t) == one  # (1 - t) + t, built by exact addition
+        assert TLS(F5, 0, (1, 0, 0, 0)).coeffs == (1, 0, 0, 0)  # tracked zeros stay
+
     def test_zero_inverse_rejected(self):
         with pytest.raises(ZeroDivisionError):
             TLS.zero(F5).inv()
