@@ -33,7 +33,7 @@ pure function of the field.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping, Optional, Union
 
@@ -570,9 +570,8 @@ def rp_lattice(F: FieldSpec) -> Lattice:
     return Lattice(_rp_zmatrix(F))
 
 
-@lru_cache(maxsize=None)
 def prebloch_lattice(F: FieldSpec) -> Lattice:
-    return Lattice(prebloch_presentation(F).relations)
+    return prebloch_presentation(F).lattice
 
 
 def is_zero_in_refined(F: FieldSpec, v: SymbolVector, invert_two: bool = True) -> bool:
@@ -688,10 +687,16 @@ def reduced_quotients(F: FieldSpec) -> ReducedQuotients:
 @lru_cache(maxsize=None)
 def reduced_lattice(F: FieldSpec, which: str) -> Lattice:
     """Zero-testing lattice for the reduced quotients ("ic" or "c")."""
+    if which not in ("ic", "c"):
+        raise ValueError(f"unknown reduced quotient {which!r}; choose 'ic' or 'c'")
     quotients = reduced_quotients(F)
     pres = quotients.mod_inversions_and_ic if which == "ic" else quotients.mod_inversions_and_c
-    mat, _ = z_expand(pres)
-    return Lattice(mat)
+    # A reduced quotient is the refined module modulo extra relations, so its
+    # lattice is spanned by the refined lattice's Hermite basis plus the
+    # z-expanded extra rows: a few hundred rows instead of every refined one.
+    rp = rp_lattice(F)
+    extra, _ = z_expand(replace(pres, relations=pres.relations[len(refined_presentation(F).relations):]))
+    return Lattice(IntMatrix.from_sparse_rows(rp.basis_rows(), rp.cols).stack(extra))
 
 
 def is_zero_in_reduced(F: FieldSpec, v: SymbolVector, which: str = "ic", invert_two: bool = True) -> bool:

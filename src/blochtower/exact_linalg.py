@@ -11,23 +11,28 @@ so every result is reproducible bit for bit.  Matrices are stored sparsely;
 the Smith form runs a sparse row-reduction pass first and only then a dense
 core on the surviving block, since elimination causes fill-in.
 
-A tall matrix whose transform is not wanted gets its row Hermite basis
-from a certified subset: the first ``CERTIFIED_SUBSET_FACTOR * cols`` rows
-are eliminated, every other row is reduced against that basis, and the
-nonzero remainders (if any) are eliminated together with it once more.
-Every row is checked, and the reduced row Hermite form of a lattice is
-unique, so the basis is the one full elimination gives.  A lattice keeps
-that basis and the columns of one Smith transform V of it: the quotient map
-needs nothing else, and no transform over the original rows is built.
+A relation matrix is eliminated without a transform only by ``Lattice``,
+which gets its row Hermite basis from a certified subset: the first
+``CERTIFIED_SUBSET_FACTOR * cols`` rows are eliminated, every other row is
+reduced against that basis, and the nonzero remainders (if any) are
+eliminated together with it once more.  Every row is checked, and the
+reduced row Hermite form of a lattice is unique, so the basis is the one
+full elimination gives.  A lattice keeps that basis and the columns of one
+Smith transform V of it: the quotient map needs nothing else, and no
+transform over the original rows is built.  A presentation owns the lattice
+of its relations, built once on first use: its invariants, kernels of maps
+out of it and membership tests all read that one lattice.
 
 Everything here is a pure function of immutable inputs and safe to call
-concurrently.
+concurrently; a lattice or quotient map built on first use is the same
+whichever call builds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -87,6 +92,10 @@ class IntMatrix:
         return cls(len(data), cols, entries)
 
     @classmethod
+    def from_sparse_rows(cls, rows: Sequence[dict[int, int]], cols: int) -> "IntMatrix":
+        return cls(len(rows), cols, {(i, j): v for i, row in enumerate(rows) for j, v in row.items()})
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
@@ -112,16 +121,6 @@ class IntMatrix:
         for (i, j), v in self.entries.items():
             out[i][j] = v
         return out
-
-    def row_vector(self, i: int) -> list[int]:
-        out = [0] * self.cols
-        for (r, j), v in self.entries.items():
-            if r == i:
-                out[j] = v
-        return out
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
 
     def stack(self, other: "IntMatrix") -> "IntMatrix":
         if other.cols != self.cols:
@@ -153,9 +152,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def is_diagonal(self) -> bool:
-        return all(i == j for (i, j) in self.entries)
 
     def diagonal_entries(self) -> list[int]:
         n = min(self.rows, self.cols)
@@ -246,7 +242,12 @@ class AbelianInvariants:
 
 @dataclass(frozen=True)
 class FpPresentation:
-    """A finitely presented abelian group: generator count plus relation rows."""
+    """A finitely presented abelian group: generator count plus relation rows.
+
+    ``lattice`` is the relation lattice, built on first use and kept: the
+    invariants, kernels of maps out of or into this group and membership
+    tests all read it, so the relations are eliminated once.
+    """
 
     generators: int
     relations: IntMatrix
@@ -258,8 +259,12 @@ class FpPresentation:
         if self.labels is not None and len(self.labels) != self.generators:
             raise DimensionMismatchError("one label per generator")
 
+    @cached_property
+    def lattice(self) -> "Lattice":
+        return Lattice(self.relations)
+
     def invariants(self) -> AbelianInvariants:
-        return cokernel_invariants(self.relations, self.generators)
+        return self.lattice.invariants()
 
 
 # ---------------------------------------------------------------------------
@@ -277,28 +282,16 @@ def _row_addmul(target: dict[int, int], source: dict[int, int], q: int) -> None:
             target.pop(c, None)
 
 
-def _hnf_rows(rows: list[dict[int, int]], cols: int, want_u: bool):
-    """Row Hermite form of sparse rows; returns (rows, pivots, u_rows).
-
-    ``pivots`` lists (row_index, col) pairs in echelon order; rows below the
-    last pivot are zero (and may be left out).  When ``want_u`` the returned
-    u_rows satisfy u * original = result; otherwise a tall input goes
-    through ``_certified_hnf``.
-    """
-    if not want_u and len(rows) > CERTIFIED_SUBSET_FACTOR * cols:
-        return _certified_hnf(rows, cols)
-    return _eliminate(rows, cols, want_u)
-
-
-def _certified_hnf(rows: list[dict[int, int]], cols: int):
-    """Transform-free row Hermite form from a certified row subset.
+def _certified_hnf(rows: list[dict[int, int]], cols: int) -> list[dict[int, int]]:
+    """Transform-free row Hermite basis from a certified row subset.
 
     The first ``CERTIFIED_SUBSET_FACTOR * cols`` rows are eliminated; each
     later row is reduced against that basis, and if any remainder is nonzero
     the basis and all remainders are eliminated once more.  The remainders
     span, with the subset basis, the same lattice as the input rows, so the
-    (unique) reduced Hermite basis is the one ``_eliminate`` gives.  The
-    returned rows are the basis rows only, without trailing zero rows.
+    (unique) reduced Hermite basis is the one ``_eliminate`` gives.  Only
+    the basis rows are returned, in echelon order; a short input is simply
+    eliminated.
     """
     work, pivots, _ = _eliminate(rows[: CERTIFIED_SUBSET_FACTOR * cols], cols, want_u=False)
     basis = [work[r] for r, _ in pivots]
@@ -311,7 +304,7 @@ def _certified_hnf(rows: list[dict[int, int]], cols: int):
     if remainders:
         work, pivots, _ = _eliminate(basis + remainders, cols, want_u=False)
         basis = [work[r] for r, _ in pivots]
-    return basis, [(i, col) for i, (_, col) in enumerate(pivots)], None
+    return basis
 
 
 def _reduce(basis: list[dict[int, int]], pivot_cols: list[int], v: dict[int, int]):
@@ -331,7 +324,14 @@ def _reduce(basis: list[dict[int, int]], pivot_cols: list[int], v: dict[int, int
 
 
 def _eliminate(rows: list[dict[int, int]], cols: int, want_u: bool):
-    """Full row Hermite elimination of every row; see ``_hnf_rows``."""
+    """Full row Hermite elimination of every row; returns (rows, pivots, u).
+
+    ``pivots`` lists (row_index, col) pairs in echelon order; rows below the
+    last pivot are zero.  With ``want_u`` the u rows satisfy
+    u * original = result (``hermite_normal_form``, ``smith_normal_form``
+    and the stacked step of ``kernel_with_embedding`` need it); otherwise u
+    is None, and the only caller is ``_certified_hnf``, behind ``Lattice``.
+    """
     n = len(rows)
     work = [dict(r) for r in rows]
     u = [{i: 1} for i in range(n)] if want_u else None
@@ -382,17 +382,15 @@ def _eliminate(rows: list[dict[int, int]], cols: int, want_u: bool):
 
 def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form H with unimodular U such that U*M = H."""
-    work, _pivots, u = _hnf_rows(M.sparse_rows(), M.cols, want_u=True)
-    h_entries = {(i, j): v for i, row in enumerate(work) for j, v in row.items()}
-    u_entries = {(i, j): v for i, row in enumerate(u) for j, v in row.items()}
-    return IntMatrix(M.rows, M.cols, h_entries), IntMatrix(M.rows, M.rows, u_entries)
+    work, _pivots, u = _eliminate(M.sparse_rows(), M.cols, want_u=True)
+    return IntMatrix.from_sparse_rows(work, M.cols), IntMatrix.from_sparse_rows(u, M.rows)
 
 
 # ---------------------------------------------------------------------------
 # dense Smith core
 
 
-def _dense_snf_core(a: list[list[int]], c: int, want_u: bool, want_v: bool):
+def _dense_snf_core(a: list[list[int]], c: int, want_u: bool):
     """Smith form of a small dense block with c columns.  Returns (diag, U, V).
 
     Pivot choice: minimal absolute value over the remaining block, ties in
@@ -401,7 +399,7 @@ def _dense_snf_core(a: list[list[int]], c: int, want_u: bool, want_v: bool):
     """
     k = len(a)
     U = [[int(i == j) for j in range(k)] for i in range(k)] if want_u else None
-    V = [[int(i == j) for j in range(c)] for i in range(c)] if want_v else None
+    V = [[int(i == j) for j in range(c)] for i in range(c)]
 
     def swap_rows(i, j):
         if i == j:
@@ -415,9 +413,8 @@ def _dense_snf_core(a: list[list[int]], c: int, want_u: bool, want_v: bool):
             return
         for row in a:
             row[i], row[j] = row[j], row[i]
-        if want_v:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
 
     def row_addmul(i, j, q):
         # row i += q * row j
@@ -433,9 +430,8 @@ def _dense_snf_core(a: list[list[int]], c: int, want_u: bool, want_v: bool):
         # col i += q * col j
         for row in a:
             row[i] += q * row[j]
-        if want_v:
-            for row in V:
-                row[i] += q * row[j]
+        for row in V:
+            row[i] += q * row[j]
 
     def negate_row(i):
         a[i] = [-v for v in a[i]]
@@ -503,10 +499,10 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     U and V are unimodular; the diagonal of D is nonnegative and forms a
     divisibility chain.  Total on all integer matrices.
     """
-    work, pivots, u1 = _hnf_rows(M.sparse_rows(), M.cols, want_u=True)
+    work, pivots, u1 = _eliminate(M.sparse_rows(), M.cols, want_u=True)
     k = len(pivots)
     block = [[work[i].get(j, 0) for j in range(M.cols)] for i in range(k)]
-    diag, u2, v = _dense_snf_core(block, M.cols, want_u=True, want_v=True)
+    diag, u2, v = _dense_snf_core(block, M.cols, want_u=True)
 
     D = IntMatrix.diagonal(diag, M.rows, M.cols)
     # U = (u2 on the pivot block, identity below) * u1
@@ -566,13 +562,7 @@ def cokernel_invariants(M: IntMatrix, num_generators: int) -> AbelianInvariants:
         raise DimensionMismatchError(
             f"matrix has {M.cols} columns but {num_generators} generators were declared"
         )
-    work, pivots, _ = _hnf_rows(M.sparse_rows(), M.cols, want_u=False)
-    k = len(pivots)
-    block = [[work[i].get(j, 0) for j in range(M.cols)] for i in range(k)]
-    diag, _, _ = _dense_snf_core(block, M.cols, want_u=False, want_v=False)
-    factors = tuple(d for d in diag if d > 1)
-    rank = sum(1 for d in diag if d)
-    return AbelianInvariants(factors, num_generators - rank)
+    return Lattice(M).invariants()
 
 
 # ---------------------------------------------------------------------------
@@ -582,44 +572,61 @@ def cokernel_invariants(M: IntMatrix, num_generators: int) -> AbelianInvariants:
 class Lattice:
     """The row lattice L of an integer matrix, with the quotient map of Z^n/L.
 
-    The row Hermite basis comes from a certified row subset (see
-    ``_hnf_rows``), without a transform.  One dense Smith step on that basis
-    gives unimodular V with Z^n/L = sum of Z/d_i, read through the quotient
-    map v -> (v.V_i mod d_i).  ``moduli`` lists the d_i other than 1 (0 for a
+    This is the one place a matrix is eliminated without a transform: the
+    row Hermite basis comes from a certified row subset (see
+    ``_certified_hnf``).  One dense Smith step on that basis gives unimodular
+    V with Z^n/L = sum of Z/d_i, read through the quotient map
+    v -> (v.V_i mod d_i).  ``moduli`` lists the d_i other than 1 (0 for a
     free summand) and ``image`` computes the map; membership (also after
-    inverting 2) and element orders are read from the image.
+    inverting 2), element orders and the invariants of Z^n/L are read from
+    them.  The Smith step runs on first use of the map, so a lattice read
+    only for its basis never pays for it.  A lattice that extends a known
+    one may be built from that one's ``basis_rows`` plus the new rows: the
+    basis and moduli are the same.
     """
 
     def __init__(self, matrix: IntMatrix):
         self.matrix = matrix
-        cols = matrix.cols
-        work, pivots, _ = _hnf_rows(matrix.sparse_rows(), cols, want_u=False)
-        self._basis = [work[r] for r, _ in pivots]
-        block = [[row.get(j, 0) for j in range(cols)] for row in self._basis]
-        diag, _, v = _dense_snf_core(block, cols, want_u=False, want_v=True)
-        diag += [0] * (cols - len(diag))
-        kept = [i for i, d in enumerate(diag) if d != 1]
-        self.moduli = tuple(diag[i] for i in kept)
-        self._columns = [{r: v[r][i] for r in range(cols) if v[r][i]} for i in kept]
-        if VERIFY_TRANSFORMS:
-            if any(any(self.image([row.get(j, 0) for j in range(cols)])) for row in self._basis):
-                raise AssertionError("a basis row has a nonzero quotient image")
-            if cols and abs(_det_unimodular(IntMatrix.from_rows(v, cols=cols))) != 1:
-                raise AssertionError("quotient transform is not unimodular")
+        self._basis = _certified_hnf(matrix.sparse_rows(), matrix.cols)
+        self._map: Optional[tuple[tuple[int, ...], list[dict[int, int]]]] = None
+
+    def _quotient(self) -> tuple[tuple[int, ...], list[dict[int, int]]]:
+        """(moduli, matching columns of V), from the Smith step on first use."""
+        if self._map is None:
+            cols = self.cols
+            block = [[row.get(j, 0) for j in range(cols)] for row in self._basis]
+            diag, _, v = _dense_snf_core(block, cols, want_u=False)
+            diag += [0] * (cols - len(diag))
+            kept = [i for i, d in enumerate(diag) if d != 1]
+            self._map = tuple(diag[i] for i in kept), [{r: v[r][i] for r in range(cols) if v[r][i]} for i in kept]
+            if VERIFY_TRANSFORMS:
+                if any(any(self.image([row.get(j, 0) for j in range(cols)])) for row in self._basis):
+                    raise AssertionError("a basis row has a nonzero quotient image")
+                if cols and abs(_det_unimodular(IntMatrix.from_rows(v, cols=cols))) != 1:
+                    raise AssertionError("quotient transform is not unimodular")
+        return self._map
 
     @property
     def cols(self) -> int:
         return self.matrix.cols
 
+    @property
+    def moduli(self) -> tuple[int, ...]:
+        return self._quotient()[0]
+
     def basis_rows(self) -> list[dict[int, int]]:
         return [dict(row) for row in self._basis]
+
+    def invariants(self) -> AbelianInvariants:
+        """Invariants of Z^n/L: the nonzero moduli, and one Z per zero modulus."""
+        return AbelianInvariants(tuple(d for d in self.moduli if d), self.moduli.count(0))
 
     def image(self, v: Sequence[int]) -> list[int]:
         """Coordinates of v in Z^n/L: v.V_i mod d_i, or v.V_i where d_i = 0."""
         if len(v) != self.cols:
             raise DimensionMismatchError("vector length must equal matrix width")
         out = []
-        for d, column in zip(self.moduli, self._columns):
+        for d, column in zip(*self._quotient()):
             x = sum(c * v[r] for r, c in column.items())
             out.append(x % d if d else x)
         return out
@@ -655,51 +662,36 @@ def kernel_with_embedding(
 
     ``map_matrix`` sends domain generators (rows) to codomain coordinate
     vectors.  Raises InconsistentMapError, naming the row, when a domain
-    relation fails to land in the codomain relation lattice.  The kernel's
-    relations are the coordinates, over the kernel generators, of the
-    domain's relation Hermite basis rather than of every domain relation:
-    the same lattice, so the same group, with at most ``domain.generators``
-    relation rows.
+    relation fails to land in the codomain relation lattice.  Both relation
+    lattices are the presentations' own (``FpPresentation.lattice``), so
+    neither matrix is eliminated again.  The kernel's relations are the
+    coordinates, over the kernel generators, of the domain's relation
+    Hermite basis rather than of every domain relation: the same lattice, so
+    the same group, with at most ``domain.generators`` relation rows.
     """
     if map_matrix.rows != domain.generators or map_matrix.cols != codomain.generators:
         raise DimensionMismatchError("map matrix shape must be domain gens x codomain gens")
-    cod_lat = Lattice(codomain.relations)
+    cod_lat = codomain.lattice
     map_rows = map_matrix.sparse_rows()
-    dom_rows = domain.relations.sparse_rows()
-    for idx, row in enumerate(dom_rows):
+    for idx, row in enumerate(domain.relations.sparse_rows()):
         image = _apply_map(row, map_rows, codomain.generators)
         if not cod_lat.is_member(image):
             raise InconsistentMapError(f"domain relation {idx} does not map into the relation lattice")
-    dom_work, dom_pivots, _ = _hnf_rows(dom_rows, domain.generators, want_u=False)
     stacked = map_matrix.stack(codomain.relations)
-    work, _pivots, u = _hnf_rows(stacked.sparse_rows(), stacked.cols, want_u=True)
-    nonzero = {i for i, row in enumerate(work) if row}
-    projected = []
-    for i in range(stacked.rows):
-        if i in nonzero:
-            continue
-        vec = [0] * domain.generators
-        for j, val in u[i].items():
-            if j < domain.generators:
-                vec[j] = val
-        projected.append(vec)
-    pre = IntMatrix.from_rows(projected, cols=domain.generators)
-    basis_rows, basis_pivots, _ = _hnf_rows(pre.sparse_rows(), pre.cols, want_u=False)
-    basis = [basis_rows[r] for r, _ in basis_pivots]
-    pivot_cols = [col for _, col in basis_pivots]
-    embedding = IntMatrix(
-        len(basis), domain.generators,
-        {(i, j): v for i, row in enumerate(basis) for j, v in row.items()},
-    )
-    for i in range(embedding.rows):
-        image = _apply_map(dict(basis[i]), map_rows, codomain.generators)
+    work, _pivots, u = _eliminate(stacked.sparse_rows(), stacked.cols, want_u=True)
+    projected = [[u[i].get(j, 0) for j in range(domain.generators)] for i in range(stacked.rows) if not work[i]]
+    basis = Lattice(IntMatrix.from_rows(projected, cols=domain.generators)).basis_rows()
+    pivot_cols = [min(row) for row in basis]  # a Hermite row starts at its pivot
+    embedding = IntMatrix.from_sparse_rows(basis, domain.generators)
+    for row in basis:
+        image = _apply_map(row, map_rows, codomain.generators)
         if not cod_lat.is_member(image):  # pragma: no cover - construction guarantees this
             raise AssertionError("kernel generator fails codomain membership")
     # The embedding rows are a Hermite basis, so the reduction quotients of a
     # domain relation are its coordinates over the kernel generators.
     rel_rows = []
-    for r, _ in dom_pivots:
-        rem, coords = _reduce(basis, pivot_cols, dom_work[r])
+    for row in domain.lattice.basis_rows():
+        rem, coords = _reduce(basis, pivot_cols, row)
         if rem:  # pragma: no cover - relations lie in the preimage lattice
             raise AssertionError("domain relation missing from kernel lattice")
         rel_rows.append(coords)

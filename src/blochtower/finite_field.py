@@ -356,9 +356,6 @@ class FieldSpec:
             raise ValueError(f"element code {code} out of range for q={self.q}")
         return FieldElement(self, code)
 
-    def from_int(self, n: int) -> "FieldElement":
-        return FieldElement(self, n % self.p)
-
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
 

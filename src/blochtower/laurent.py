@@ -94,15 +94,6 @@ class TruncatedLaurentSeries:
         """First unknown exponent; None means exact (everything known)."""
         return None if self.exact else self.valuation + len(self.coeffs)
 
-    def coeff_at(self, exponent: int) -> int:
-        """Coefficient of t^exponent; must be inside the known window."""
-        if not self.exact and exponent >= self.prec_exp:
-            raise PrecisionExhaustedError(f"coefficient at t^{exponent} is beyond precision")
-        k = exponent - self.valuation
-        if k < 0 or k >= len(self.coeffs):
-            return 0
-        return self.coeffs[k]
-
     def leading(self) -> int:
         if self.is_zero():
             raise ValueError("the zero series has no leading coefficient")

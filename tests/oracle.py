@@ -10,7 +10,7 @@ one relation per domain relation row instead of one per row of the domain's
 Hermite basis.
 """
 
-from blochtower.exact_linalg import FpPresentation, IntMatrix, Lattice, _apply_map, _hnf_rows, _reduce
+from blochtower.exact_linalg import FpPresentation, IntMatrix, Lattice, _apply_map, _eliminate, _reduce
 from blochtower.laurent import (
     PrecisionExhaustedError,
     RelationCheckOutcome,
@@ -228,15 +228,13 @@ def kernel_with_all_relation_rows(domain, codomain, map_matrix):
         if not cod_lat.is_member(_apply_map(row, map_rows, codomain.generators)):
             raise ValueError("a domain relation does not map into the relation lattice")
     stacked = map_matrix.stack(codomain.relations)
-    work, _pivots, u = _hnf_rows(stacked.sparse_rows(), stacked.cols, want_u=True)
+    work, _pivots, u = _eliminate(stacked.sparse_rows(), stacked.cols, want_u=True)
     projected = []
     for i in range(stacked.rows):
         if not work[i]:
             projected.append([u[i].get(j, 0) for j in range(domain.generators)])
-    pre = IntMatrix.from_rows(projected, cols=domain.generators)
-    basis_rows, basis_pivots, _ = _hnf_rows(pre.sparse_rows(), pre.cols, want_u=False)
-    basis = [basis_rows[r] for r, _ in basis_pivots]
-    pivot_cols = [col for _, col in basis_pivots]
+    basis = Lattice(IntMatrix.from_rows(projected, cols=domain.generators)).basis_rows()
+    pivot_cols = [min(row) for row in basis]
     embedding = IntMatrix(
         len(basis), domain.generators,
         {(i, j): v for i, row in enumerate(basis) for j, v in row.items()},

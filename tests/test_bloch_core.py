@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from blochtower import bloch_core as bc
+from blochtower import cli, exact_linalg
 from blochtower.exact_linalg import AbelianInvariants, FpPresentation, IntMatrix, _eliminate, cokernel_invariants
 from blochtower.finite_field import field, field_from_q, square_class_code
 from blochtower.group_ring import (
@@ -11,6 +12,7 @@ from blochtower.group_ring import (
     character_specialize,
     double_bracket,
     eigenspace_reconstruction_ok,
+    z_expand,
 )
 
 import oracle
@@ -324,21 +326,73 @@ class TestEigenspaceReconstruction:
 
 
 class TestCertifiedLattices:
-    @pytest.mark.parametrize("q", [7, 9, 16, 25, 27])
+    @pytest.mark.parametrize("q", [7, 9, 13, 16, 25, 27])
     def test_bases_match_full_elimination(self, q):
+        # the reduced lattices start from the refined basis; the oracle
+        # eliminates the full z-expanded quotient matrices instead
         F = field_from_q(q)
+        quotients = bc.reduced_quotients(F)
         lattices = {
-            "rp": bc.rp_lattice(F),
-            "pb": bc.prebloch_lattice(F),
-            "ic": bc.reduced_lattice(F, "ic"),
-            "c": bc.reduced_lattice(F, "c"),
+            "rp": (bc.rp_lattice(F), bc._rp_zmatrix(F)),
+            "pb": (bc.prebloch_lattice(F), bc.prebloch_presentation(F).relations),
+            "ic": (bc.reduced_lattice(F, "ic"), z_expand(quotients.mod_inversions_and_ic)[0]),
+            "c": (bc.reduced_lattice(F, "c"), z_expand(quotients.mod_inversions_and_c)[0]),
         }
-        for name, lat in lattices.items():
-            M = lat.matrix
+        for name, (lat, M) in lattices.items():
             work, pivots, _ = _eliminate(M.sparse_rows(), M.cols, want_u=False)
             assert lat.basis_rows() == [work[r] for r, _ in pivots], name
             factors = tuple(d for d in lat.moduli if d)
             assert AbelianInvariants(factors, lat.moduli.count(0)) == cokernel_invariants(M, M.cols), name
+
+    @pytest.mark.parametrize("q", [7, 9, 13])
+    def test_presentation_invariants_match_textbook_smith(self, q):
+        F = field_from_q(q)
+        for P in (bc.prebloch_presentation(F), bc.bloch_group(F)):
+            diag = oracle.smith_diagonal(P.relations.to_rows())
+            factors, rank = oracle.invariants_from_diagonal(diag, P.generators)
+            assert P.invariants() == AbelianInvariants(tuple(factors), rank)
+
+    def test_unknown_reduced_quotient_rejected(self):
+        F = field_from_q(7)
+        with pytest.raises(ValueError, match="'icc'"):
+            bc.reduced_lattice(F, "icc")
+        v = bc.SymbolVector.symbol(F, bc.symbol_generators(F)[0])
+        with pytest.raises(ValueError, match="'icc'"):
+            bc.is_zero_in_reduced(F, v, which="icc")
+
+
+class TestOneEliminationPerMatrix:
+    @pytest.fixture
+    def eliminated(self, monkeypatch):
+        """Row lists given to the elimination entry points, from cold caches."""
+        for fn in vars(bc).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        seen = []
+        for name in ("_certified_hnf", "_eliminate"):
+            def recording(rows, *args, _original=getattr(exact_linalg, name), **kwargs):
+                seen.append([dict(row) for row in rows])
+                return _original(rows, *args, **kwargs)
+
+            monkeypatch.setattr(exact_linalg, name, recording)
+        return seen
+
+    def test_prebloch_matrix_eliminated_once(self, eliminated, tmp_path):
+        assert cli.main(["prebloch", "--q", "13", "--out", str(tmp_path / "report.json")]) == 0
+        relations = bc.prebloch_presentation(field_from_q(13)).relations.sparse_rows()
+        assert sum(rows == relations for rows in eliminated) == 1
+
+    def test_reduced_lattices_start_from_refined_basis(self, eliminated, tmp_path):
+        assert cli.main(["verify", "--q", "13", "--suite", "pb", "--out", str(tmp_path / "report.json")]) == 0
+        F = field_from_q(13)
+        quotients = bc.reduced_quotients(F)
+        refined = len(bc.refined_presentation(F).relations)
+        sizes = {len(rows) for rows in eliminated}
+        basis = len(bc.rp_lattice(F).basis_rows())
+        for pres in (quotients.mod_inversions_and_ic, quotients.mod_inversions_and_c):
+            extra = (len(pres.relations) - refined) * pres.group.size
+            assert basis + extra in sizes
+            assert z_expand(pres)[0].rows not in sizes
 
 
 class TestSuites:

@@ -144,8 +144,8 @@ class TestHermite:
         H, U = hermite_normal_form(M)
         assert U @ M == H
         lat = Lattice(M)
-        for i in range(H.rows):
-            assert lat.is_member(H.row_vector(i))
+        for row in H.to_rows():
+            assert lat.is_member(row)
 
 
 class TestCertifiedHermite:
