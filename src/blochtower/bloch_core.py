@@ -45,7 +45,6 @@ from .exact_linalg import (
     kernel_with_embedding,
 )
 from .finite_field import (
-    FieldElement,
     FieldSpec,
     has_root_x2_minus_x_plus_1,
     plus_minus_norm_codes,
@@ -214,14 +213,6 @@ def _five_term_table(F: FieldSpec) -> tuple[tuple[tuple[int, int, int], ...], ..
     )
 
 
-def _generator_labels(F: FieldSpec) -> tuple[str, ...]:
-    if F.q == 2:
-        return ("b",)
-    if F.q == 3:
-        return ("[-1]",)
-    return tuple(f"[{c}]" for c in symbol_generators(F))
-
-
 def specialized_relations(F: FieldSpec, chi: Character) -> IntMatrix:
     """Relation matrix of the chi-specialized refined presentation.
 
@@ -244,7 +235,7 @@ def specialized_relations(F: FieldSpec, chi: Character) -> IntMatrix:
 def prebloch_presentation(F: FieldSpec) -> FpPresentation:
     """The pre-Bloch group of F as an integer presentation."""
     trivial = square_class_group(F).character(0)
-    return FpPresentation(generator_count(F), specialized_relations(F, trivial), labels=_generator_labels(F))
+    return FpPresentation(generator_count(F), specialized_relations(F, trivial))
 
 
 @lru_cache(maxsize=None)
@@ -258,7 +249,7 @@ def refined_presentation(F: FieldSpec) -> RModulePresentation:
             term = GroupRingElement(G, {cls: coeff})
             row[i] = row[i] + term if i in row else term
         rows.append({i: c for i, c in row.items() if not c.is_zero()})
-    return RModulePresentation(G, generator_count(F), tuple(rows), labels=_generator_labels(F))
+    return RModulePresentation(G, generator_count(F), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +289,8 @@ def asym2_pairing(F: FieldSpec, a: int, b: int) -> Asym2Element:
     return Asym2Element((F.dlog_code(a) * F.dlog_code(b)) % 2, 2)
 
 
-def lambda_two(F: FieldSpec, x: Union[int, FieldElement]) -> Asym2Element:
-    """(1 - x) o x in the antisymmetric square."""
-    code = x.code if isinstance(x, FieldElement) else x
+def lambda_two(F: FieldSpec, code: int) -> Asym2Element:
+    """(1 - x) o x in the antisymmetric square, for the field code of x."""
     if code in (0, 1):
         raise ValueError("lambda_two needs x outside {0, 1}")
     return asym2_pairing(F, F.sub_code(1, code), code)
@@ -335,9 +325,8 @@ class AugSquareElement:
         return self.value.is_zero()
 
 
-def lambda_one(F: FieldSpec, x: Union[int, FieldElement]) -> AugSquareElement:
-    """<<1-x>><<x>>, the augmentation-square invariant of the symbol [x]."""
-    code = x.code if isinstance(x, FieldElement) else x
+def lambda_one(F: FieldSpec, code: int) -> AugSquareElement:
+    """<<1-x>><<x>> for the field code of x: the augmentation-square invariant of [x]."""
     if code in (0, 1):
         raise ValueError("lambda_one needs x outside {0, 1}")
     G = square_class_group(F)
@@ -391,7 +380,7 @@ def lambda_two_of_vector(v: SymbolVector) -> Asym2Element:
 
 
 def asym2_presentation(F: FieldSpec) -> FpPresentation:
-    return FpPresentation(1, IntMatrix.from_rows([[asym2_modulus(F)]]), labels=("gog",))
+    return FpPresentation(1, IntMatrix.from_rows([[asym2_modulus(F)]]))
 
 
 def _lambda_two_matrix(F: FieldSpec) -> IntMatrix:
@@ -464,15 +453,14 @@ def rb0_is_trivial(F: FieldSpec) -> bool:
 # inversion elements, constants, and the cyclic module they generate
 
 
-def suslin_element(F: FieldSpec, i: int, x: Union[int, FieldElement]) -> SymbolVector:
-    """The two standard liftings of [x] + [x^-1]:
+def suslin_element(F: FieldSpec, i: int, code: int) -> SymbolVector:
+    """The two standard liftings of [x] + [x^-1], for the field code of x:
 
     psi_1(x) = [x] + <-1>[x^-1]
     psi_2(x) = <1-x>(<x>[x] + [x^-1])   (0 at x = 1)
     """
     if i not in (1, 2):
         raise ValueError("index must be 1 or 2")
-    code = x.code if isinstance(x, FieldElement) else x
     if code == 0:
         raise ValueError("x must be nonzero")
     if code == 1:
@@ -489,9 +477,8 @@ def suslin_element(F: FieldSpec, i: int, x: Union[int, FieldElement]) -> SymbolV
     )
 
 
-def constant_element(F: FieldSpec, x: Union[int, FieldElement]) -> SymbolVector:
-    """C(x) = [x] + <-1>[1-x] + <<1-x>> psi_1(x); independent of x."""
-    code = x.code if isinstance(x, FieldElement) else x
+def constant_element(F: FieldSpec, code: int) -> SymbolVector:
+    """C(x) = [x] + <-1>[1-x] + <<1-x>> psi_1(x) for the field code of x; independent of x."""
     if code in (0, 1):
         raise ValueError("x must avoid 0 and 1")
     G = square_class_group(F)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .finite_field import factorize
@@ -251,13 +250,10 @@ class FpPresentation:
 
     generators: int
     relations: IntMatrix
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if self.relations.cols != self.generators:
             raise DimensionMismatchError("relation width must equal generator count")
-        if self.labels is not None and len(self.labels) != self.generators:
-            raise DimensionMismatchError("one label per generator")
 
     @cached_property
     def lattice(self) -> "Lattice":
@@ -530,30 +526,24 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def _det_unimodular(M: IntMatrix) -> int:
-    """Determinant via fraction-free elimination; used only for verification."""
+    """Determinant via fraction-free (Bareiss) elimination; used only for verification."""
     n = M.rows
     if n != M.cols:
         raise DimensionMismatchError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    a = [row[:] for row in M.to_rows()]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
+    a = M.to_rows()
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1, a[col][col])
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    if det.denominator != 1:
-        raise AssertionError("elimination lost exactness")
-    return int(det)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
 
 
 def cokernel_invariants(M: IntMatrix, num_generators: int) -> AbelianInvariants:
@@ -661,22 +651,19 @@ def kernel_with_embedding(
     """Kernel presentation plus the matrix embedding its generators in the domain.
 
     ``map_matrix`` sends domain generators (rows) to codomain coordinate
-    vectors.  Raises InconsistentMapError, naming the row, when a domain
-    relation fails to land in the codomain relation lattice.  Both relation
-    lattices are the presentations' own (``FpPresentation.lattice``), so
-    neither matrix is eliminated again.  The kernel's relations are the
-    coordinates, over the kernel generators, of the domain's relation
-    Hermite basis rather than of every domain relation: the same lattice, so
-    the same group, with at most ``domain.generators`` relation rows.
+    vectors.  Both relation lattices are the presentations' own
+    (``FpPresentation.lattice``), so neither matrix is eliminated again.  The
+    kernel's relations are the coordinates, over the kernel generators, of
+    the domain's relation Hermite basis rather than of every domain relation:
+    the same lattice, so the same group, with at most ``domain.generators``
+    relation rows.  A basis row outside the preimage of the codomain relation
+    lattice means the map is not well defined; the InconsistentMapError then
+    names the first domain relation whose image leaves that lattice.
     """
     if map_matrix.rows != domain.generators or map_matrix.cols != codomain.generators:
         raise DimensionMismatchError("map matrix shape must be domain gens x codomain gens")
     cod_lat = codomain.lattice
     map_rows = map_matrix.sparse_rows()
-    for idx, row in enumerate(domain.relations.sparse_rows()):
-        image = _apply_map(row, map_rows, codomain.generators)
-        if not cod_lat.is_member(image):
-            raise InconsistentMapError(f"domain relation {idx} does not map into the relation lattice")
     stacked = map_matrix.stack(codomain.relations)
     work, _pivots, u = _eliminate(stacked.sparse_rows(), stacked.cols, want_u=True)
     projected = [[u[i].get(j, 0) for j in range(domain.generators)] for i in range(stacked.rows) if not work[i]]
@@ -692,8 +679,12 @@ def kernel_with_embedding(
     rel_rows = []
     for row in domain.lattice.basis_rows():
         rem, coords = _reduce(basis, pivot_cols, row)
-        if rem:  # pragma: no cover - relations lie in the preimage lattice
-            raise AssertionError("domain relation missing from kernel lattice")
+        if rem:
+            idx = next(
+                i for i, rel in enumerate(domain.relations.sparse_rows())
+                if not cod_lat.is_member(_apply_map(rel, map_rows, codomain.generators))
+            )
+            raise InconsistentMapError(f"domain relation {idx} does not map into the relation lattice")
         rel_rows.append(coords)
     relations = IntMatrix.from_rows(rel_rows, cols=embedding.rows)
     return FpPresentation(embedding.rows, relations), embedding

@@ -2,10 +2,11 @@
 
 The square-class group of every field handled here (finite fields and their
 iterated Laurent extensions with square 1-units) is (Z/2)^r, so group
-elements are bitmasks multiplying by XOR.  Ring coefficients are rationals
-whose denominators are powers of 2 only: the ambient coefficient ring is
-always Z or Z localized at 2, and anything else is a logic error that should
-fail loudly.
+elements are bitmasks multiplying by XOR.  Ring coefficients are exact
+Python numbers: ``int`` for everything integral (every relation, invariant
+and sweep), and ``Fraction`` with a power-of-2 denominator only where an
+idempotent halves.  The ambient coefficient ring is always Z or Z localized
+at 2, and anything else is a logic error that should fail loudly.
 
 The two bridges to plain integer linear algebra are:
 
@@ -29,7 +30,7 @@ from .exact_linalg import IntMatrix
 Scalar = Union[int, Fraction]
 
 
-def _is_dyadic(x: Fraction) -> bool:
+def _is_dyadic(x: Scalar) -> bool:
     d = x.denominator
     return d & (d - 1) == 0
 
@@ -93,20 +94,25 @@ class Character:
 
 
 class GroupRingElement:
-    """An element of Z[1/2][G] for an elementary abelian 2-group G."""
+    """An element of Z[1/2][G] for an elementary abelian 2-group G.
+
+    Each coefficient is kept as given, an ``int`` or a ``Fraction`` with a
+    power-of-2 denominator, so integral arithmetic stays in ``int``.
+    """
 
     __slots__ = ("group", "coeffs")
 
     def __init__(self, group: SquareClassGroup, coeffs: Optional[Mapping[int, Scalar]] = None):
         self.group = group
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, Scalar] = {}
         for elem, c in (coeffs or {}).items():
             group.check_element(elem)
-            f = Fraction(c)
-            if not _is_dyadic(f):
-                raise ValueError(f"coefficient {f} has a non-2-power denominator")
-            if f:
-                clean[elem] = f
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"coefficient {c!r} is neither an int nor a Fraction")
+            if not _is_dyadic(c):
+                raise ValueError(f"coefficient {c} has a non-2-power denominator")
+            if c:
+                clean[elem] = c
         self.coeffs = clean
 
     # -- constructors --------------------------------------------------------
@@ -134,7 +140,7 @@ class GroupRingElement:
         self._check(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return GroupRingElement(self.group, out)
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
@@ -146,11 +152,11 @@ class GroupRingElement:
     def __mul__(self, other) -> "GroupRingElement":
         if isinstance(other, GroupRingElement):
             self._check(other)
-            out: dict[int, Fraction] = {}
+            out: dict[int, Scalar] = {}
             for e1, c1 in self.coeffs.items():
                 for e2, c2 in other.coeffs.items():
                     e = e1 ^ e2
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
+                    out[e] = out.get(e, 0) + c1 * c2
             return GroupRingElement(self.group, out)
         return self.scale(other)
 
@@ -158,7 +164,7 @@ class GroupRingElement:
         return self.scale(other)
 
     def scale(self, c: Scalar) -> "GroupRingElement":
-        return GroupRingElement(self.group, {e: v * Fraction(c) for e, v in self.coeffs.items()})
+        return GroupRingElement(self.group, {e: v * c for e, v in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -178,22 +184,19 @@ class GroupRingElement:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs.values())
 
-    def coeff(self, elem: int) -> Fraction:
-        return self.coeffs.get(self.group.check_element(elem), Fraction(0))
+    def augmentation(self) -> Scalar:
+        return sum(self.coeffs.values(), 0)
 
-    def augmentation(self) -> Fraction:
-        return sum(self.coeffs.values(), Fraction(0))
-
-    def apply_character(self, chi: Character) -> Fraction:
+    def apply_character(self, chi: Character) -> Scalar:
         """The ring map <a> -> chi(a) applied to this element."""
         if chi.group != self.group:
             raise ValueError("character of a different group")
-        return sum((c * chi(e) for e, c in self.coeffs.items()), Fraction(0))
+        return sum((c * chi(e) for e, c in self.coeffs.items()), 0)
 
     def to_int_vector(self) -> list[int]:
         if not self.is_integral():
             raise ValueError("element has dyadic denominators; not integral")
-        return [int(self.coeffs.get(e, Fraction(0))) for e in self.group.elements()]
+        return [int(self.coeffs.get(e, 0)) for e in self.group.elements()]
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -248,7 +251,6 @@ class RModulePresentation:
     group: SquareClassGroup
     generators: int
     relations: tuple[Mapping[int, GroupRingElement], ...]
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         for row in self.relations:
@@ -259,9 +261,7 @@ class RModulePresentation:
                     raise ValueError("relation coefficient from a different group ring")
 
     def with_extra_relations(self, rows: Iterable[Mapping[int, GroupRingElement]]) -> "RModulePresentation":
-        return RModulePresentation(
-            self.group, self.generators, self.relations + tuple(dict(r) for r in rows), self.labels
-        )
+        return RModulePresentation(self.group, self.generators, self.relations + tuple(dict(r) for r in rows))
 
 
 def character_specialize(M: RModulePresentation, chi: Character) -> tuple[IntMatrix, int]:

@@ -137,6 +137,17 @@ class TestLambdaMaps:
             bc.lambda_one(field(5), 0)
 
 
+class TestIntegralCoefficients:
+    @pytest.mark.parametrize("q", [3, 7, 9, 13])
+    def test_relations_and_lambda_one_are_int(self, q):
+        F = field_from_q(q)
+        values = [c for rel in bc.refined_presentation(F).relations for c in rel.values()]
+        values += [bc.lambda_one(F, x).value for x in bc.symbol_generators(F)]
+        values += [c for x in F.units() for c in bc.suslin_element(F, 2, x).coeffs.values()]
+        assert any(not v.is_zero() for v in values)
+        assert all(type(c) is int for v in values for c in v.coeffs.values())
+
+
 class TestBlochGroups:
     @pytest.mark.parametrize(
         "q,expected",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochtower.bloch_core import prebloch_presentation
+from blochtower.bloch_core import _lambda_two_matrix, asym2_presentation, prebloch_presentation
 from blochtower.exact_linalg import (
     CERTIFIED_SUBSET_FACTOR,
     AbelianInvariants,
@@ -19,6 +20,7 @@ from blochtower.exact_linalg import (
     kernel_with_embedding,
     map_kernel,
     smith_normal_form,
+    _det_unimodular,
     _eliminate,
     _reduce,
 )
@@ -211,6 +213,40 @@ def _random_unimodular(n, rng):
     return IntMatrix(n, n, entries)
 
 
+def _det_by_permutations(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        # a row that is a multiple of another makes the matrix singular
+        rows[-1] = [draw(st.integers(-3, 3)) * v for v in rows[0]]
+    return rows
+
+
+class TestDeterminant:
+    @settings(max_examples=300)
+    @given(square_matrices())
+    def test_matches_permutation_expansion(self, rows):
+        assert _det_unimodular(mat(rows, cols=len(rows))) == _det_by_permutations(rows)
+
+    def test_examples(self):
+        assert _det_unimodular(IntMatrix(0, 0)) == 1
+        assert _det_unimodular(mat([[0, 2], [3, 0]])) == -6
+        assert _det_unimodular(mat([[2, 4], [1, 2]])) == 0
+        assert _det_unimodular(mat([[0, 0, 1], [0, 5, 0], [7, 0, 0]])) == -35
+        with pytest.raises(DimensionMismatchError):
+            _det_unimodular(mat([[1, 2]]))
+
+
 class TestAbelianInvariants:
     def test_chain_enforced(self):
         with pytest.raises(ValueError):
@@ -390,6 +426,24 @@ class TestKernelOverHermiteBasis:
         assert pres.relations.rows == 11 * 10
         assert kernel.relations.rows <= pres.generators
         assert kernel.invariants() == pres.invariants()
+
+    def test_bloch_kernel_queries_codomain_once_per_generator(self, monkeypatch):
+        F = field_from_q(13)
+        domain, codomain, lam = prebloch_presentation(F), asym2_presentation(F), _lambda_two_matrix(F)
+        cod_lat = codomain.lattice
+        queries = []
+        is_member = Lattice.is_member
+
+        def counting(self, v, invert_two=False):
+            if self is cod_lat:
+                queries.append(v)
+            return is_member(self, v, invert_two)
+
+        monkeypatch.setattr(Lattice, "is_member", counting)
+        kernel, _ = kernel_with_embedding(domain, codomain, lam)
+        assert domain.generators == 11 and domain.relations.rows == 110
+        assert len(queries) <= domain.generators
+        assert kernel.invariants() == AbelianInvariants((7,), 0)  # B(F_13) is cyclic of order (13 + 1) / 2
 
     def test_inconsistent_row_is_named(self):
         z3 = FpPresentation(1, mat([[3]]))

@@ -51,6 +51,24 @@ class TestRingStructure:
             gre(G1, {0: Fraction(1, 3)})
         gre(G1, {0: Fraction(1, 4)})  # fine
 
+    def test_only_ints_and_fractions_accepted(self):
+        for bad in (0.5, 1.0, "1/2"):
+            with pytest.raises(ValueError):
+                gre(G1, {0: bad})
+        with pytest.raises(ValueError):
+            GroupRingElement.one(G1).scale(0.5)
+
+    def test_integral_arithmetic_stays_int(self):
+        a = double_bracket(G2, 1) * double_bracket(G2, 3)
+        b = bracket(G2, 2) + a.scale(-3) - bracket(G2, 1) * bracket(G2, 3)
+        for elem in (a, b, -b, b * b, b.scale(2)):
+            assert elem.coeffs and all(type(c) is int for c in elem.coeffs.values())
+            assert type(elem.augmentation()) is int
+            assert type(elem.apply_character(G2.character(3))) is int
+        half = group_idempotent(G1, G1.character(1))
+        assert half.coeffs == {0: Fraction(1, 2), 1: Fraction(-1, 2)}
+        assert half.scale(2) == gre(G1, {0: 1, 1: -1})
+
     def test_augmentation(self):
         assert double_bracket(G2, 3).augmentation() == 0
         assert GroupRingElement.one(G2).augmentation() == 1
