@@ -343,6 +343,7 @@ def _lambda_one_of_generator(F: FieldSpec, gen_index: int) -> GroupRingElement:
     return lambda_one(F, code).value
 
 
+@lru_cache(maxsize=None)
 def _lambda_two_of_generator(F: FieldSpec, gen_index: int) -> int:
     if F.q == 2:
         return 0

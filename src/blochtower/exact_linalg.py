@@ -8,20 +8,22 @@ of maps between presented groups.
 All arithmetic uses Python's arbitrary-precision integers.  Pivoting is
 deterministic (minimal absolute value, ties broken in (row, col) order),
 so every result is reproducible bit for bit.  Matrices are stored sparsely;
-the Smith form runs a sparse row-reduction pass first and only then a dense
-core on the surviving block, since elimination causes fill-in.
+the Smith form takes a sparse Hermite basis first and only then runs a
+dense core on it, since elimination causes fill-in.
 
-A relation matrix is eliminated without a transform only by ``Lattice``,
-which gets its row Hermite basis from a certified subset: the first
-``CERTIFIED_SUBSET_FACTOR * cols`` rows are eliminated, every other row is
-reduced against that basis, and the nonzero remainders (if any) are
-eliminated together with it once more.  Every row is checked, and the
-reduced row Hermite form of a lattice is unique, so the basis is the one
-full elimination gives.  A lattice keeps that basis and the columns of one
-Smith transform V of it: the quotient map needs nothing else, and no
-transform over the original rows is built.  A presentation owns the lattice
-of its relations, built once on first use: its invariants, kernels of maps
-out of it and membership tests all read that one lattice.
+Every elimination goes through ``Lattice``, which gets its row Hermite
+basis from a certified subset: the first ``CERTIFIED_SUBSET_FACTOR * cols``
+rows are eliminated, every other row is reduced against that basis, and
+the nonzero remainders (if any) are eliminated together with it once more.
+Every row is checked, and the reduced row Hermite form of a lattice is
+unique, so the basis is the one full elimination gives.  No elimination
+keeps a transform: one that is needed is carried as identity columns, since
+the Hermite basis of [M | I] is [H | U] with U*M = H.  The Hermite and
+Smith transforms and the kernel of a map are read from such columns.  A
+lattice keeps its basis and the columns of one Smith transform V of it: the
+quotient map needs nothing else.  A presentation owns the lattice of its
+relations, built once on first use: its invariants, kernels of maps out of
+it and membership tests all read that one lattice.
 
 Everything here is a pure function of immutable inputs and safe to call
 concurrently; a lattice or quotient map built on first use is the same
@@ -289,7 +291,7 @@ def _certified_hnf(rows: list[dict[int, int]], cols: int) -> list[dict[int, int]
     the basis rows are returned, in echelon order; a short input is simply
     eliminated.
     """
-    work, pivots, _ = _eliminate(rows[: CERTIFIED_SUBSET_FACTOR * cols], cols, want_u=False)
+    work, pivots = _eliminate(rows[: CERTIFIED_SUBSET_FACTOR * cols], cols)
     basis = [work[r] for r, _ in pivots]
     pivot_cols = [col for _, col in pivots]
     remainders = []
@@ -298,7 +300,7 @@ def _certified_hnf(rows: list[dict[int, int]], cols: int) -> list[dict[int, int]
         if rem:
             remainders.append(rem)
     if remainders:
-        work, pivots, _ = _eliminate(basis + remainders, cols, want_u=False)
+        work, pivots = _eliminate(basis + remainders, cols)
         basis = [work[r] for r, _ in pivots]
     return basis
 
@@ -319,18 +321,16 @@ def _reduce(basis: list[dict[int, int]], pivot_cols: list[int], v: dict[int, int
     return work, quotients
 
 
-def _eliminate(rows: list[dict[int, int]], cols: int, want_u: bool):
-    """Full row Hermite elimination of every row; returns (rows, pivots, u).
+def _eliminate(rows: list[dict[int, int]], cols: int):
+    """Full row Hermite elimination of every row; returns (rows, pivots).
 
     ``pivots`` lists (row_index, col) pairs in echelon order; rows below the
-    last pivot are zero.  With ``want_u`` the u rows satisfy
-    u * original = result (``hermite_normal_form``, ``smith_normal_form``
-    and the stacked step of ``kernel_with_embedding`` need it); otherwise u
-    is None, and the only caller is ``_certified_hnf``, behind ``Lattice``.
+    last pivot are zero.  No transform is kept: a caller that needs one
+    appends identity columns (``_with_identity``) and reads it from the
+    result.  The only caller is ``_certified_hnf``, behind ``Lattice``.
     """
     n = len(rows)
     work = [dict(r) for r in rows]
-    u = [{i: 1} for i in range(n)] if want_u else None
     pivots: list[tuple[int, int]] = []
     pr = 0
     for col in range(cols):
@@ -347,62 +347,71 @@ def _eliminate(rows: list[dict[int, int]], cols: int, want_u: bool):
                     continue
                 q = work[i][col] // work[best][col]
                 _row_addmul(work[i], work[best], -q)
-                if want_u:
-                    _row_addmul(u[i], u[best], -q)
                 if col in work[i]:
                     done = False
             if done:
                 if best != pr:
                     work[pr], work[best] = work[best], work[pr]
-                    if want_u:
-                        u[pr], u[best] = u[best], u[pr]
                 break
         if col not in work[pr]:
             continue
         if work[pr][col] < 0:
             work[pr] = {c: -v for c, v in work[pr].items()}
-            if want_u:
-                u[pr] = {c: -v for c, v in u[pr].items()}
         p = work[pr][col]
         for i in range(pr):
             if col in work[i]:
                 q = work[i][col] // p
                 if q:
                     _row_addmul(work[i], work[pr], -q)
-                    if want_u:
-                        _row_addmul(u[i], u[pr], -q)
         pivots.append((pr, col))
         pr += 1
-    return work, pivots, u
+    return work, pivots
+
+
+def _with_identity(rows: list[dict[int, int]], cols: int, k: int) -> IntMatrix:
+    """[M | I]: the rows of M (``cols`` wide) with the identity on the first k.
+
+    Every Hermite row (h, u) of the result has h = u * (those k rows) plus a
+    combination of the other rows, so the trailing columns of a Hermite
+    basis carry its transform.
+    """
+    return IntMatrix.from_sparse_rows([{**row, cols + i: 1} if i < k else row for i, row in enumerate(rows)], cols + k)
 
 
 def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row Hermite normal form H with unimodular U such that U*M = H."""
-    work, _pivots, u = _eliminate(M.sparse_rows(), M.cols, want_u=True)
-    return IntMatrix.from_sparse_rows(work, M.cols), IntMatrix.from_sparse_rows(u, M.rows)
+    """Row Hermite normal form H with unimodular U such that U*M = H.
+
+    [M | I] has full row rank, so its Hermite basis has M.rows rows, those
+    with zero H part at the bottom, and their trailing columns are U.
+    """
+    basis = Lattice(_with_identity(M.sparse_rows(), M.cols, M.rows)).basis_rows()
+    h = {(i, j): v for i, row in enumerate(basis) for j, v in row.items() if j < M.cols}
+    u = {(i, j - M.cols): v for i, row in enumerate(basis) for j, v in row.items() if j >= M.cols}
+    return IntMatrix(M.rows, M.cols, h), IntMatrix(M.rows, M.rows, u)
 
 
 # ---------------------------------------------------------------------------
 # dense Smith core
 
 
-def _dense_snf_core(a: list[list[int]], c: int, want_u: bool):
-    """Smith form of a small dense block with c columns.  Returns (diag, U, V).
+def _dense_snf_core(a: list[list[int]], c: int):
+    """Smith form of the first c columns of a small dense block.  Returns (diag, V).
 
-    Pivot choice: minimal absolute value over the remaining block, ties in
-    (row, col) order.  Diagonal entries come out nonnegative and form a
+    Pivots are chosen and columns operated on only among the first c
+    columns; row operations act on whole rows, so columns past c (identity
+    columns carrying a transform) travel with their rows.  Rows of ``a`` are
+    rebound, so the caller reads the result back from ``a`` itself.  Pivot
+    choice: minimal absolute value over the remaining block, ties in (row,
+    col) order.  Diagonal entries come out nonnegative and form a
     divisibility chain.
     """
     k = len(a)
-    U = [[int(i == j) for j in range(k)] for i in range(k)] if want_u else None
     V = [[int(i == j) for j in range(c)] for i in range(c)]
 
     def swap_rows(i, j):
         if i == j:
             return
         a[i], a[j] = a[j], a[i]
-        if want_u:
-            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         if i == j:
@@ -415,12 +424,8 @@ def _dense_snf_core(a: list[list[int]], c: int, want_u: bool):
     def row_addmul(i, j, q):
         # row i += q * row j
         ri, rj = a[i], a[j]
-        for x in range(c):
+        for x in range(len(ri)):
             ri[x] += q * rj[x]
-        if want_u:
-            ui, uj = U[i], U[j]
-            for x in range(k):
-                ui[x] += q * uj[x]
 
     def col_addmul(i, j, q):
         # col i += q * col j
@@ -431,8 +436,6 @@ def _dense_snf_core(a: list[list[int]], c: int, want_u: bool):
 
     def negate_row(i):
         a[i] = [-v for v in a[i]]
-        if want_u:
-            U[i] = [-v for v in U[i]]
 
     t = 0
     limit = min(k, c)
@@ -486,36 +489,24 @@ def _dense_snf_core(a: list[list[int]], c: int, want_u: bool):
             negate_row(t)
         t += 1
     diag = [a[i][i] for i in range(limit)]
-    return diag, U, V
+    return diag, V
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: returns (D, U, V) with U*M*V = D.
 
     U and V are unimodular; the diagonal of D is nonnegative and forms a
-    divisibility chain.  Total on all integer matrices.
+    divisibility chain.  Total on all integer matrices.  The dense core runs
+    on the Hermite rows of [M | I] with nonzero M part, which carry their U
+    columns; the other rows' U columns follow them.
     """
-    work, pivots, u1 = _eliminate(M.sparse_rows(), M.cols, want_u=True)
-    k = len(pivots)
-    block = [[work[i].get(j, 0) for j in range(M.cols)] for i in range(k)]
-    diag, u2, v = _dense_snf_core(block, M.cols, want_u=True)
-
+    width = M.cols + M.rows
+    basis = Lattice(_with_identity(M.sparse_rows(), M.cols, M.rows)).basis_rows()
+    block = [[row.get(j, 0) for j in range(width)] for row in basis if min(row) < M.cols]
+    diag, v = _dense_snf_core(block, M.cols)
     D = IntMatrix.diagonal(diag, M.rows, M.cols)
-    # U = (u2 on the pivot block, identity below) * u1
-    u_entries: dict[tuple[int, int], int] = {}
-    for i in range(M.rows):
-        if i < k:
-            acc: dict[int, int] = {}
-            for j, coef in enumerate(u2[i]):
-                if coef:
-                    _row_addmul(acc, u1[j], coef)
-            row = acc
-        else:
-            row = u1[i]
-        for j, val in row.items():
-            if val:
-                u_entries[(i, j)] = val
-    U = IntMatrix(M.rows, M.rows, u_entries)
+    kernel_rows = [[row.get(j, 0) for j in range(M.cols, width)] for row in basis[len(block):]]
+    U = IntMatrix.from_rows([row[M.cols:] for row in block] + kernel_rows, cols=M.rows)
     V = IntMatrix.from_rows(v, cols=M.cols) if M.cols else IntMatrix(0, 0)
     if VERIFY_TRANSFORMS:
         if (U @ M) @ V != D:
@@ -562,11 +553,10 @@ def cokernel_invariants(M: IntMatrix, num_generators: int) -> AbelianInvariants:
 class Lattice:
     """The row lattice L of an integer matrix, with the quotient map of Z^n/L.
 
-    This is the one place a matrix is eliminated without a transform: the
-    row Hermite basis comes from a certified row subset (see
-    ``_certified_hnf``).  One dense Smith step on that basis gives unimodular
-    V with Z^n/L = sum of Z/d_i, read through the quotient map
-    v -> (v.V_i mod d_i).  ``moduli`` lists the d_i other than 1 (0 for a
+    This is the one place a matrix is eliminated: the row Hermite basis
+    comes from a certified row subset (see ``_certified_hnf``).  One dense
+    Smith step on that basis gives unimodular V with Z^n/L = sum of Z/d_i,
+    read through the quotient map v -> (v.V_i mod d_i).  ``moduli`` lists the d_i other than 1 (0 for a
     free summand) and ``image`` computes the map; membership (also after
     inverting 2), element orders and the invariants of Z^n/L are read from
     them.  The Smith step runs on first use of the map, so a lattice read
@@ -585,7 +575,7 @@ class Lattice:
         if self._map is None:
             cols = self.cols
             block = [[row.get(j, 0) for j in range(cols)] for row in self._basis]
-            diag, _, v = _dense_snf_core(block, cols, want_u=False)
+            diag, v = _dense_snf_core(block, cols)
             diag += [0] * (cols - len(diag))
             kept = [i for i, d in enumerate(diag) if d != 1]
             self._map = tuple(diag[i] for i in kept), [{r: v[r][i] for r in range(cols) if v[r][i]} for i in kept]
@@ -651,23 +641,26 @@ def kernel_with_embedding(
     """Kernel presentation plus the matrix embedding its generators in the domain.
 
     ``map_matrix`` sends domain generators (rows) to codomain coordinate
-    vectors.  Both relation lattices are the presentations' own
-    (``FpPresentation.lattice``), so neither matrix is eliminated again.  The
-    kernel's relations are the coordinates, over the kernel generators, of
-    the domain's relation Hermite basis rather than of every domain relation:
-    the same lattice, so the same group, with at most ``domain.generators``
-    relation rows.  A basis row outside the preimage of the codomain relation
-    lattice means the map is not well defined; the InconsistentMapError then
-    names the first domain relation whose image leaves that lattice.
+    vectors.  The kernel generators come from one lattice of
+    [map_matrix | I ; codomain basis | 0]: its Hermite rows with zero
+    codomain part are the Hermite basis of the preimage of the codomain
+    relation lattice.  Both relation lattices are the presentations' own
+    (``FpPresentation.lattice``), so neither relation matrix is eliminated
+    again.  The kernel's relations are the coordinates, over the kernel
+    generators, of the domain's relation Hermite basis rather than of every
+    domain relation: the same lattice, so the same group, with at most
+    ``domain.generators`` relation rows.  A basis row outside the preimage
+    of the codomain relation lattice means the map is not well defined; the
+    InconsistentMapError then names the first domain relation whose image
+    leaves that lattice.
     """
     if map_matrix.rows != domain.generators or map_matrix.cols != codomain.generators:
         raise DimensionMismatchError("map matrix shape must be domain gens x codomain gens")
     cod_lat = codomain.lattice
     map_rows = map_matrix.sparse_rows()
-    stacked = map_matrix.stack(codomain.relations)
-    work, _pivots, u = _eliminate(stacked.sparse_rows(), stacked.cols, want_u=True)
-    projected = [[u[i].get(j, 0) for j in range(domain.generators)] for i in range(stacked.rows) if not work[i]]
-    basis = Lattice(IntMatrix.from_rows(projected, cols=domain.generators)).basis_rows()
+    width = codomain.generators
+    stacked = _with_identity(map_rows + cod_lat.basis_rows(), width, domain.generators)
+    basis = [{j - width: v for j, v in row.items()} for row in Lattice(stacked).basis_rows() if min(row) >= width]
     pivot_cols = [min(row) for row in basis]  # a Hermite row starts at its pivot
     embedding = IntMatrix.from_sparse_rows(basis, domain.generators)
     for row in basis:

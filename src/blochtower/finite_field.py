@@ -19,7 +19,6 @@ probes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -351,17 +350,6 @@ class FieldSpec:
             self._sqrt = table
         return self._sqrt[a]
 
-    def element(self, code: int) -> "FieldElement":
-        if not (0 <= code < self.q):
-            raise ValueError(f"element code {code} out of range for q={self.q}")
-        return FieldElement(self, code)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
 
 def _check_bound(q: int) -> None:
     bound = max_field_size()
@@ -401,70 +389,17 @@ def parse_field_spec(text: str) -> FieldSpec:
     return field_from_q(int(text))
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a FieldSpec, by code; immutable and hashable."""
-
-    owner: FieldSpec
-    code: int
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.owner != other.owner:
-            raise ValueError("elements of different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.owner, self.owner.add_code(self.code, other.code))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.owner, self.owner.sub_code(self.code, other.code))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.owner, self.owner.mul_code(self.code, other.code))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.owner, self.owner.neg_code(self.code))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.owner, self.owner.inv_code(self.code))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.owner, self.owner.pow_code(self.code, e))
-
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.owner.coeffs_of(self.code)
-
-    def __repr__(self) -> str:
-        return f"<{self.code} in F_{self.owner.spec_string()}>"
-
-
 # ---------------------------------------------------------------------------
 # square classes
 
 
-def square_class(a: FieldElement) -> int:
-    """0 for squares, 1 for nonsquares; q even is all squares."""
-    return square_class_code(a.owner, a.code)
-
-
 def square_class_code(F: FieldSpec, code: int) -> int:
-    """The square class of a nonzero code as a group bitmask (see square_class)."""
+    """0 for squares, 1 for nonsquares (a group bitmask); q even is all squares."""
     if code == 0:
         raise ValueError("square class of zero is undefined")
     if F.q % 2 == 0:
         return 0
     return F.dlog_code(code) & 1
-
-
-def primitive_root(F: FieldSpec) -> FieldElement:
-    """The least generator of the cyclic group F^x."""
-    return FieldElement(F, F.generator_code())
 
 
 # ---------------------------------------------------------------------------
@@ -552,22 +487,22 @@ def rsq_order(F: FieldSpec) -> int:
 # difference of two nonzero squares
 
 
-def check_difference_of_squares(F: FieldSpec, u: FieldElement) -> Optional[tuple[FieldElement, FieldElement]]:
-    """Find nonzero r, s with u = r^2 - s^2, or None when no pair exists.
+def check_difference_of_squares(F: FieldSpec, u: int) -> Optional[tuple[int, int]]:
+    """Codes of nonzero r, s with u = r^2 - s^2, or None when no pair exists.
 
-    Only meaningful for odd q; raises for even q where every difference
-    identity is degenerate.
+    ``u`` is a nonzero code.  Only meaningful for odd q; raises for even q
+    where every difference identity is degenerate.
     """
     if F.q % 2 == 0:
         raise ValueError("difference-of-squares search needs odd q")
-    if u.is_zero():
-        raise ValueError("u must be nonzero")
+    if not (0 < u < F.q):
+        raise ValueError(f"u must be a nonzero code below q={F.q}, got {u}")
     for r_code in F.units():
         r_sq = F.mul_code(r_code, r_code)
-        s_sq = F.sub_code(r_sq, u.code)
+        s_sq = F.sub_code(r_sq, u)
         if s_sq == 0:
             continue
         s_code = F.sqrt_code(s_sq)
         if s_code is not None and s_code != 0:
-            return F.element(r_code), F.element(s_code)
+            return r_code, s_code
     return None

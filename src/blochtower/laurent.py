@@ -664,11 +664,11 @@ def probe_unit_difference_of_squares(
         u = TruncatedLaurentSeries.constant(F, u).truncate(precision)
     if u.is_zero() or u.valuation != 0:
         raise ValueError("the probe needs a unit series")
-    witness = check_difference_of_squares(F, F.element(u.leading()))
+    witness = check_difference_of_squares(F, u.leading())
     if witness is None:
         return ProbeReport("unit_difference_of_squares", "no_witness", {"residue": u.leading()})
     r_res, s_res = witness
-    s = TruncatedLaurentSeries.constant(F, s_res.code)
+    s = TruncatedLaurentSeries.constant(F, s_res)
     w = u + s * s
     r = sqrt_unit(w, precision=precision)
     r_sq_inv = (r * r).inv()
@@ -686,7 +686,7 @@ def probe_unit_difference_of_squares(
         status,
         {
             "residue": u.leading(),
-            "witness": [r_res.code, s_res.code],
+            "witness": [r_res, s_res],
             "square_identity": square_ok,
             "z_class": [laurent_square_class(z).parity, laurent_square_class(z).residue_class],
         },

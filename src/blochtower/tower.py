@@ -80,9 +80,6 @@ class HypothesisCheck:
     status: str  # "verified" | "assumed" | "failed"
     note: str = ""
 
-    def to_json(self) -> dict:
-        return {"index": self.index, "name": self.name, "status": self.status, "note": self.note}
-
 
 def check_hypotheses(tower: TowerSpec) -> list[HypothesisCheck]:
     """Evaluate the six decomposition hypotheses for the tower.
@@ -213,19 +210,6 @@ class DecompositionReport:
     rsq_note: str
     constant_module_dimension: Optional[int]
     notes: tuple[str, ...] = dataclass_field(default=())
-
-    def to_json(self) -> dict:
-        return {
-            "tower": self.tower.to_json(),
-            "hypotheses": [h.to_json() for h in self.hypotheses],
-            "summands": [s.to_json() for s in self.summands],
-            "exponents": list(self.exponents),
-            "surjection_only": self.surjection_only,
-            "rsq_order": self.rsq_order,
-            "rsq_note": self.rsq_note,
-            "constant_module_dimension": self.constant_module_dimension,
-            "notes": list(self.notes),
-        }
 
 
 def predict(tower: TowerSpec) -> DecompositionReport:

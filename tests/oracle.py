@@ -5,12 +5,12 @@ dense lists, first-nonzero pivoting, and Bezout 2x2 block transforms instead
 of sparse rows and minimal-absolute-value pivoting.  The relation oracle
 forms the five Laurent arguments in full with the package's truncated-series
 arithmetic, where the package itself reads only their heads.  The kernel
-oracle is the package's earlier kernel construction, which gives the kernel
-one relation per domain relation row instead of one per row of the domain's
-Hermite basis.
+oracle reads the left kernel of the stacked map from the textbook Smith
+transform, and gives the kernel one relation per domain relation row instead
+of one per row of the domain's Hermite basis.
 """
 
-from blochtower.exact_linalg import FpPresentation, IntMatrix, Lattice, _apply_map, _eliminate, _reduce
+from blochtower.exact_linalg import FpPresentation, IntMatrix, Lattice, _apply_map, _reduce
 from blochtower.laurent import (
     PrecisionExhaustedError,
     RelationCheckOutcome,
@@ -217,9 +217,10 @@ def relation_check_by_series(target, x, y, exact_precision=64):
 def kernel_with_all_relation_rows(domain, codomain, map_matrix):
     """Kernel presentation and embedding, with one relation per domain relation.
 
-    The embedding is built exactly as ``kernel_with_embedding`` builds it;
-    every domain relation row (zero rows included) is then reduced against
-    it, and its quotients become one kernel relation.
+    The embedding is the Hermite basis of the domain parts of the left
+    kernel of the stacked map and codomain relations, read from the textbook
+    Smith transform; every domain relation row (zero rows included) is then
+    reduced against it, and its quotients become one kernel relation.
     """
     cod_lat = Lattice(codomain.relations)
     map_rows = map_matrix.sparse_rows()
@@ -228,11 +229,10 @@ def kernel_with_all_relation_rows(domain, codomain, map_matrix):
         if not cod_lat.is_member(_apply_map(row, map_rows, codomain.generators)):
             raise ValueError("a domain relation does not map into the relation lattice")
     stacked = map_matrix.stack(codomain.relations)
-    work, _pivots, u = _eliminate(stacked.sparse_rows(), stacked.cols, want_u=True)
-    projected = []
-    for i in range(stacked.rows):
-        if not work[i]:
-            projected.append([u[i].get(j, 0) for j in range(domain.generators)])
+    diag, U, _V = smith_with_transforms(stacked.to_rows())
+    rank = sum(1 for d in diag if d)
+    # U * stacked * V is diagonal, so the rows of U past the rank span the left kernel
+    projected = [row[: domain.generators] for row in U[rank:]]
     basis = Lattice(IntMatrix.from_rows(projected, cols=domain.generators)).basis_rows()
     pivot_cols = [min(row) for row in basis]
     embedding = IntMatrix(

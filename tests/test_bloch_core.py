@@ -350,7 +350,7 @@ class TestCertifiedLattices:
             "c": (bc.reduced_lattice(F, "c"), z_expand(quotients.mod_inversions_and_c)[0]),
         }
         for name, (lat, M) in lattices.items():
-            work, pivots, _ = _eliminate(M.sparse_rows(), M.cols, want_u=False)
+            work, pivots = _eliminate(M.sparse_rows(), M.cols)
             assert lat.basis_rows() == [work[r] for r, _ in pivots], name
             factors = tuple(d for d in lat.moduli if d)
             assert AbelianInvariants(factors, lat.moduli.count(0)) == cokernel_invariants(M, M.cols), name

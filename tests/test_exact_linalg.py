@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochtower.bloch_core import _lambda_two_matrix, asym2_presentation, prebloch_presentation
+from blochtower import exact_linalg
 from blochtower.exact_linalg import (
     CERTIFIED_SUBSET_FACTOR,
     AbelianInvariants,
@@ -149,13 +150,21 @@ class TestHermite:
         for row in H.to_rows():
             assert lat.is_member(row)
 
+    @settings(max_examples=100)
+    @given(small_matrices)
+    def test_unimodular_transform_and_lattice_basis(self, rows):
+        M = mat(rows)
+        H, U = hermite_normal_form(M)
+        assert abs(_det_unimodular(U)) == 1
+        assert [row for row in H.sparse_rows() if row] == Lattice(M).basis_rows()
+
 
 class TestCertifiedHermite:
     @settings(max_examples=200)
     @given(tall_matrices())
     def test_matches_full_elimination(self, rows):
         M = mat(rows)
-        work, pivots, _ = _eliminate(M.sparse_rows(), M.cols, want_u=False)
+        work, pivots = _eliminate(M.sparse_rows(), M.cols)
         lat = Lattice(M)
         assert lat.basis_rows() == [work[r] for r, _ in pivots]
         assert lat.is_member(rows[-1])
@@ -444,6 +453,22 @@ class TestKernelOverHermiteBasis:
         assert domain.generators == 11 and domain.relations.rows == 110
         assert len(queries) <= domain.generators
         assert kernel.invariants() == AbelianInvariants((7,), 0)  # B(F_13) is cyclic of order (13 + 1) / 2
+
+    def test_bloch_kernel_eliminates_once(self, monkeypatch):
+        F = field_from_q(13)
+        domain, codomain, lam = prebloch_presentation(F), asym2_presentation(F), _lambda_two_matrix(F)
+        assert domain.lattice.basis_rows() and codomain.lattice.basis_rows()  # both lattices prebuilt
+        calls = []
+        eliminate = exact_linalg._eliminate
+
+        def counting(rows, cols):
+            calls.append(len(rows))
+            return eliminate(rows, cols)
+
+        monkeypatch.setattr(exact_linalg, "_eliminate", counting)
+        kernel, _ = kernel_with_embedding(domain, codomain, lam)
+        assert calls == [domain.generators + 1]  # the 11 map rows and the codomain's one basis row
+        assert kernel.invariants() == AbelianInvariants((7,), 0)
 
     def test_inconsistent_row_is_named(self):
         z3 = FpPresentation(1, mat([[3]]))
