@@ -32,7 +32,6 @@ pure function of the field.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping, Optional, Union
@@ -170,47 +169,43 @@ class SymbolVector:
 # presentations
 
 
-def _five_term_arguments(F: FieldSpec, x: int, y: int) -> tuple[tuple[int, int, int], ...]:
-    """The five (argument, sign, twist-class) terms of the relation at (x, y)."""
-    one = 1
-    inv_x = F.inv_code(x)
-    inv_y = F.inv_code(y)
-    a3 = F.mul_code(y, inv_x)
-    n4 = F.sub_code(one, inv_x)
-    d4 = F.sub_code(one, inv_y)
-    a4 = F.mul_code(n4, F.inv_code(d4))
-    n5 = F.sub_code(one, x)
-    d5 = F.sub_code(one, y)
-    a5 = F.mul_code(n5, F.inv_code(d5))
-    if 0 in (a3, a4, a5):  # pragma: no cover - impossible for x != y away from 0, 1
-        raise InternalConsistencyError("five-term relation produced a zero argument")
-    return (
-        (x, 1, 0),
-        (y, -1, 0),
-        (a3, 1, square_class_code(F, x)),
-        (a4, -1, square_class_code(F, F.sub_code(inv_x, one))),
-        (a5, 1, square_class_code(F, n5)),
-    )
-
-
 @lru_cache(maxsize=None)
 def _five_term_table(F: FieldSpec) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """Every relation row as (generator index, integer coefficient, square class) terms.
 
-    One row per ordered pair x != y of symbol generators, from
-    ``_five_term_arguments`` with the [1] terms dropped; q = 2 has the single
-    row 3<0> on b, and q = 3 the single row 2<0> + 2<-1> on [-1].  Terms of a
-    row may repeat a (generator, class) pair; readers add them up.
+    One row per ordered pair x != y of symbol generators, x-major, with the
+    five terms [x], -[y], <x>[y/x], -<x^-1 - 1>[(1-x^-1)/(1-y^-1)] and
+    <1-x>[(1-x)/(1-y)] in that order and the [1] terms dropped; q = 2 has the
+    single row 3<0> on b, and q = 3 the single row 2<0> + 2<-1> on [-1].
+    The values that depend on x alone (1/x, 1 - 1/x, 1 - x and the three
+    twist classes) and on y alone (1/(1 - 1/y), 1/(1 - y)) are computed
+    once, so a pair costs three products.  Terms of a row may repeat a
+    (generator, class) pair; readers add them up.
     """
     if F.q == 2:
         return (((0, 3, 0),),)
     if F.q == 3:
         return (((0, 2, 0), (0, 2, square_class_code(F, 2))),)
     index = _symbol_index(F)
-    return tuple(
-        tuple((index[arg], sign, cls) for arg, sign, cls in _five_term_arguments(F, x, y) if arg != 1)
-        for x, y in itertools.permutations(symbol_generators(F), 2)
-    )
+    per_y = [
+        (y, index[y], F.inv_code(F.sub_code(1, F.inv_code(y))), F.inv_code(F.sub_code(1, y)))
+        for y in symbol_generators(F)
+    ]
+    rows = []
+    for x in symbol_generators(F):
+        inv_x = F.inv_code(x)
+        n4 = F.sub_code(1, inv_x)
+        n5 = F.sub_code(1, x)
+        ix = index[x]
+        c3 = square_class_code(F, x)
+        c4 = square_class_code(F, F.sub_code(inv_x, 1))
+        c5 = square_class_code(F, n5)
+        for y, iy, r4, r5 in per_y:
+            if y == x:
+                continue
+            args = ((F.mul_code(y, inv_x), 1, c3), (F.mul_code(n4, r4), -1, c4), (F.mul_code(n5, r5), 1, c5))
+            rows.append(((ix, 1, 0), (iy, -1, 0)) + tuple((index[a], sign, cls) for a, sign, cls in args if a != 1))
+    return tuple(rows)
 
 
 def specialized_relations(F: FieldSpec, chi: Character) -> IntMatrix:
@@ -359,21 +354,6 @@ def lambda_one_of_vector(v: SymbolVector) -> GroupRingElement:
     for i, coeff in v.coeffs.items():
         out = out + coeff * _lambda_one_of_generator(F, i)
     return out
-
-
-def lambda_two_of_vector(v: SymbolVector) -> Asym2Element:
-    """lambda_two extended through the coinvariants (group action is trivial)."""
-    F = v.field
-    mod = asym2_modulus(F)
-    if mod == 1:
-        return Asym2Element(0, 1)
-    total = 0
-    for i, coeff in v.coeffs.items():
-        aug = coeff.augmentation()
-        if aug.denominator != 1:
-            raise ValueError("augmentation is not integral")
-        total += int(aug) * _lambda_two_of_generator(F, i)
-    return Asym2Element(total % mod, mod)
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +542,6 @@ def prebloch_lattice(F: FieldSpec) -> Lattice:
     return prebloch_presentation(F).lattice
 
 
-def is_zero_in_refined(F: FieldSpec, v: SymbolVector, invert_two: bool = True) -> bool:
-    """Does v vanish in the refined module (by default up to odd torsion)?"""
-    return rp_lattice(F).is_member(v.z_coordinates(), invert_two=invert_two)
-
-
 def is_zero_in_prebloch(F: FieldSpec, v: SymbolVector) -> bool:
     return prebloch_lattice(F).is_member(v.augmentation_coordinates())
 
@@ -715,36 +690,60 @@ class SweepResult:
 
 
 def verify_lambda_well_defined(F: FieldSpec) -> SweepResult:
-    """Both invariant maps must kill every relation row, exactly."""
-    rp = refined_presentation(F)
+    """Both invariant maps must kill every relation row, exactly.
+
+    Each row of ``refined_presentation(F)`` is read in ints: lambda_one as a
+    coefficient list over G (<f> acting as e -> e^f) and lambda_two as an
+    int mod ``asym2_modulus``, both from the row's coefficients and the
+    cached per-generator values.
+    """
+    G = square_class_group(F)
+    mod = asym2_modulus(F)
+    n = generator_count(F)
+    lam1 = [tuple(_lambda_one_of_generator(F, j).coeffs.items()) for j in range(n)]
+    lam2 = [_lambda_two_of_generator(F, j) for j in range(n)]
+    relations = refined_presentation(F).relations
     failures = []
-    checked = 0
-    for ridx, rel in enumerate(rp.relations):
-        v = SymbolVector(F, rel)
-        checked += 1
-        if not lambda_one_of_vector(v).is_zero():
+    for ridx, rel in enumerate(relations):
+        one = [0] * G.size
+        two = 0
+        for j, coeff in rel.items():
+            for e, c in coeff.coeffs.items():
+                two += c * lam2[j]
+                for f, w in lam1[j]:
+                    one[e ^ f] += c * w
+        if any(one):
             failures.append(f"lambda_one nonzero on relation {ridx}")
-        if not lambda_two_of_vector(v).is_zero():
+        if two % mod:
             failures.append(f"lambda_two nonzero on relation {ridx}")
-    return SweepResult("lambda_well_defined", checked, tuple(failures))
+    return SweepResult("lambda_well_defined", len(relations), tuple(failures))
 
 
 def verify_suslin_identities(F: FieldSpec) -> SweepResult:
-    """psi_i(xy) = <x> psi_i(y) + psi_i(x), exactly in the refined module."""
+    """psi_i(xy) = <x> psi_i(y) + psi_i(x), exactly in the refined module.
+
+    The quotient map of ``rp_lattice`` is additive, so each twisted
+    <g> psi_i(u), g in G, is imaged once (2 |G| (q-1) images), and each pair
+    is checked as img[xy] - img_<x>[y] - img[x], coordinate by coordinate.
+    """
     G = square_class_group(F)
+    lat = rp_lattice(F)
+    units = F.units()
     failures = []
-    checked = 0
     for i in (1, 2):
-        psi = {u: suslin_element(F, i, u) for u in F.units()}
-        for x in F.units():
-            twist = bracket(G, square_class_code(F, x))
-            for y in F.units():
-                lhs = psi[F.mul_code(x, y)]
-                rhs = psi[y].scale(twist) + psi[x]
-                checked += 1
-                if not is_zero_in_refined(F, lhs - rhs, invert_two=False):
+        terms = {
+            u: [(j * G.size + f, c) for j, coeff in suslin_element(F, i, u).coeffs.items() for f, c in coeff.coeffs.items()]
+            for u in units
+        }
+        # twisted[t][u] is the image of <t> psi_i(u); <t> sends z-coordinate k to k ^ t
+        twisted = [{u: lat.image({k ^ t: c for k, c in terms[u]}) for u in units} for t in G.elements()]
+        plain = twisted[0]
+        for x in units:
+            shifted = twisted[square_class_code(F, x)]
+            for y in units:
+                if not lat.vanishes([a - b - c for a, b, c in zip(plain[F.mul_code(x, y)], shifted[y], plain[x])]):
                     failures.append(f"psi_{i} cocycle fails at x={x}, y={y}")
-    return SweepResult("suslin_cocycle", checked, tuple(failures))
+    return SweepResult("suslin_cocycle", 2 * len(units) ** 2, tuple(failures))
 
 
 def verify_suslin_lambda_one(F: FieldSpec) -> SweepResult:

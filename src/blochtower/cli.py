@@ -23,7 +23,7 @@ from typing import Optional
 from . import __version__
 from .bloch_core import bloch_invariants, prebloch_presentation, refined_bloch, run_suite
 from .finite_field import FieldBoundError, FieldSpec, parse_field_spec
-from .laurent import DEFAULT_SEED, MAX_PRECISION, fuzz_specialization
+from .laurent import DEFAULT_SEED, MAX_PRECISION, MAX_SAMPLES, fuzz_specialization
 from .tower import MAX_LEVELS, TowerSpec, census_matches_exponents, eigenspace_ledger, predict
 
 SCHEMA_VERSION = 1
@@ -131,6 +131,8 @@ def _cmd_laurent_fuzz(args) -> tuple[dict, int]:
         raise ConfigError(f"precision {args.precision} exceeds the bound {MAX_PRECISION}")
     if args.samples < 0:
         raise ConfigError("samples must be nonnegative")
+    if args.samples > MAX_SAMPLES:
+        raise ConfigError(f"samples {args.samples} exceeds the bound {MAX_SAMPLES}")
     fuzz = fuzz_specialization(F, args.precision, args.samples, args.seed)
     rate_ok = fuzz.samples == 0 or fuzz.inconclusive_rate < 0.05
     checks = [
@@ -226,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("laurent-fuzz", parents=[common], help="specialization well-definedness fuzz harness")
     f.add_argument("--q", required=True, help="odd residue field size")
     f.add_argument("--precision", type=int, default=64, help=f"tracked coefficients per series, 2 to {MAX_PRECISION}")
-    f.add_argument("--samples", type=int, default=500, help="number of conclusive samples to collect")
+    f.add_argument("--samples", type=int, default=500, help=f"number of conclusive samples to collect, 0 to {MAX_SAMPLES}")
     f.add_argument("--seed", type=int, default=DEFAULT_SEED, help="fuzz seed (echoed in the report)")
     f.set_defaults(func=_cmd_laurent_fuzz)
 

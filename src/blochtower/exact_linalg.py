@@ -12,15 +12,17 @@ the Smith form takes a sparse Hermite basis first and only then runs a
 dense core on it, since elimination causes fill-in.
 
 Every elimination goes through ``Lattice``, which gets its row Hermite
-basis from a certified subset: the first ``CERTIFIED_SUBSET_FACTOR * cols``
-rows are eliminated, every other row is reduced against that basis, and
-the nonzero remainders (if any) are eliminated together with it once more.
-Every row is checked, and the reduced row Hermite form of a lattice is
-unique, so the basis is the one full elimination gives.  No elimination
-keeps a transform: one that is needed is carried as identity columns, since
-the Hermite basis of [M | I] is [H | U] with U*M = H.  The Hermite and
-Smith transforms and the kernel of a map are read from such columns.  A
-lattice keeps its basis and the columns of one Smith transform V of it: the
+basis from certified subsets: the first ``CERTIFIED_SUBSET_FACTOR * cols``
+rows are eliminated, every other row is tested through the quotient map of
+that basis (its sparse image vanishes exactly when it lies in the
+lattice), and the rows outside are eliminated with the basis in rounds of
+at most that many.  Every row is checked, and the reduced row Hermite form
+of a lattice is unique, so the basis is the one full elimination gives.  No
+elimination keeps a transform: one that is needed is carried as identity
+columns, since the Hermite basis of [M | I] is [H | U] with U*M = H.  The
+Hermite and Smith transforms and the kernel of a map are read from such
+columns.  A lattice keeps its basis and one Smith transform V of it,
+restricted to the columns of the nontrivial quotient coordinates: the
 quotient map needs nothing else.  A presentation owns the lattice of its
 relations, built once on first use: its invariants, kernels of maps out of
 it and membership tests all read that one lattice.
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 from .finite_field import factorize
 
@@ -48,6 +50,10 @@ VERIFY_TRANSFORMS = False
 #: Transform-free Hermite bases of matrices with more than this many rows
 #: per column are built from that many rows per column, then certified.
 CERTIFIED_SUBSET_FACTOR = 4
+
+#: A quotient map v -> (v.V_i mod d_i): the moduli d_i, and row r of V
+#: restricted to the kept columns (see ``_smith_quotient``).
+QuotientMap = tuple[tuple[int, ...], list[tuple[int, ...]]]
 
 
 class DimensionMismatchError(ValueError):
@@ -280,29 +286,38 @@ def _row_addmul(target: dict[int, int], source: dict[int, int], q: int) -> None:
             target.pop(c, None)
 
 
-def _certified_hnf(rows: list[dict[int, int]], cols: int) -> list[dict[int, int]]:
-    """Transform-free row Hermite basis from a certified row subset.
+def _certified_hnf(rows: list[dict[int, int]], cols: int) -> tuple[list[dict[int, int]], Optional[QuotientMap]]:
+    """Transform-free row Hermite basis from certified row subsets, with its quotient map.
 
-    The first ``CERTIFIED_SUBSET_FACTOR * cols`` rows are eliminated; each
-    later row is reduced against that basis, and if any remainder is nonzero
-    the basis and all remainders are eliminated once more.  The remainders
-    span, with the subset basis, the same lattice as the input rows, so the
-    (unique) reduced Hermite basis is the one ``_eliminate`` gives.  Only
-    the basis rows are returned, in echelon order; a short input is simply
-    eliminated.
+    The first ``CERTIFIED_SUBSET_FACTOR * cols`` rows are eliminated, and
+    every later row is tested through the quotient map of that basis
+    (``_smith_quotient``): its sparse image vanishes exactly when the row
+    lies in the lattice spanned so far, at nnz(row) multiply-adds per
+    modulus.  Rows outside are taken in rounds: the basis is eliminated
+    again with the first ``CERTIFIED_SUBSET_FACTOR * cols`` of them, which
+    strictly enlarges the lattice, and the rest are tested through the new
+    map.  So no elimination sees more than ``(CERTIFIED_SUBSET_FACTOR + 1) *
+    cols`` rows, and a row-ordered block matrix takes one round per block.
+    Every row is checked, and the reduced Hermite basis of a lattice is
+    unique, so the basis is the one ``_eliminate`` on all rows gives.
+
+    Returns (basis rows in echelon order, quotient map of that basis); the
+    map is None when no row was tested (a short input is simply eliminated).
     """
-    work, pivots = _eliminate(rows[: CERTIFIED_SUBSET_FACTOR * cols], cols)
-    basis = [work[r] for r, _ in pivots]
-    pivot_cols = [col for _, col in pivots]
-    remainders = []
-    for row in rows[CERTIFIED_SUBSET_FACTOR * cols:]:
-        rem = _reduce(basis, pivot_cols, row)[0]
-        if rem:
-            remainders.append(rem)
-    if remainders:
-        work, pivots = _eliminate(basis + remainders, cols)
-        basis = [work[r] for r, _ in pivots]
-    return basis
+    head = CERTIFIED_SUBSET_FACTOR * cols
+    basis, tail, quotient = _echelon_basis(rows[:head], cols), rows[head:], None
+    while tail:
+        quotient = _smith_quotient(basis, cols)
+        moduli = quotient[0]
+        tail = [row for row in tail if not _vanishes(_image(row.items(), *quotient), moduli)]
+        if tail:
+            basis, tail, quotient = _echelon_basis(basis + tail[:head], cols), tail[head:], None
+    return basis, quotient
+
+
+def _echelon_basis(rows: list[dict[int, int]], cols: int) -> list[dict[int, int]]:
+    work, pivots = _eliminate(rows, cols)
+    return [work[r] for r, _ in pivots]
 
 
 def _reduce(basis: list[dict[int, int]], pivot_cols: list[int], v: dict[int, int]):
@@ -327,7 +342,8 @@ def _eliminate(rows: list[dict[int, int]], cols: int):
     ``pivots`` lists (row_index, col) pairs in echelon order; rows below the
     last pivot are zero.  No transform is kept: a caller that needs one
     appends identity columns (``_with_identity``) and reads it from the
-    result.  The only caller is ``_certified_hnf``, behind ``Lattice``.
+    result.  The only caller is ``_certified_hnf`` (through
+    ``_echelon_basis``), behind ``Lattice``.
     """
     n = len(rows)
     work = [dict(r) for r in rows]
@@ -447,6 +463,10 @@ def _dense_snf_core(a: list[list[int]], c: int):
                 v = row[j]
                 if v and (best is None or abs(v) < best[0]):
                     best = (abs(v), i, j)
+                    if best[0] == 1:  # no smaller pivot exists
+                        break
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         swap_rows(t, best[1])
@@ -474,7 +494,7 @@ def _dense_snf_core(a: list[list[int]], c: int):
             break
         p = a[t][t]
         offender = None
-        for i in range(t + 1, k):
+        for i in range(t + 1, k if abs(p) != 1 else t + 1):  # a unit divides everything
             row = a[i]
             for j in range(t + 1, c):
                 if row[j] % p:
@@ -550,40 +570,79 @@ def cokernel_invariants(M: IntMatrix, num_generators: int) -> AbelianInvariants:
 # lattices
 
 
+def _smith_quotient(basis: list[dict[int, int]], cols: int) -> QuotientMap:
+    """The quotient map of Z^cols modulo the row lattice of an echelon basis.
+
+    One dense Smith step on the basis gives unimodular V with Z^cols/L =
+    sum of Z/d_i.  Returns (the d_i other than 1, 0 for a free summand; the
+    rows of V restricted to their columns), so row r holds what the r-th
+    unit vector adds to each coordinate of an image.
+    """
+    block = [[row.get(j, 0) for j in range(cols)] for row in basis]
+    diag, v = _dense_snf_core(block, cols)
+    diag += [0] * (cols - len(diag))
+    kept = [i for i, d in enumerate(diag) if d != 1]
+    quotient = tuple(diag[i] for i in kept), [tuple(row[i] for i in kept) for row in v]
+    if VERIFY_TRANSFORMS:
+        if not all(_vanishes(_image(row.items(), *quotient), quotient[0]) for row in basis):
+            raise AssertionError("a basis row has a nonzero quotient image")
+        if cols and abs(_det_unimodular(IntMatrix.from_rows(v, cols=cols))) != 1:
+            raise AssertionError("quotient transform is not unimodular")
+    return quotient
+
+
+def _image(items, moduli: tuple[int, ...], vrows: list[tuple[int, ...]]) -> list[int]:
+    """v.V_i mod d_i (v.V_i where d_i = 0) from the (index, value) entries of v."""
+    acc = [0] * len(moduli)
+    for r, x in items:
+        for i, c in enumerate(vrows[r]):
+            acc[i] += c * x
+    return [a % d if d else a for a, d in zip(acc, moduli)]
+
+
+def _vanishes(image: Sequence[int], moduli: tuple[int, ...], invert_two: bool = False) -> bool:
+    """Is an image zero in Z^n/L: each coordinate 0 mod its d_i, and exactly 0 where d_i = 0?
+
+    The coordinates need not be reduced, so sums and differences of images
+    may be tested directly.  With invert_two, a coordinate need only vanish
+    mod the odd part of d_i: 2^k * x vanishes mod d for some k exactly then.
+    A free coordinate is never inverted.
+    """
+    for x, d in zip(image, moduli):
+        if invert_two and d:
+            d //= d & -d
+        if x % d if d else x:
+            return False
+    return True
+
+
 class Lattice:
     """The row lattice L of an integer matrix, with the quotient map of Z^n/L.
 
     This is the one place a matrix is eliminated: the row Hermite basis
-    comes from a certified row subset (see ``_certified_hnf``).  One dense
+    comes from certified row subsets (see ``_certified_hnf``).  One dense
     Smith step on that basis gives unimodular V with Z^n/L = sum of Z/d_i,
-    read through the quotient map v -> (v.V_i mod d_i).  ``moduli`` lists the d_i other than 1 (0 for a
-    free summand) and ``image`` computes the map; membership (also after
+    read through the quotient map v -> (v.V_i mod d_i) (``_smith_quotient``).
+    ``moduli`` lists the d_i other than 1 (0 for a free summand) and
+    ``image`` computes the map from the nonzero entries of v; it is
+    additive, so a sum of images may stand for the image of a sum, and
+    ``vanishes`` decides whether such a sum is zero.  Membership (also after
     inverting 2), element orders and the invariants of Z^n/L are read from
-    them.  The Smith step runs on first use of the map, so a lattice read
-    only for its basis never pays for it.  A lattice that extends a known
-    one may be built from that one's ``basis_rows`` plus the new rows: the
-    basis and moduli are the same.
+    them.  A tall matrix gets its map while its tail rows are certified; any
+    other gets it on first use, so a short lattice read only for its basis
+    never pays for it.  A lattice that extends a known one may be built
+    from that one's ``basis_rows`` plus the new rows: the basis and moduli
+    are the same.
     """
 
     def __init__(self, matrix: IntMatrix):
         self.matrix = matrix
-        self._basis = _certified_hnf(matrix.sparse_rows(), matrix.cols)
-        self._map: Optional[tuple[tuple[int, ...], list[dict[int, int]]]] = None
+        self._basis, self._map = _certified_hnf(matrix.sparse_rows(), matrix.cols)
 
-    def _quotient(self) -> tuple[tuple[int, ...], list[dict[int, int]]]:
-        """(moduli, matching columns of V), from the Smith step on first use."""
+    def _quotient(self) -> QuotientMap:
+        """(moduli, rows of V on their columns), from the Smith step on first use."""
         if self._map is None:
-            cols = self.cols
-            block = [[row.get(j, 0) for j in range(cols)] for row in self._basis]
-            diag, v = _dense_snf_core(block, cols)
-            diag += [0] * (cols - len(diag))
-            kept = [i for i, d in enumerate(diag) if d != 1]
-            self._map = tuple(diag[i] for i in kept), [{r: v[r][i] for r in range(cols) if v[r][i]} for i in kept]
-            if VERIFY_TRANSFORMS:
-                if any(any(self.image([row.get(j, 0) for j in range(cols)])) for row in self._basis):
-                    raise AssertionError("a basis row has a nonzero quotient image")
-                if cols and abs(_det_unimodular(IntMatrix.from_rows(v, cols=cols))) != 1:
-                    raise AssertionError("quotient transform is not unimodular")
+            self._map = _smith_quotient(self._basis, self.cols)
         return self._map
 
     @property
@@ -601,25 +660,31 @@ class Lattice:
         """Invariants of Z^n/L: the nonzero moduli, and one Z per zero modulus."""
         return AbelianInvariants(tuple(d for d in self.moduli if d), self.moduli.count(0))
 
-    def image(self, v: Sequence[int]) -> list[int]:
-        """Coordinates of v in Z^n/L: v.V_i mod d_i, or v.V_i where d_i = 0."""
-        if len(v) != self.cols:
+    def image(self, v: Union[Sequence[int], Mapping[int, int]]) -> list[int]:
+        """Coordinates of v in Z^n/L: v.V_i mod d_i, or v.V_i where d_i = 0.
+
+        v is a dense sequence of length n or a sparse {index: value} map;
+        either way only its nonzero entries are read.
+        """
+        if isinstance(v, Mapping):
+            if not all(0 <= r < self.cols for r in v):
+                raise DimensionMismatchError("vector index outside the matrix width")
+            items = v.items()
+        elif len(v) != self.cols:
             raise DimensionMismatchError("vector length must equal matrix width")
-        out = []
-        for d, column in zip(*self._quotient()):
-            x = sum(c * v[r] for r, c in column.items())
-            out.append(x % d if d else x)
-        return out
+        else:
+            items = [(r, x) for r, x in enumerate(v) if x]
+        return _image(items, *self._quotient())
 
-    def is_member(self, v: Sequence[int], invert_two: bool = False) -> bool:
+    def vanishes(self, image: Sequence[int], invert_two: bool = False) -> bool:
+        """Is an image, or a sum of images, zero in Z^n/L (see ``_vanishes``)?"""
+        return _vanishes(image, self.moduli, invert_two)
+
+    def is_member(self, v: Union[Sequence[int], Mapping[int, int]], invert_two: bool = False) -> bool:
         """Is v in the lattice (with invert_two: is some 2^k * v in it)?"""
-        image = self.image(v)
-        if not invert_two:
-            return not any(image)
-        # 2^k * x vanishes mod d for some k iff x vanishes mod the odd part of d
-        return all(x % (d // (d & -d)) == 0 if d else x == 0 for x, d in zip(image, self.moduli))
+        return self.vanishes(self.image(v), invert_two)
 
-    def order(self, v: Sequence[int]):
+    def order(self, v: Union[Sequence[int], Mapping[int, int]]):
         """Least n >= 1 with n*v in the lattice, or math.inf."""
         n = 1
         for x, d in zip(self.image(v), self.moduli):

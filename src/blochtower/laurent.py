@@ -45,6 +45,11 @@ DEFAULT_SEED = 0x5EED
 #: x86 box (Python 3.11), and the default 500 samples take about 2.6 s.
 MAX_PRECISION = 4096
 
+#: Largest fuzz sample count the CLI accepts.  The cost is linear in the
+#: samples: at the default precision a draw takes 0.15-0.2 ms on a 2-vCPU x86
+#: box (Python 3.11), so the bound is about 15-20 s.
+MAX_SAMPLES = 100_000
+
 
 class PrecisionExhaustedError(ArithmeticError):
     """Cancellation consumed every tracked coefficient; result unusable."""

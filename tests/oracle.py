@@ -7,10 +7,21 @@ forms the five Laurent arguments in full with the package's truncated-series
 arithmetic, where the package itself reads only their heads.  The kernel
 oracle reads the left kernel of the stacked map from the textbook Smith
 transform, and gives the kernel one relation per domain relation row instead
-of one per row of the domain's Hermite basis.
+of one per row of the domain's Hermite basis.  The five-term oracle forms
+each relation's arguments pair by pair, and the sweep oracles check one
+pair or relation row at a time through symbol vectors, group-ring elements
+and a fresh membership query, where the package sweeps add up quotient
+images and integer lists.  The sweep oracles read ``suslin_element``,
+``refined_presentation`` and ``rp_lattice`` from the ``bloch_core`` module
+at call time, so a test that patches one of them reaches both sides.
 """
 
+import itertools
+
+from blochtower import bloch_core as bc
 from blochtower.exact_linalg import FpPresentation, IntMatrix, Lattice, _apply_map, _reduce
+from blochtower.finite_field import square_class_code
+from blochtower.group_ring import bracket
 from blochtower.laurent import (
     PrecisionExhaustedError,
     RelationCheckOutcome,
@@ -247,3 +258,65 @@ def kernel_with_all_relation_rows(domain, codomain, map_matrix):
         rel_rows.append(coords)
     relations = IntMatrix.from_rows(rel_rows, cols=embedding.rows)
     return FpPresentation(embedding.rows, relations), embedding
+
+
+def five_term_arguments(F, x, y):
+    """The five (argument, sign, twist-class) terms of the relation at (x, y)."""
+    inv_x = F.inv_code(x)
+    inv_y = F.inv_code(y)
+    a3 = F.mul_code(y, inv_x)
+    n4 = F.sub_code(1, inv_x)
+    a4 = F.mul_code(n4, F.inv_code(F.sub_code(1, inv_y)))
+    n5 = F.sub_code(1, x)
+    a5 = F.mul_code(n5, F.inv_code(F.sub_code(1, y)))
+    return (
+        (x, 1, 0),
+        (y, -1, 0),
+        (a3, 1, square_class_code(F, x)),
+        (a4, -1, square_class_code(F, F.sub_code(inv_x, 1))),
+        (a5, 1, square_class_code(F, n5)),
+    )
+
+
+def five_term_rows(F):
+    """The relation rows for q > 3, pair by pair, with the [1] terms dropped."""
+    index = bc._symbol_index(F)
+    return tuple(
+        tuple((index[arg], sign, cls) for arg, sign, cls in five_term_arguments(F, x, y) if arg != 1)
+        for x, y in itertools.permutations(bc.symbol_generators(F), 2)
+    )
+
+
+def suslin_cocycle_sweep(F):
+    """psi_i(xy) = <x> psi_i(y) + psi_i(x), one membership query per pair."""
+    G = bc.square_class_group(F)
+    lat = bc.rp_lattice(F)
+    failures = []
+    checked = 0
+    for i in (1, 2):
+        psi = {u: bc.suslin_element(F, i, u) for u in F.units()}
+        for x in F.units():
+            twist = bracket(G, square_class_code(F, x))
+            for y in F.units():
+                lhs = psi[F.mul_code(x, y)]
+                rhs = psi[y].scale(twist) + psi[x]
+                checked += 1
+                if not lat.is_member((lhs - rhs).z_coordinates()):
+                    failures.append(f"psi_{i} cocycle fails at x={x}, y={y}")
+    return bc.SweepResult("suslin_cocycle", checked, tuple(failures))
+
+
+def lambda_well_defined_sweep(F):
+    """lambda_one and lambda_two of each relation row, through symbol vectors."""
+    mod = bc.asym2_modulus(F)
+    failures = []
+    checked = 0
+    for ridx, rel in enumerate(bc.refined_presentation(F).relations):
+        v = bc.SymbolVector(F, rel)
+        checked += 1
+        if not bc.lambda_one_of_vector(v).is_zero():
+            failures.append(f"lambda_one nonzero on relation {ridx}")
+        total = sum(int(c.augmentation()) * bc._lambda_two_of_generator(F, i) for i, c in v.coeffs.items())
+        if total % mod:
+            failures.append(f"lambda_two nonzero on relation {ridx}")
+    return bc.SweepResult("lambda_well_defined", checked, tuple(failures))

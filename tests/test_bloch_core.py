@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -53,8 +54,13 @@ class TestPresentations:
     def test_five_term_arguments_stay_nonzero(self):
         F = field_from_q(9)
         for x, y in itertools.permutations(bc.symbol_generators(F), 2):
-            for arg, _sign, _cls in bc._five_term_arguments(F, x, y):
+            for arg, _sign, _cls in oracle.five_term_arguments(F, x, y):
                 assert arg != 0
+
+    @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 13, 16, 25, 27, 49])
+    def test_five_term_table_matches_pairwise_oracle(self, q):
+        F = field_from_q(q)
+        assert bc._five_term_table(F) == oracle.five_term_rows(F)
 
 
 ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 25, 27]
@@ -223,6 +229,94 @@ class TestLambdaWellDefined:
     def test_sweep(self, q):
         result = bc.verify_lambda_well_defined(field_from_q(q))
         assert result.ok, result.failures
+
+
+SWEEP_ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27]
+
+
+class TestSweepOracles:
+    """The image-sum and integer sweeps against the per-pair, per-row oracles."""
+
+    @pytest.mark.parametrize("q", SWEEP_ORACLE_FIELDS)
+    def test_cocycle_sweep_matches_oracle(self, q):
+        F = field_from_q(q)
+        assert bc.verify_suslin_identities(F) == oracle.suslin_cocycle_sweep(F)
+
+    @pytest.mark.parametrize("q", SWEEP_ORACLE_FIELDS)
+    def test_lambda_sweep_matches_oracle(self, q):
+        F = field_from_q(q)
+        assert bc.verify_lambda_well_defined(F) == oracle.lambda_well_defined_sweep(F)
+
+    @pytest.mark.parametrize("q", [5, 9, 13])
+    def test_dropped_psi_two_twist_fails_alike(self, q, monkeypatch):
+        # psi_2(x) without its <1-x> factor: <x>[x] + [x^-1]
+        original = bc.suslin_element
+
+        def untwisted(F, i, code):
+            if i == 1 or code == 1:
+                return original(F, i, code)
+            twist = bracket(bc.square_class_group(F), square_class_code(F, code))
+            return bc.SymbolVector.symbol(F, code, twist) + bc.SymbolVector.symbol(F, F.inv_code(code))
+
+        monkeypatch.setattr(bc, "suslin_element", untwisted)
+        F = field_from_q(q)
+        mine, expected = bc.verify_suslin_identities(F), oracle.suslin_cocycle_sweep(F)
+        assert mine == expected
+        assert mine.failures and all(f.startswith("psi_2 ") for f in mine.failures)
+
+    @pytest.mark.parametrize("q", [5, 7, 9, 13])
+    def test_perturbed_relation_row_fails_alike(self, q, monkeypatch):
+        F = field_from_q(q)
+        rp = bc.refined_presentation(F)
+        j = next(
+            j for j in range(rp.generators)
+            if bc._lambda_two_of_generator(F, j) or not bc._lambda_one_of_generator(F, j).is_zero()
+        )
+        row = dict(rp.relations[3])
+        row[j] = row[j] + GroupRingElement.one(rp.group) if j in row else GroupRingElement.one(rp.group)
+        perturbed = replace(rp, relations=rp.relations[:3] + (row,) + rp.relations[4:])
+        monkeypatch.setattr(bc, "refined_presentation", lambda _F: perturbed)
+        mine, expected = bc.verify_lambda_well_defined(F), oracle.lambda_well_defined_sweep(F)
+        assert mine == expected
+        assert mine.failures and all(f.endswith(" on relation 3") for f in mine.failures)
+
+
+class TestZeroTestCounts:
+    def test_cocycle_sweep_images_each_twisted_psi_once(self, monkeypatch, tmp_path):
+        for fn in vars(bc).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        seen = {"inside": False, "images": 0}
+        image = exact_linalg.Lattice.image
+
+        def counting(self, v):
+            seen["images"] += seen["inside"]
+            return image(self, v)
+
+        sweep = bc.verify_suslin_identities
+
+        def tracked(F):
+            seen["inside"] = True
+            try:
+                return sweep(F)
+            finally:
+                seen["inside"] = False
+
+        monkeypatch.setattr(exact_linalg.Lattice, "image", counting)
+        monkeypatch.setitem(bc.SWEEPS, "suslin", tuple(tracked if fn is sweep else fn for fn in bc.SWEEPS["suslin"]))
+        assert cli.main(["verify", "--q", "13", "--suite", "all", "--out", str(tmp_path / "report.json")]) == 0
+        q, size = 13, bc.square_class_group(field_from_q(13)).size
+        assert 0 < seen["images"] <= 2 * size * (q - 1) + 4 * q
+
+    def test_prebloch_lattice_certifies_tail_without_reduction(self, monkeypatch):
+        bc.prebloch_presentation.cache_clear()
+        reduced = []
+        reduce = exact_linalg._reduce
+        monkeypatch.setattr(exact_linalg, "_reduce", lambda *args: reduced.append(args) or reduce(*args))
+        P = bc.prebloch_presentation(field_from_q(13))
+        assert P.relations.rows > exact_linalg.CERTIFIED_SUBSET_FACTOR * P.generators
+        assert P.lattice.invariants() == inv(14)
+        assert not reduced
 
 
 class TestConstants:

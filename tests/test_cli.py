@@ -2,7 +2,7 @@ import json
 
 from blochtower import cli
 from blochtower.cli import main
-from blochtower.laurent import MAX_PRECISION
+from blochtower.laurent import MAX_PRECISION, MAX_SAMPLES
 from blochtower.tower import MAX_LEVELS
 
 
@@ -91,6 +91,14 @@ class TestLaurentFuzz:
         monkeypatch.setattr(cli, "fuzz_specialization", no_sampling)
         assert main(["laurent-fuzz", "--q", "5", "--precision", str(MAX_PRECISION + 1), "--samples", "1"]) == 2
         assert f"exceeds the bound {MAX_PRECISION}" in capsys.readouterr().err
+
+    def test_samples_bound(self, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(cli, "fuzz_specialization", no_sampling)
+        assert main(["laurent-fuzz", "--q", "5", "--samples", str(MAX_SAMPLES + 1)]) == 2
+        assert f"samples {MAX_SAMPLES + 1} exceeds the bound {MAX_SAMPLES}" in capsys.readouterr().err
 
 
 class TestTower:

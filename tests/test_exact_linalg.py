@@ -169,6 +169,34 @@ class TestCertifiedHermite:
         assert lat.basis_rows() == [work[r] for r, _ in pivots]
         assert lat.is_member(rows[-1])
 
+    def test_row_ordered_blocks_take_one_round_each(self, monkeypatch):
+        # two copies of the q = 13 pre-Bloch matrix on disjoint columns, one
+        # after the other: the second block lies wholly outside the first
+        # subset's lattice, so it must not be eliminated in one piece
+        P = prebloch_presentation(field_from_q(13))
+        rows, n = P.relations.sparse_rows(), P.generators
+        stacked = [{j + b * n: v for j, v in row.items()} for b in range(2) for row in rows]
+        sizes = []
+
+        def recording(rows, cols):
+            sizes.append(len(rows))
+            return _eliminate(rows, cols)
+
+        monkeypatch.setattr(exact_linalg, "_eliminate", recording)
+        lat = Lattice(IntMatrix.from_sparse_rows(stacked, 2 * n))
+        work, pivots = _eliminate(stacked, 2 * n)
+        assert lat.basis_rows() == [work[r] for r, _ in pivots]
+        assert len(sizes) > 1 and max(sizes) <= (CERTIFIED_SUBSET_FACTOR + 1) * 2 * n
+        assert lat.invariants() == AbelianInvariants((14, 14), 0)
+
+    def test_rows_past_a_round_are_tested_again(self):
+        # the zero head spans nothing, the first round takes only copies of
+        # (2, 0), so the last row's pivot is found by testing it again
+        head = CERTIFIED_SUBSET_FACTOR * 2
+        rows = [[0, 0]] * head + [[2, 0]] * head + [[1, 3]]
+        work, pivots = _eliminate(mat(rows).sparse_rows(), 2)
+        assert Lattice(mat(rows)).basis_rows() == [work[r] for r, _ in pivots] == [{0: 1, 1: 3}, {1: 6}]
+
 
 class TestCokernelInvariants:
     def test_single_relation(self):
@@ -308,6 +336,8 @@ class TestLatticeMembership:
         for query in (lat.is_member, lat.image, lat.order):
             with pytest.raises(DimensionMismatchError):
                 query([1])
+            with pytest.raises(DimensionMismatchError):
+                query({2: 1})
 
     @settings(max_examples=100)
     @given(small_matrices)
@@ -316,6 +346,19 @@ class TestLatticeMembership:
         for row in rows:
             assert lat.is_member(row)
             assert not any(lat.image(row))
+
+    @settings(max_examples=60)
+    @given(small_matrices, st.lists(st.integers(-6, 6), min_size=2, max_size=10))
+    def test_sparse_images_add_up(self, rows, values):
+        # the map reads only nonzero entries and is additive, so a sum of
+        # sparse images decides membership of the sum
+        n = len(rows[0])
+        v, w = (values * 5)[:n], (values[::-1] * 5)[:n]
+        lat = Lattice(mat(rows))
+        assert lat.image({i: x for i, x in enumerate(v) if x}) == lat.image(v)
+        total = [a + b for a, b in zip(lat.image(v), lat.image(w))]
+        assert lat.vanishes(total) == lat.is_member([a + b for a, b in zip(v, w)])
+        assert lat.vanishes(total, invert_two=True) == lat.is_member([a + b for a, b in zip(v, w)], invert_two=True)
 
     @settings(max_examples=60)
     @given(small_matrices, st.lists(st.integers(-6, 6), min_size=1, max_size=5))
