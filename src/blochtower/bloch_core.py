@@ -16,7 +16,7 @@ Both presentations, and the integer relation matrix of every character
 specialization, are read from one term table that lists each relation row
 as (generator, integer coefficient, square class) terms: the pre-Bloch
 matrix sums the coefficients, the refined module wraps them in group-ring
-elements, and a character adds coeff * chi(class) into sparse entries.
+elements, and a character adds coeff * chi(class) into sparse rows.
 
 Downstream of the presentations: the invariant maps lambda_one (into the
 square of the augmentation ideal) and lambda_two (into the antisymmetric
@@ -212,18 +212,22 @@ def specialized_relations(F: FieldSpec, chi: Character) -> IntMatrix:
     """Relation matrix of the chi-specialized refined presentation.
 
     Equal to ``character_specialize(refined_presentation(F), chi)``, read
-    straight from the term table: each term adds coeff * chi(class) to its
-    entry.  The trivial character gives the pre-Bloch relations.
+    straight from the term table: each relation row is written as one
+    {generator: value} dict, where each term adds coeff * chi(class), and
+    handed to the matrix as it is made, so no second copy of the matrix is
+    ever alive.  The trivial character gives the pre-Bloch relations.
     """
     if chi.group != square_class_group(F):
         raise ValueError("character of a different square-class group")
     signs = [chi(e) for e in chi.group.elements()]
-    table = _five_term_table(F)
-    entries: dict[tuple[int, int], int] = {}
-    for i, row in enumerate(table):
-        for j, coeff, cls in row:
-            entries[i, j] = entries.get((i, j), 0) + coeff * signs[cls]
-    return IntMatrix(len(table), generator_count(F), entries)
+
+    def specialize(terms):
+        row: dict[int, int] = {}
+        for j, coeff, cls in terms:
+            row[j] = row.get(j, 0) + coeff * signs[cls]
+        return row
+
+    return IntMatrix.from_sparse_rows(map(specialize, _five_term_table(F)), generator_count(F))
 
 
 @lru_cache(maxsize=None)

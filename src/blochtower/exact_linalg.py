@@ -7,9 +7,12 @@ of maps between presented groups.
 
 All arithmetic uses Python's arbitrary-precision integers.  Pivoting is
 deterministic (minimal absolute value, ties broken in (row, col) order),
-so every result is reproducible bit for bit.  Matrices are stored sparsely;
-the Smith form takes a sparse Hermite basis first and only then runs a
-dense core on it, since elimination causes fill-in.
+so every result is reproducible bit for bit.  A matrix is stored as one
+sparse ``{col: value}`` dict per row, the form elimination works on: a
+relation matrix is written row by row and a lattice eliminates those rows
+as they are stored, so the relations are never held twice.  The Smith form
+takes a sparse Hermite basis first and only then runs a dense core on it,
+since elimination causes fill-in.
 
 Every elimination goes through ``Lattice``, which gets its row Hermite
 basis from certified subsets: the first ``CERTIFIED_SUBSET_FACTOR * cols``
@@ -37,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .finite_field import factorize
 
@@ -65,22 +68,37 @@ class InconsistentMapError(ValueError):
 
 
 class IntMatrix:
-    """Sparse integer matrix; only nonzero entries are stored."""
+    """Sparse integer matrix stored as one ``{col: value}`` dict per row.
 
-    __slots__ = ("rows", "cols", "entries")
+    Only nonzero ``int`` entries are stored, and every constructor checks
+    indices against the shape.  The row dicts are the only storage: a
+    relation matrix is written row by row (``from_sparse_rows`` takes rows
+    as they are produced) and ``Lattice`` eliminates those rows as they
+    are.  ``entries`` is the ``(i, j)``-keyed view, derived on each read;
+    ``IntMatrix(rows, cols, {(i, j): v})`` still builds a matrix from one.
+    A matrix is never changed after construction, so stacked matrices may
+    share row dicts; ``sparse_rows`` hands out copies.
+    """
+
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        self.rows = rows
-        self.cols = cols
-        clean = {}
+        data: list[dict[int, int]] = [{} for _ in range(rows)]
         for (i, j), v in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionMismatchError(f"entry index {(i, j)} out of range")
             if v:
-                clean[(i, j)] = int(v)
-        self.entries = clean
+                data[i][j] = int(v)
+        self.rows, self.cols, self._rows = rows, cols, data
+
+    @classmethod
+    def _of(cls, data: list[dict[int, int]], cols: int) -> "IntMatrix":
+        """Adopt clean row dicts (int values, no zeros, indices in range) without copying."""
+        matrix = cls.__new__(cls)
+        matrix.rows, matrix.cols, matrix._rows = len(data), cols, data
+        return matrix
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -89,18 +107,26 @@ class IntMatrix:
             if not data:
                 raise ValueError("cols is required for a matrix with no rows")
             cols = len(data[0])
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise DimensionMismatchError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-        return cls(len(data), cols, entries)
+        if any(len(row) != cols for row in data):
+            raise DimensionMismatchError("ragged rows")
+        return cls.from_sparse_rows((dict(enumerate(row)) for row in data), cols)
 
     @classmethod
-    def from_sparse_rows(cls, rows: Sequence[dict[int, int]], cols: int) -> "IntMatrix":
-        return cls(len(rows), cols, {(i, j): v for i, row in enumerate(rows) for j, v in row.items()})
+    def from_sparse_rows(cls, rows: Iterable[Mapping[int, int]], cols: int) -> "IntMatrix":
+        """Matrix from {col: value} rows, validated and copied one at a time.
+
+        ``rows`` may be a generator: a caller that builds each row as it is
+        consumed never holds the input and the matrix at once.
+        """
+        if cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        data = []
+        for i, row in enumerate(rows):
+            if row and (min(row) < 0 or max(row) >= cols):
+                j = next(j for j in row if not 0 <= j < cols)
+                raise DimensionMismatchError(f"entry index {(i, j)} out of range")
+            data.append({j: int(v) for j, v in row.items() if v})
+        return cls._of(data, cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -117,66 +143,57 @@ class IntMatrix:
         cols = n if cols is None else cols
         return cls(rows, cols, {(i, i): d for i, d in enumerate(diag) if d})
 
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """The nonzero entries keyed by (row, col); a new dict on each read."""
+        return {(i, j): v for i, row in enumerate(self._rows) for j, v in row.items()}
+
     def to_rows(self) -> list[list[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
+        for dense, row in zip(out, self._rows):
+            for j, v in row.items():
+                dense[j] = v
         return out
 
     def sparse_rows(self) -> list[dict[int, int]]:
-        out: list[dict[int, int]] = [{} for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
+        return [dict(row) for row in self._rows]
 
     def stack(self, other: "IntMatrix") -> "IntMatrix":
         if other.cols != self.cols:
             raise DimensionMismatchError("column counts differ")
-        entries = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            entries[(i + self.rows, j)] = v
-        return IntMatrix(self.rows + other.rows, self.cols, entries)
+        return IntMatrix._of(self._rows + other._rows, self.cols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError("inner dimensions differ")
-        by_row: dict[int, dict[int, int]] = {}
-        for (i, k), v in self.entries.items():
-            by_row.setdefault(i, {})[k] = v
-        other_rows: dict[int, dict[int, int]] = {}
-        for (k, j), w in other.entries.items():
-            other_rows.setdefault(k, {})[j] = w
-        entries: dict[tuple[int, int], int] = {}
-        for i, row in by_row.items():
+        out = []
+        for row in self._rows:
             acc: dict[int, int] = {}
             for k, v in row.items():
-                for j, w in other_rows.get(k, {}).items():
+                for j, w in other._rows[k].items():
                     acc[j] = acc.get(j, 0) + v * w
-            for j, s in acc.items():
-                if s:
-                    entries[(i, j)] = s
-        return IntMatrix(self.rows, other.cols, entries)
+            out.append({j: s for j, s in acc.items() if s})
+        return IntMatrix._of(out, other.cols)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self._rows)
 
     def diagonal_entries(self) -> list[int]:
-        n = min(self.rows, self.cols)
-        return [self.entries.get((i, i), 0) for i in range(n)]
+        return [self._rows[i].get(i, 0) for i in range(min(self.rows, self.cols))]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
+        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+        return f"IntMatrix({self.rows}x{self.cols}, {sum(map(len, self._rows))} nonzero)"
 
 
 @dataclass(frozen=True)
@@ -391,7 +408,7 @@ def _with_identity(rows: list[dict[int, int]], cols: int, k: int) -> IntMatrix:
     combination of the other rows, so the trailing columns of a Hermite
     basis carry its transform.
     """
-    return IntMatrix.from_sparse_rows([{**row, cols + i: 1} if i < k else row for i, row in enumerate(rows)], cols + k)
+    return IntMatrix.from_sparse_rows(({**row, cols + i: 1} if i < k else row for i, row in enumerate(rows)), cols + k)
 
 
 def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -400,10 +417,10 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     [M | I] has full row rank, so its Hermite basis has M.rows rows, those
     with zero H part at the bottom, and their trailing columns are U.
     """
-    basis = Lattice(_with_identity(M.sparse_rows(), M.cols, M.rows)).basis_rows()
-    h = {(i, j): v for i, row in enumerate(basis) for j, v in row.items() if j < M.cols}
-    u = {(i, j - M.cols): v for i, row in enumerate(basis) for j, v in row.items() if j >= M.cols}
-    return IntMatrix(M.rows, M.cols, h), IntMatrix(M.rows, M.rows, u)
+    basis = Lattice(_with_identity(M._rows, M.cols, M.rows)).basis_rows()
+    H = IntMatrix.from_sparse_rows(({j: v for j, v in row.items() if j < M.cols} for row in basis), M.cols)
+    U = IntMatrix.from_sparse_rows(({j - M.cols: v for j, v in row.items() if j >= M.cols} for row in basis), M.rows)
+    return H, U
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +538,7 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     columns; the other rows' U columns follow them.
     """
     width = M.cols + M.rows
-    basis = Lattice(_with_identity(M.sparse_rows(), M.cols, M.rows)).basis_rows()
+    basis = Lattice(_with_identity(M._rows, M.cols, M.rows)).basis_rows()
     block = [[row.get(j, 0) for j in range(width)] for row in basis if min(row) < M.cols]
     diag, v = _dense_snf_core(block, M.cols)
     D = IntMatrix.diagonal(diag, M.rows, M.cols)
@@ -632,22 +649,19 @@ class Lattice:
     other gets it on first use, so a short lattice read only for its basis
     never pays for it.  A lattice that extends a known one may be built
     from that one's ``basis_rows`` plus the new rows: the basis and moduli
-    are the same.
+    are the same.  The matrix's row dicts are read in place, not copied,
+    and only its width is kept.
     """
 
     def __init__(self, matrix: IntMatrix):
-        self.matrix = matrix
-        self._basis, self._map = _certified_hnf(matrix.sparse_rows(), matrix.cols)
+        self.cols = matrix.cols
+        self._basis, self._map = _certified_hnf(matrix._rows, matrix.cols)
 
     def _quotient(self) -> QuotientMap:
         """(moduli, rows of V on their columns), from the Smith step on first use."""
         if self._map is None:
             self._map = _smith_quotient(self._basis, self.cols)
         return self._map
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.cols
 
     @property
     def moduli(self) -> tuple[int, ...]:
@@ -722,7 +736,7 @@ def kernel_with_embedding(
     if map_matrix.rows != domain.generators or map_matrix.cols != codomain.generators:
         raise DimensionMismatchError("map matrix shape must be domain gens x codomain gens")
     cod_lat = codomain.lattice
-    map_rows = map_matrix.sparse_rows()
+    map_rows = map_matrix._rows
     width = codomain.generators
     stacked = _with_identity(map_rows + cod_lat.basis_rows(), width, domain.generators)
     basis = [{j - width: v for j, v in row.items()} for row in Lattice(stacked).basis_rows() if min(row) >= width]
@@ -739,7 +753,7 @@ def kernel_with_embedding(
         rem, coords = _reduce(basis, pivot_cols, row)
         if rem:
             idx = next(
-                i for i, rel in enumerate(domain.relations.sparse_rows())
+                i for i, rel in enumerate(domain.relations._rows)
                 if not cod_lat.is_member(_apply_map(rel, map_rows, codomain.generators))
             )
             raise InconsistentMapError(f"domain relation {idx} does not map into the relation lattice")

@@ -288,24 +288,27 @@ def z_expand(M: RModulePresentation) -> tuple[IntMatrix, int]:
     """Integer presentation of the underlying abelian group of M.
 
     Each module generator becomes 2^rank integer generators indexed by group
-    elements; each relation contributes one integer row per group translate.
-    Requires integral coefficients.
+    elements; each relation contributes one integer row per group translate,
+    written as one {column: value} dict and handed to the matrix as it is
+    made.  Requires integral coefficients.
     """
     g = M.group.size
     width = M.generators * g
-    entries: dict[tuple[int, int], int] = {}
-    row_idx = 0
-    for rel in M.relations:
-        for coeff in rel.values():
-            if not coeff.is_integral():
-                raise ValueError("z_expand needs integral relation coefficients")
-        for e in M.group.elements():
-            for j, coeff in rel.items():
-                for f, c in coeff.coeffs.items():
-                    entries[(row_idx, j * g + (e ^ f))] = entries.get((row_idx, j * g + (e ^ f)), 0) + int(c)
-            row_idx += 1
-    mat = IntMatrix(row_idx, width, entries)
-    return mat, width
+
+    def rows():
+        for rel in M.relations:
+            for coeff in rel.values():
+                if not coeff.is_integral():
+                    raise ValueError("z_expand needs integral relation coefficients")
+            for e in M.group.elements():
+                row: dict[int, int] = {}
+                for j, coeff in rel.items():
+                    for f, c in coeff.coeffs.items():
+                        k = j * g + (e ^ f)
+                        row[k] = row.get(k, 0) + c
+                yield row
+
+    return IntMatrix.from_sparse_rows(rows(), width), width
 
 
 def z_vector(group: SquareClassGroup, generators: int, coeffs: Mapping[int, GroupRingElement]) -> list[int]:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -498,6 +499,33 @@ class TestOneEliminationPerMatrix:
             extra = (len(pres.relations) - refined) * pres.group.size
             assert basis + extra in sizes
             assert z_expand(pres)[0].rows not in sizes
+
+
+class TestRelationMatrixMemory:
+    def test_specialized_relations_never_holds_two_copies(self):
+        # each relation row goes straight into the matrix, so the peak of the
+        # call stays close to its result (1.83 times it with a tuple-keyed
+        # dict copied into the matrix)
+        F = field_from_q(61)
+        chi = bc.square_class_group(F).character(1)
+        table = bc._five_term_table(F)
+        tracemalloc.start()
+        try:
+            matrix = bc.specialized_relations(F, chi)
+            result, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.rows == len(table)
+        assert peak < 1.5 * result
+
+    def test_lattice_reads_relation_rows_without_copying(self, monkeypatch):
+        F = field_from_q(13)
+        pres = bc.prebloch_presentation.__wrapped__(F)  # a fresh presentation, lattice not built
+        calls = []
+        original = IntMatrix.sparse_rows
+        monkeypatch.setattr(IntMatrix, "sparse_rows", lambda self: calls.append(self) or original(self))
+        assert pres.lattice.invariants() == bc.prebloch_presentation(F).invariants()
+        assert calls == []
 
 
 class TestSuites:

@@ -97,6 +97,97 @@ def consistent_maps(draw):
     return FpPresentation(n, mat(dom_rows, cols=n)), codomain, map_matrix
 
 
+def dense_matrices(max_size=5, rows=None, cols=None):
+    """(rows, cols, dense list of lists), mostly zeros; either dimension may be 0."""
+    height = st.integers(0, max_size) if rows is None else st.just(rows)
+    width = st.integers(0, max_size) if cols is None else st.just(cols)
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -7, 10**20])
+    return st.tuples(height, width).flatmap(
+        lambda shape: st.tuples(
+            st.just(shape[0]),
+            st.just(shape[1]),
+            st.lists(st.lists(entry, min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0]),
+        )
+    )
+
+
+def oracle_entries(dense):
+    return {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
+
+
+class TestRowStorage:
+    """The row-dict IntMatrix against a dense list-of-lists oracle."""
+
+    @staticmethod
+    def constructed(r, c, dense):
+        # every constructor, given zeros where it can take them
+        return [
+            IntMatrix.from_rows(dense, cols=c),
+            IntMatrix.from_sparse_rows([dict(enumerate(row)) for row in dense], c),
+            IntMatrix.from_sparse_rows((dict(enumerate(row)) for row in dense), c),
+            IntMatrix(r, c, {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row)}),
+        ]
+
+    @given(dense_matrices())
+    def test_constructors_agree_with_dense(self, shaped):
+        r, c, dense = shaped
+        first, *others = self.constructed(r, c, dense)
+        for M in [first, *others]:
+            assert (M.rows, M.cols) == (r, c)
+            assert M.to_rows() == dense
+            assert M.entries == oracle_entries(dense)
+            assert M.sparse_rows() == [{j: v for j, v in enumerate(row) if v} for row in dense]
+            assert all(type(v) is int and v for row in M.sparse_rows() for v in row.values())
+            assert M.is_zero() == (not oracle_entries(dense))
+            assert M == first and hash(M) == hash(first)
+
+    @given(dense_matrices(), st.data())
+    def test_stack_and_product_match_dense(self, shaped, data):
+        r, c, dense = shaped
+        _, _, below = data.draw(dense_matrices(cols=c))
+        _, k, right = data.draw(dense_matrices(rows=c))
+        A = IntMatrix.from_rows(dense, cols=c)
+        assert A.stack(IntMatrix.from_rows(below, cols=c)).to_rows() == dense + below
+        product = [[sum(row[t] * right[t][j] for t in range(c)) for j in range(k)] for row in dense]
+        AB = A @ IntMatrix.from_rows(right, cols=k)
+        assert AB.to_rows() == product and AB == IntMatrix.from_rows(product, cols=k)
+
+    @given(dense_matrices(), dense_matrices())
+    def test_equality_and_hash_follow_dense(self, one, other):
+        (r, c, a), (s, d, b) = one, other
+        A, B = IntMatrix.from_rows(a, cols=c), IntMatrix.from_rows(b, cols=d)
+        assert (A == B) == ((r, c, a) == (s, d, b))
+        if A == B:
+            assert hash(A) == hash(B)
+
+    @given(dense_matrices(max_size=3), st.integers(-2, 4), st.integers(-2, 4))
+    def test_out_of_range_index_rejected(self, shaped, i, j):
+        r, c, _ = shaped
+        if 0 <= i < r and 0 <= j < c:
+            return
+        with pytest.raises(DimensionMismatchError):
+            IntMatrix(r, c, {(i, j): 1})
+        if not 0 <= j < c:
+            with pytest.raises(DimensionMismatchError):
+                IntMatrix.from_sparse_rows([{j: 1}], c)
+            with pytest.raises(DimensionMismatchError):
+                IntMatrix.from_sparse_rows(iter([{}, {j: 1}]), c)
+        with pytest.raises(DimensionMismatchError):
+            IntMatrix.from_rows([[0] * c, [1] * (c + 1)], cols=c)
+
+    @given(dense_matrices())
+    def test_returned_rows_and_entries_are_copies(self, shaped):
+        r, c, dense = shaped
+        M = IntMatrix.from_rows(dense, cols=c)
+        for row in M.sparse_rows():
+            row.clear()
+            row[0] = 5
+        M.entries.clear()
+        M.to_rows().append([1] * c)
+        assert M.to_rows() == dense
+        assert M == IntMatrix(r, c, oracle_entries(dense))
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         D, U, V = smith_normal_form(IntMatrix.identity(2))

@@ -317,7 +317,7 @@ class TestInducedMembership:
     @pytest.mark.parametrize("invert_two", (False, True))
     def test_matches_doubled_block_lattice(self, q, invert_two):
         tgt = specialization_target(field_from_q(q))
-        rows = tgt.lattice.matrix.sparse_rows()
+        rows = tgt.lattice.basis_rows()
         w = tgt.width
         entries = {}
         for coset in (0, 1):
