@@ -20,7 +20,11 @@ Specialization and square classes read only the head of a series, its
 valuation and leading coefficient, so the relation check carries heads
 through the five arguments instead of series: a 1-unit also contributes its
 first term past the lead, which is where 1 - x cancels.  The series
-arithmetic remains for the probes and as the test oracle.
+arithmetic remains for the probes and as the test oracle.  Each head's
+symbol, under either residue twist, has its quotient image computed once
+per specialization target, so a relation is checked as a sum of five
+precomputed images, and a fuzz draw costs about as much as sampling its two
+series.
 
 The residue characteristic must be odd: over char-2 residue fields 1-units
 are not squares at finite precision and the whole dictionary breaks down.
@@ -41,13 +45,13 @@ from .finite_field import FieldSpec, check_difference_of_squares, square_class_c
 DEFAULT_SEED = 0x5EED
 
 #: Largest fuzz precision the CLI accepts.  A draw's cost is linear in the
-#: precision (sampling two series); at the bound it is 3-5 ms on a 2-vCPU
-#: x86 box (Python 3.11), and the default 500 samples take about 2.6 s.
+#: precision (sampling two series); at the bound it is about 1.6 ms on a
+#: 2-vCPU x86 box (Python 3.11), and the default 500 samples take about 1 s.
 MAX_PRECISION = 4096
 
 #: Largest fuzz sample count the CLI accepts.  The cost is linear in the
-#: samples: at the default precision a draw takes 0.15-0.2 ms on a 2-vCPU x86
-#: box (Python 3.11), so the bound is about 15-20 s.
+#: samples: at the default precision a draw takes about 0.065 ms for q up to
+#: 251 on a 2-vCPU x86 box (Python 3.11), so the bound is about 6.5 s.
 MAX_SAMPLES = 100_000
 
 
@@ -365,6 +369,11 @@ def sqrt_unit(a: TruncatedLaurentSeries, precision: Optional[int] = None) -> Tru
 # ---------------------------------------------------------------------------
 # specialization into the induced fully-reduced residue presentation
 
+#: (valuation, leading coefficient) of a nonzero series
+Head = tuple[int, int]
+#: (sign, head of the acting square class or None, head of the symbol)
+Term = tuple[int, Optional[Head], Head]
+
 
 class SpecializationTarget:
     """The fully-reduced residue module induced up along the valuation.
@@ -388,6 +397,24 @@ class SpecializationTarget:
         b_coords = constant_b(residue_field).b.z_coordinates()
         self._b = tuple(b_coords) + (0,) * self.width
         self._index = _symbol_index(residue_field)
+        # The quotient map is additive and each coset half is tested against
+        # the same lattice, so every coset-0 symbol is imaged once per
+        # residue twist: a unit by its coordinate ([1] has none, its symbol
+        # is zero) and the valuations by (-b, +b), indexed by v > 0.
+        coords = [self.lattice.image({i: 1}) for i in range(self.width)]
+        self._unit_images = []
+        self._b_images = []
+        for rc in (0, 1):
+            self._unit_images.append(
+                {code: coords[self._twisted(i * self.group_size, rc)] for code, i in self._index.items()}
+            )
+            b = {self._twisted(j, rc): x for j, x in enumerate(b_coords) if x}
+            self._b_images.append((self.lattice.image({j: -x for j, x in b.items()}), self.lattice.image(b)))
+
+    def _twisted(self, rem: int, residue_class: int) -> int:
+        """The coset coordinate rem translated by a residue square class."""
+        j, e = divmod(rem, self.group_size)
+        return j * self.group_size + (e ^ residue_class)
 
     def b_vector(self, sign: int = 1) -> list[int]:
         return [sign * x for x in self._b]
@@ -432,6 +459,28 @@ class SpecializationTarget:
             raise ValueError("series over a different residue field")
         return self.symbol(a.valuation, a.leading())
 
+    def terms_vanish(self, terms: Sequence[Term]) -> bool:
+        """Does the sum of sign * <twist> symbol(head) vanish, with 2 inverted?
+
+        Each term is (sign, twist, head): heads are (valuation, leading
+        coefficient) pairs as for ``symbol``, and twist is the head of the
+        square class that acts, or None.  The sum is kept as one quotient
+        image per coset, added up from the images built at construction.
+        """
+        F = self.field
+        n = len(self.lattice.moduli)
+        halves = ([0] * n, [0] * n)
+        for sign, twist, (v, lead) in terms:
+            coset = rc = 0
+            if twist is not None:
+                coset, rc = twist[0] & 1, square_class_code(F, twist[1])
+            img = self._b_images[rc][v > 0] if v else self._unit_images[rc].get(lead)
+            if img is not None:
+                half = halves[coset]
+                for k, c in enumerate(img):
+                    half[k] += sign * c
+        return self.lattice.vanishes(halves[0], invert_two=True) and self.lattice.vanishes(halves[1], invert_two=True)
+
     def is_zero_vector(self, vec: Sequence[int], invert_two: bool = True) -> bool:
         """Is vec zero in the induced module?  Each coset half is tested alone."""
         if len(vec) != self.total:
@@ -461,7 +510,7 @@ def _first_deviation(a: TruncatedLaurentSeries) -> tuple[int, int]:
     raise PrecisionExhaustedError("cancellation consumed the tracked window")
 
 
-def _one_minus_head(a: TruncatedLaurentSeries, invert: bool = False) -> tuple[int, int]:
+def _one_minus_head(a: TruncatedLaurentSeries, invert: bool = False) -> Head:
     """(valuation, leading coefficient) of 1 - a, or of 1 - 1/a with ``invert``.
 
     Only a 1-unit reads past its head: 1 - (1 + c t^k + ...) leads with -c t^k
@@ -481,19 +530,45 @@ def _one_minus_head(a: TruncatedLaurentSeries, invert: bool = False) -> tuple[in
     return k, c if invert else F.neg_code(c)
 
 
+def five_term_heads(x: TruncatedLaurentSeries, y: TruncatedLaurentSeries) -> tuple[Term, ...]:
+    """The twisted five-term relation at (x, y) as (sign, twist, head) terms.
+
+    The five arguments x, y, y/x, (1 - 1/x)/(1 - 1/y), (1 - x)/(1 - y) and
+    the twisting classes <x>, <-(1 - 1/x)>, <1 - x> are carried as heads,
+    since specialization reads nothing else; a 1-unit input also
+    contributes its first term past the lead to 1 - x and 1 - 1/x, and
+    raises PrecisionExhaustedError when its tracked window has none.
+    """
+    F = x.base
+    n4 = _one_minus_head(x, invert=True)
+    d4 = _one_minus_head(y, invert=True)
+    n5 = _one_minus_head(x)
+    d5 = _one_minus_head(y)
+
+    def ratio(num: Head, den: Head) -> Head:
+        return num[0] - den[0], F.mul_code(num[1], F.inv_code(den[1]))
+
+    hx = (x.valuation, x.coeffs[0])
+    hy = (y.valuation, y.coeffs[0])
+    return (
+        (1, None, hx),
+        (-1, None, hy),
+        (1, hx, ratio(hy, hx)),
+        (-1, (n4[0], F.neg_code(n4[1])), ratio(n4, d4)),
+        (1, n5, ratio(n5, d5)),
+    )
+
+
 def relation_specialization_check(
     target: SpecializationTarget, x: TruncatedLaurentSeries, y: TruncatedLaurentSeries
 ) -> RelationCheckOutcome:
     """Push the twisted five-term relation at (x, y) through specialization.
 
-    The five arguments x, y, y/x, (1 - 1/x)/(1 - 1/y), (1 - x)/(1 - y) and
-    the twisting classes <x>, <-(1 - 1/x)>, <1 - x> are carried as heads,
-    (valuation, leading coefficient) pairs, since specialization reads
-    nothing else; a 1-unit input also contributes its first term past the
-    lead to 1 - x and 1 - 1/x.  The image must vanish in the induced
-    fully-reduced residue module (up to odd torsion).  A 1-unit with no such
-    term in its tracked window is reported as inconclusive, never as
-    failure; an argument that is exactly 0 or 1 is a ValueError.
+    The relation's terms (``five_term_heads``) must vanish in the induced
+    fully-reduced residue module, up to odd torsion (``terms_vanish``).  A
+    1-unit with no term past its lead in the tracked window is reported as
+    inconclusive, never as failure; an argument that is exactly 0 or 1 is a
+    ValueError.
     """
     F = target.field
     for name, a in (("x", x), ("y", y)):
@@ -503,34 +578,10 @@ def relation_specialization_check(
             value = 0 if a.is_zero() else 1
             raise ValueError(f"{name} is exactly {value}; the five-term relation needs x, y outside {{0, 1}}")
     try:
-        n4 = _one_minus_head(x, invert=True)
-        d4 = _one_minus_head(y, invert=True)
-        n5 = _one_minus_head(x)
-        d5 = _one_minus_head(y)
+        terms = five_term_heads(x, y)
     except PrecisionExhaustedError as exc:
         return RelationCheckOutcome("inconclusive", str(exc))
-
-    def ratio(num: tuple[int, int], den: tuple[int, int]) -> tuple[int, int]:
-        return num[0] - den[0], F.mul_code(num[1], F.inv_code(den[1]))
-
-    hx = (x.valuation, x.coeffs[0])
-    hy = (y.valuation, y.coeffs[0])
-    terms = (
-        (1, None, hx),
-        (-1, None, hy),
-        (1, hx, ratio(hy, hx)),
-        (-1, (n4[0], F.neg_code(n4[1])), ratio(n4, d4)),
-        (1, n5, ratio(n5, d5)),
-    )
-    total = [0] * target.total
-    for sign, twist, (v, lead) in terms:
-        vec = target.symbol(v, lead)
-        if twist is not None:
-            vec = target.act(head_square_class(F, *twist), vec)
-        for i, val in enumerate(vec):
-            if val:
-                total[i] += sign * val
-    if target.is_zero_vector(total):
+    if target.terms_vanish(terms):
         return RelationCheckOutcome("pass")
     return RelationCheckOutcome("fail", f"nonzero image for x={x!r}, y={y!r}")
 
@@ -566,11 +617,32 @@ class FuzzReport:
         }
 
 
+def _below(bits, n: int) -> int:
+    """A uniform value in [0, n), drawn from getrandbits as ``randrange(n)`` draws it."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _sample_series(F: FieldSpec, rng: random.Random, precision: int) -> TruncatedLaurentSeries:
-    valuation = rng.randint(-3, 3)
-    lead = rng.randrange(1, F.q)
-    rest = [rng.randrange(F.q) for _ in range(precision - 1)]
-    return TruncatedLaurentSeries(F, valuation, tuple([lead] + rest), exact=False)
+    """A series of valuation in [-3, 3] with a nonzero lead and uniform coefficients.
+
+    The draws are those of ``randint(-3, 3)``, ``randrange(1, q)`` and then
+    ``randrange(q)`` per coefficient, read straight from getrandbits (the
+    coefficient loop inlines ``_below``), so a seed gives the same series.
+    """
+    bits = rng.getrandbits
+    valuation = _below(bits, 7) - 3
+    coeffs = [1 + _below(bits, F.q - 1)]
+    q, k = F.q, F.q.bit_length()
+    for _ in range(precision - 1):
+        r = bits(k)
+        while r >= q:
+            r = bits(k)
+        coeffs.append(r)
+    return TruncatedLaurentSeries(F, valuation, tuple(coeffs), exact=False)
 
 
 def fuzz_specialization(

@@ -24,12 +24,6 @@ from .finite_field import FieldSpec, has_root_x2_minus_x_plus_1, has_sqrt_minus3
 
 SYMBOLIC_BASES = ("real-closed", "quadratically-closed")
 
-#: Largest level count the CLI accepts.  The census ledger has 2^(r+n)
-#: rows, so its cost grows 4x per level: at 12 levels over F_5 the command
-#: takes 0.3 s, peaks at 38 MB and writes a 2.8 MB report; at 14 levels,
-#: 1.4 s, 107 MB and 12 MB (Python 3.11, 2-vCPU x86 box).
-MAX_LEVELS = 12
-
 #: square-class rank of each symbolic base (sign class for real-closed)
 _SYMBOLIC_RANK = {"real-closed": 1, "quadratically-closed": 0}
 

@@ -4,16 +4,20 @@ The lattice oracles deliberately share no code with blochtower.exact_linalg:
 dense lists, first-nonzero pivoting, and Bezout 2x2 block transforms instead
 of sparse rows and minimal-absolute-value pivoting.  The relation oracle
 forms the five Laurent arguments in full with the package's truncated-series
-arithmetic, where the package itself reads only their heads.  The kernel
-oracle reads the left kernel of the stacked map from the textbook Smith
-transform, and gives the kernel one relation per domain relation row instead
-of one per row of the domain's Hermite basis.  The five-term oracle forms
-each relation's arguments pair by pair, and the sweep oracles check one
-pair or relation row at a time through symbol vectors, group-ring elements
-and a fresh membership query, where the package sweeps add up quotient
-images and integer lists.  The sweep oracles read ``suslin_element``,
-``refined_presentation`` and ``rp_lattice`` from the ``bloch_core`` module
-at call time, so a test that patches one of them reaches both sides.
+arithmetic, where the package itself reads only their heads; the dense
+head oracle sums each head's symbol as a dense vector over both cosets,
+where the package adds up quotient images built once per target, and the
+fuzz sampler oracle draws through ``randrange`` where the package reads
+``getrandbits``.  The kernel oracle reads the left kernel of the stacked map
+from the textbook Smith transform, and gives the kernel one relation per
+domain relation row instead of one per row of the domain's Hermite basis.
+The five-term oracle forms each relation's arguments pair by pair, and the
+sweep oracles check one pair or relation row at a time through symbol
+vectors, group-ring elements and a fresh membership query, where the
+package sweeps add up quotient images and integer lists.  The sweep
+oracles read ``suslin_element``, ``refined_presentation`` and
+``rp_lattice`` from the ``bloch_core`` module at call time, so a test that
+patches one of them reaches both sides.
 """
 
 import itertools
@@ -25,6 +29,8 @@ from blochtower.group_ring import bracket
 from blochtower.laurent import (
     PrecisionExhaustedError,
     RelationCheckOutcome,
+    TruncatedLaurentSeries,
+    head_square_class,
     laurent_square_class,
 )
 
@@ -223,6 +229,32 @@ def relation_check_by_series(target, x, y, exact_precision=64):
     if target.is_zero_vector(total):
         return RelationCheckOutcome("pass")
     return RelationCheckOutcome("fail", f"nonzero image for x={x!r}, y={y!r}")
+
+
+def terms_vanish_dense(target, terms):
+    """Does a sum of (sign, twist, head) terms vanish, through dense symbol vectors?
+
+    Each term's symbol is written out over both cosets, permuted by the
+    twisting class with ``act``, summed, and tested with ``is_zero_vector``,
+    where the package adds up quotient images built once per target.
+    """
+    total = [0] * target.total
+    for sign, twist, (v, lead) in terms:
+        vec = target.symbol(v, lead)
+        if twist is not None:
+            vec = target.act(head_square_class(target.field, *twist), vec)
+        for i, val in enumerate(vec):
+            if val:
+                total[i] += sign * val
+    return target.is_zero_vector(total)
+
+
+def sample_series_by_randrange(F, rng, precision):
+    """A fuzz draw through ``randint`` and ``randrange``, the stream the package reads from getrandbits."""
+    valuation = rng.randint(-3, 3)
+    lead = rng.randrange(1, F.q)
+    rest = [rng.randrange(F.q) for _ in range(precision - 1)]
+    return TruncatedLaurentSeries(F, valuation, tuple([lead] + rest), exact=False)
 
 
 def kernel_with_all_relation_rows(domain, codomain, map_matrix):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import blochtower
 from blochtower import cli
-from blochtower.cli import main
+from blochtower.cli import MAX_LEVELS, main
 from blochtower.laurent import MAX_PRECISION, MAX_SAMPLES
-from blochtower.tower import MAX_LEVELS
 
 
 def run(capsys, *argv):
@@ -128,7 +132,7 @@ class TestTower:
         def no_ledger(*args, **kwargs):
             raise AssertionError("ledger started")
 
-        monkeypatch.setattr(cli, "eigenspace_ledger", no_ledger)
+        monkeypatch.setattr("blochtower.tower.eigenspace_ledger", no_ledger)
         assert main(["tower", "--base", "5", "--levels", str(MAX_LEVELS + 1)]) == 2
         assert f"exceeds the bound {MAX_LEVELS}" in capsys.readouterr().err
 
@@ -173,3 +177,26 @@ class TestReportContract:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "blochtower" in capsys.readouterr().out
+
+
+class TestImports:
+    def test_tower_module_loaded_only_by_its_command(self, tmp_path):
+        # laurent stays a module-level import: the traced benchmark reads it
+        # from sys.modules right after importing the CLI
+        script = (
+            "import sys\n"
+            "import blochtower.cli as cli\n"
+            "assert 'blochtower.tower' not in sys.modules, 'tower imported with the CLI'\n"
+            "assert 'blochtower.laurent' in sys.modules, 'laurent not imported with the CLI'\n"
+            "code = cli.main(['tower', '--base', '5', '--levels', '2', '--out', sys.argv[1]])\n"
+            "assert 'blochtower.tower' in sys.modules\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(blochtower.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = tmp_path / "report.json"
+        proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(out.read_text())
+        assert report["status"] == "ok"
+        assert {c["name"]: c["status"] for c in report["checks"]}["eigenspace_census"] == "pass"

@@ -10,6 +10,7 @@ from blochtower.laurent import (
     LaurentSquareClass,
     PrecisionExhaustedError,
     TruncatedLaurentSeries as TLS,
+    five_term_heads,
     fuzz_specialization,
     laurent_square_class,
     probe_deep_unit_square,
@@ -19,6 +20,7 @@ from blochtower.laurent import (
     specialization_target,
     sqrt_unit,
     _one_minus_head,
+    _sample_series,
 )
 
 import oracle
@@ -312,6 +314,64 @@ class TestRelationHeads:
             relation_specialization_check(tgt, TLS.constant(F7, 2), TLS.constant(F5, 2))
 
 
+HEAD_FIELDS = (3, 5, 7, 9, 13, 25, 27, 31)
+PERTURBATIONS = ("none", "sign", "drop_twist", "odd_twist", "unit_twist", "head")
+
+
+def perturbed(terms, index, kind, head):
+    """The terms with one of them changed; most changes leave no relation."""
+    terms = list(terms)
+    sign, twist, h = terms[index]
+    if kind == "sign":
+        terms[index] = (-sign, twist, h)
+    elif kind == "drop_twist":
+        terms[index] = (sign, None, h)
+    elif kind == "odd_twist":
+        terms[index] = (sign, (1, 1), h)
+    elif kind == "unit_twist":
+        terms[index] = (sign, (0, head[1]), h)
+    elif kind == "head":
+        terms[index] = (sign, twist, head)
+    return tuple(terms)
+
+
+class TestTermImages:
+    """The image-sum check against dense symbol vectors (``oracle.terms_vanish_dense``)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_heads(self, data):
+        F = field_from_q(data.draw(st.sampled_from(HEAD_FIELDS)))
+        x = data.draw(relation_arguments(F))
+        y = data.draw(relation_arguments(F))
+        try:
+            terms = five_term_heads(x, y)
+        except PrecisionExhaustedError:
+            return
+        head = (data.draw(st.integers(-3, 3)), data.draw(st.integers(1, F.q - 1)))
+        terms = perturbed(terms, data.draw(st.integers(0, 4)), data.draw(st.sampled_from(PERTURBATIONS)), head)
+        tgt = specialization_target(F)
+        assert tgt.terms_vanish(terms) == oracle.terms_vanish_dense(tgt, terms)
+
+    @pytest.mark.parametrize("q", HEAD_FIELDS)
+    def test_both_outcomes_compared(self, q):
+        F = field_from_q(q)
+        tgt = specialization_target(F)
+        rng = random.Random(q)
+        outcomes = set()
+        for _ in range(200):
+            try:
+                terms = five_term_heads(rand_series(F, rng, 6), rand_series(F, rng, 6))
+            except PrecisionExhaustedError:
+                continue
+            head = (rng.randint(-3, 3), rng.randrange(1, q))
+            terms = perturbed(terms, rng.randrange(5), rng.choice(PERTURBATIONS), head)
+            expected = oracle.terms_vanish_dense(tgt, terms)
+            assert tgt.terms_vanish(terms) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+
 class TestInducedMembership:
     @pytest.mark.parametrize("q", (5, 7, 9))
     @pytest.mark.parametrize("invert_two", (False, True))
@@ -373,6 +433,31 @@ class TestFuzz:
     def test_f3_supported(self):
         report = fuzz_specialization(field(3), 32, 40, seed=5)
         assert not report.failures
+
+    def test_no_lattice_image_per_draw(self, monkeypatch):
+        F = field_from_q(31)
+        specialization_target(F)
+        calls = []
+        image = Lattice.image
+
+        def counting(self, v):
+            calls.append(1)
+            return image(self, v)
+
+        monkeypatch.setattr(Lattice, "image", counting)
+        report = fuzz_specialization(F, 8, 2000, seed=24301)
+        assert report.attempts >= 2000 and not report.failures
+        assert calls == []
+
+    @pytest.mark.parametrize("q", (3, 5, 7, 9, 25, 27, 31, 127, 251))
+    def test_sampler_stream_matches_randrange(self, q):
+        F = field_from_q(q)
+        for seed in range(40):
+            for precision in (2, 3, 8, 64):
+                mine, ref = random.Random(f"{seed}:{precision}"), random.Random(f"{seed}:{precision}")
+                for _ in range(2):
+                    assert _sample_series(F, mine, precision) == oracle.sample_series_by_randrange(F, ref, precision)
+                assert mine.getstate() == ref.getstate()
 
 
 class TestProbes:
