@@ -32,7 +32,6 @@ pure function of the field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping, Optional, Union
 
@@ -59,6 +58,7 @@ from .group_ring import (
     z_expand,
     z_vector,
 )
+from .record import Record
 
 
 class InternalConsistencyError(AssertionError):
@@ -255,7 +255,6 @@ def refined_presentation(F: FieldSpec) -> RModulePresentation:
 # the two invariant maps
 
 
-@dataclass(frozen=True)
 class Asym2Element:
     """Element of the antisymmetric square of the cyclic group F^x.
 
@@ -263,14 +262,15 @@ class Asym2Element:
     g^a o g^b = ab * (g o g).
     """
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self):
-        if self.modulus not in (1, 2):
+    def __init__(self, value: int, modulus: int):
+        if modulus not in (1, 2):
             raise ValueError("antisymmetric square of a cyclic group has exponent dividing 2")
-        if not 0 <= self.value < max(self.modulus, 1):
+        if not 0 <= value < max(modulus, 1):
             raise ValueError("value must be reduced")
+        self.value = value
+        self.modulus = modulus
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -307,18 +307,18 @@ def _aug_square_lattice(G: SquareClassGroup) -> Lattice:
     return Lattice(IntMatrix.from_rows(rows, cols=G.size))
 
 
-@dataclass(frozen=True)
 class AugSquareElement:
     """A group-ring element verified to lie in the square of the augmentation ideal."""
 
-    value: GroupRingElement
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if self.value.augmentation() != 0:
+    def __init__(self, value: GroupRingElement):
+        if value.augmentation() != 0:
             raise ValueError("element has nonzero augmentation")
-        lat = _aug_square_lattice(self.value.group)
-        if not lat.is_member(self.value.to_int_vector()):
+        lat = _aug_square_lattice(value.group)
+        if not lat.is_member(value.to_int_vector()):
             raise ValueError("element is not in the square of the augmentation ideal")
+        self.value = value
 
     def is_zero(self) -> bool:
         return self.value.is_zero()
@@ -475,16 +475,20 @@ def constant_element(F: FieldSpec, code: int) -> SymbolVector:
     return out
 
 
-@dataclass(frozen=True)
 class BlochConstants:
     """The constant b (common value of C(x)), c = 2b, and their exact orders."""
 
-    b: SymbolVector
-    c: SymbolVector
-    b_order: int
-    c_order: int
-    base_point: Optional[int]
-    constancy_checked: int
+    __slots__ = ("b", "c", "b_order", "c_order", "base_point", "constancy_checked")
+
+    def __init__(
+        self, b: SymbolVector, c: SymbolVector, b_order: int, c_order: int, base_point: Optional[int], constancy_checked: int
+    ):
+        self.b = b
+        self.c = c
+        self.b_order = b_order
+        self.c_order = c_order
+        self.base_point = base_point
+        self.constancy_checked = constancy_checked
 
 
 @lru_cache(maxsize=None)
@@ -554,15 +558,30 @@ def is_zero_in_prebloch(F: FieldSpec, v: SymbolVector) -> bool:
 # the cyclic module on c and the reduced quotients
 
 
-@dataclass(frozen=True)
 class DfModuleReport:
     """Verification data for the cyclic module generated by c."""
 
-    c_order: int
-    difference_identity_two_inverted: bool
-    difference_identity_integral: bool
-    norm_annihilation_two_inverted: bool
-    failures: tuple[str, ...]
+    __slots__ = (
+        "c_order",
+        "difference_identity_two_inverted",
+        "difference_identity_integral",
+        "norm_annihilation_two_inverted",
+        "failures",
+    )
+
+    def __init__(
+        self,
+        c_order: int,
+        difference_identity_two_inverted: bool,
+        difference_identity_integral: bool,
+        norm_annihilation_two_inverted: bool,
+        failures: tuple[str, ...],
+    ):
+        self.c_order = c_order
+        self.difference_identity_two_inverted = difference_identity_two_inverted
+        self.difference_identity_integral = difference_identity_integral
+        self.norm_annihilation_two_inverted = norm_annihilation_two_inverted
+        self.failures = failures
 
 
 def _df_checks(F: FieldSpec) -> DfModuleReport:
@@ -609,7 +628,6 @@ def df_module(F: FieldSpec) -> DfModuleReport:
     return report
 
 
-@dataclass(frozen=True)
 class ReducedQuotients:
     """The two reduced quotients of the refined module.
 
@@ -618,8 +636,11 @@ class ReducedQuotients:
     ``mod_inversions_and_c``: the further quotient by c itself.
     """
 
-    mod_inversions_and_ic: RModulePresentation
-    mod_inversions_and_c: RModulePresentation
+    __slots__ = ("mod_inversions_and_ic", "mod_inversions_and_c")
+
+    def __init__(self, mod_inversions_and_ic: RModulePresentation, mod_inversions_and_c: RModulePresentation):
+        self.mod_inversions_and_ic = mod_inversions_and_ic
+        self.mod_inversions_and_c = mod_inversions_and_c
 
 
 def _suslin_rows(F: FieldSpec) -> list[dict[int, GroupRingElement]]:
@@ -662,7 +683,8 @@ def reduced_lattice(F: FieldSpec, which: str) -> Lattice:
     # lattice is spanned by the refined lattice's Hermite basis plus the
     # z-expanded extra rows: a few hundred rows instead of every refined one.
     rp = rp_lattice(F)
-    extra, _ = z_expand(replace(pres, relations=pres.relations[len(refined_presentation(F).relations):]))
+    extra_rows = pres.relations[len(refined_presentation(F).relations):]
+    extra, _ = z_expand(RModulePresentation(pres.group, pres.generators, extra_rows))
     return Lattice(IntMatrix.from_sparse_rows(rp.basis_rows(), rp.cols).stack(extra))
 
 
@@ -674,11 +696,13 @@ def is_zero_in_reduced(F: FieldSpec, v: SymbolVector, which: str = "ic", invert_
 # verification sweeps
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    name: str
-    checked: int
-    failures: tuple[str, ...]
+class SweepResult(Record):
+    __slots__ = ("name", "checked", "failures")
+
+    def __init__(self, name: str, checked: int, failures: tuple[str, ...]):
+        self.name = name
+        self.checked = checked
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

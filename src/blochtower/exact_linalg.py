@@ -38,11 +38,11 @@ whichever call builds it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .finite_field import factorize
+from .record import Record
 
 #: When true, every smith_normal_form call re-multiplies U*M*V and compares
 #: against D, and every Lattice checks its quotient map (basis rows map to
@@ -196,26 +196,26 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {sum(map(len, self._rows))} nonzero)"
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(Record):
     """Canonical form of a finitely generated abelian group.
 
     ``factors`` is the divisibility chain d1 | d2 | ... with every d >= 2;
     ``free_rank`` counts the infinite cyclic summands.
     """
 
-    factors: tuple[int, ...]
-    free_rank: int
+    __slots__ = ("factors", "free_rank")
 
-    def __post_init__(self):
-        for d in self.factors:
+    def __init__(self, factors: tuple[int, ...], free_rank: int):
+        for d in factors:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")
-        for a, b in zip(self.factors, self.factors[1:]):
+        for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
+        self.factors = factors
+        self.free_rank = free_rank
 
     def odd_part(self) -> "AbelianInvariants":
         """Invariants after tensoring with Z[1/2]: 2-power torsion discarded."""
@@ -264,21 +264,22 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
 class FpPresentation:
     """A finitely presented abelian group: generator count plus relation rows.
 
-    ``lattice`` is the relation lattice, built on first use and kept: the
-    invariants, kernels of maps out of or into this group and membership
-    tests all read it, so the relations are eliminated once.
+    ``lattice`` is the relation lattice, built on first use and kept (in the
+    instance ``__dict__``): the invariants, kernels of maps out of or into
+    this group and membership tests all read it, so the relations are
+    eliminated once.
     """
 
-    generators: int
-    relations: IntMatrix
+    __slots__ = ("generators", "relations", "__dict__")
 
-    def __post_init__(self):
-        if self.relations.cols != self.generators:
+    def __init__(self, generators: int, relations: IntMatrix):
+        if relations.cols != generators:
             raise DimensionMismatchError("relation width must equal generator count")
+        self.generators = generators
+        self.relations = relations
 
     @cached_property
     def lattice(self) -> "Lattice":

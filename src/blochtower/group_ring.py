@@ -21,13 +21,17 @@ All values are immutable; nothing here mutates shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
 
 from .exact_linalg import IntMatrix
+from .record import Record
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# ``fractions`` is imported only where a Fraction is made or met: it pulls in
+# ``decimal``, which every CLI process would otherwise load at start-up.
+Scalar = Union[int, "Fraction"]
 
 
 def _is_dyadic(x: Scalar) -> bool:
@@ -35,18 +39,18 @@ def _is_dyadic(x: Scalar) -> bool:
     return d & (d - 1) == 0
 
 
-@dataclass(frozen=True)
-class SquareClassGroup:
+class SquareClassGroup(Record):
     """(Z/2)^rank with labelled basis; elements are bitmasks in [0, 2^rank)."""
 
-    rank: int
-    labels: tuple[str, ...] = ()
+    __slots__ = ("rank", "labels")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int, labels: tuple[str, ...] = ()):
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        if self.labels and len(self.labels) != self.rank:
+        if labels and len(labels) != rank:
             raise ValueError("one label per basis generator")
+        self.rank = rank
+        self.labels = labels
 
     @property
     def size(self) -> int:
@@ -68,12 +72,14 @@ class SquareClassGroup:
         return tuple(Character(self, m) for m in self.elements())
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     """A homomorphism to {+1, -1}: bit i set means the i-th generator maps to -1."""
 
-    group: SquareClassGroup
-    mask: int
+    __slots__ = ("group", "mask")
+
+    def __init__(self, group: SquareClassGroup, mask: int):
+        self.group = group
+        self.mask = mask
 
     def __call__(self, elem: int) -> int:
         self.group.check_element(elem)
@@ -107,10 +113,13 @@ class GroupRingElement:
         clean: dict[int, Scalar] = {}
         for elem, c in (coeffs or {}).items():
             group.check_element(elem)
-            if not isinstance(c, (int, Fraction)):
-                raise ValueError(f"coefficient {c!r} is neither an int nor a Fraction")
-            if not _is_dyadic(c):
-                raise ValueError(f"coefficient {c} has a non-2-power denominator")
+            if not isinstance(c, int):
+                from fractions import Fraction
+
+                if not isinstance(c, Fraction):
+                    raise ValueError(f"coefficient {c!r} is neither an int nor a Fraction")
+                if not _is_dyadic(c):
+                    raise ValueError(f"coefficient {c} has a non-2-power denominator")
             if c:
                 clean[elem] = c
         self.coeffs = clean
@@ -222,6 +231,8 @@ def idempotent(
     group: SquareClassGroup, S: Iterable[int], chi: Character, sign: int = 1
 ) -> GroupRingElement:
     """The product of (1 +- chi(a)<a>)/2 over a in S; empty product is 1."""
+    from fractions import Fraction
+
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     out = GroupRingElement.one(group)
@@ -241,24 +252,24 @@ def group_idempotent(group: SquareClassGroup, chi: Character) -> GroupRingElemen
 # module presentations over the group ring
 
 
-@dataclass(frozen=True)
 class RModulePresentation:
     """Finitely presented module over the group ring.
 
     ``relations`` holds sparse rows: maps generator index -> coefficient.
     """
 
-    group: SquareClassGroup
-    generators: int
-    relations: tuple[Mapping[int, GroupRingElement], ...]
+    __slots__ = ("group", "generators", "relations")
 
-    def __post_init__(self):
-        for row in self.relations:
+    def __init__(self, group: SquareClassGroup, generators: int, relations: tuple[Mapping[int, GroupRingElement], ...]):
+        for row in relations:
             for idx, coeff in row.items():
-                if not (0 <= idx < self.generators):
+                if not (0 <= idx < generators):
                     raise ValueError(f"generator index {idx} out of range")
-                if coeff.group != self.group:
+                if coeff.group != group:
                     raise ValueError("relation coefficient from a different group ring")
+        self.group = group
+        self.generators = generators
+        self.relations = relations
 
     def with_extra_relations(self, rows: Iterable[Mapping[int, GroupRingElement]]) -> "RModulePresentation":
         return RModulePresentation(self.group, self.generators, self.relations + tuple(dict(r) for r in rows))

@@ -33,13 +33,13 @@ are not squares at finite precision and the whole dictionary breaks down.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .bloch_core import constant_b, reduced_lattice, reduced_quotients, _symbol_index
 from .exact_linalg import DimensionMismatchError
 from .finite_field import FieldSpec, check_difference_of_squares, square_class_code
+from .record import Record
 
 #: Default seed for the fuzz harness; echoed in every report.
 DEFAULT_SEED = 0x5EED
@@ -64,8 +64,7 @@ def _require_odd(base: FieldSpec) -> None:
         raise ValueError("Laurent-series machinery requires an odd residue field")
 
 
-@dataclass(frozen=True)
-class TruncatedLaurentSeries:
+class TruncatedLaurentSeries(Record):
     """A t-adic element over F_q with finite tracked precision.
 
     Exact series are canonical: trailing zero coefficients are dropped at
@@ -73,25 +72,26 @@ class TruncatedLaurentSeries:
     equal.
     """
 
-    base: FieldSpec
-    valuation: int
-    coeffs: tuple[int, ...]
-    exact: bool = False
+    __slots__ = ("base", "valuation", "coeffs", "exact")
 
-    def __post_init__(self):
-        _require_odd(self.base)
-        if self.coeffs and self.coeffs[0] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-        if not self.coeffs and not self.exact:
-            raise ValueError("a non-exact series must carry at least one coefficient")
-        for c in self.coeffs:
-            if not (0 <= c < self.base.q):
+    def __init__(self, base: FieldSpec, valuation: int, coeffs: tuple[int, ...], exact: bool = False):
+        _require_odd(base)
+        if coeffs:
+            if coeffs[0] == 0:
+                raise ValueError("leading coefficient must be nonzero")
+            if min(coeffs) < 0 or max(coeffs) >= base.q:
                 raise ValueError("coefficient code out of range")
-        if self.exact and self.coeffs and self.coeffs[-1] == 0:
-            coeffs = list(self.coeffs)
-            while coeffs[-1] == 0:
-                coeffs.pop()
-            object.__setattr__(self, "coeffs", tuple(coeffs))
+            if exact and coeffs[-1] == 0:
+                end = len(coeffs) - 1
+                while coeffs[end - 1] == 0:
+                    end -= 1
+                coeffs = tuple(coeffs[:end])
+        elif not exact:
+            raise ValueError("a non-exact series must carry at least one coefficient")
+        self.base = base
+        self.valuation = valuation
+        self.coeffs = coeffs
+        self.exact = exact
 
     # -- inspection --------------------------------------------------------
 
@@ -300,20 +300,20 @@ class TruncatedLaurentSeries:
         return f"<t^{self.valuation}*({self.coeffs[0]}, ...){tail} over F_{self.base.spec_string()}>"
 
 
-@dataclass(frozen=True)
-class LaurentSquareClass:
+class LaurentSquareClass(Record):
     """Square class of a series: valuation parity and residue square class.
 
     This pair determines the class exactly when 1-units are squares, which
     is the regime this package models (odd residue characteristic).
     """
 
-    parity: int
-    residue_class: int
+    __slots__ = ("parity", "residue_class")
 
-    def __post_init__(self):
-        if self.parity not in (0, 1) or self.residue_class not in (0, 1):
+    def __init__(self, parity: int, residue_class: int):
+        if parity not in (0, 1) or residue_class not in (0, 1):
             raise ValueError("parity and residue class are bits")
+        self.parity = parity
+        self.residue_class = residue_class
 
     def compose(self, other: "LaurentSquareClass") -> "LaurentSquareClass":
         return LaurentSquareClass(self.parity ^ other.parity, self.residue_class ^ other.residue_class)
@@ -496,10 +496,12 @@ def specialization_target(residue_field: FieldSpec) -> SpecializationTarget:
     return SpecializationTarget(residue_field)
 
 
-@dataclass(frozen=True)
-class RelationCheckOutcome:
-    status: str  # "pass" | "fail" | "inconclusive"
-    reason: str = ""
+class RelationCheckOutcome(Record):
+    __slots__ = ("status", "reason")
+
+    def __init__(self, status: str, reason: str = ""):
+        self.status = status  # "pass" | "fail" | "inconclusive"
+        self.reason = reason
 
 
 def _first_deviation(a: TruncatedLaurentSeries) -> tuple[int, int]:
@@ -590,15 +592,19 @@ def relation_specialization_check(
 # fuzz harness
 
 
-@dataclass(frozen=True)
-class FuzzReport:
-    field: str
-    precision: int
-    samples: int
-    seed: int
-    failures: tuple[str, ...]
-    inconclusive: int
-    attempts: int
+class FuzzReport(Record):
+    __slots__ = ("field", "precision", "samples", "seed", "failures", "inconclusive", "attempts")
+
+    def __init__(
+        self, field: str, precision: int, samples: int, seed: int, failures: tuple[str, ...], inconclusive: int, attempts: int
+    ):
+        self.field = field
+        self.precision = precision
+        self.samples = samples
+        self.seed = seed
+        self.failures = failures
+        self.inconclusive = inconclusive
+        self.attempts = attempts
 
     @property
     def inconclusive_rate(self) -> float:
@@ -695,11 +701,13 @@ def fuzz_specialization(
 # proof-identity probes
 
 
-@dataclass(frozen=True)
 class ProbeReport:
-    case: str
-    status: str  # "pass" | "fail" | "no_witness"
-    details: dict
+    __slots__ = ("case", "status", "details")
+
+    def __init__(self, case: str, status: str, details: dict):
+        self.case = case
+        self.status = status  # "pass" | "fail" | "no_witness"
+        self.details = details
 
     def to_json(self) -> dict:
         return {"case": self.case, "status": self.status, "details": self.details}

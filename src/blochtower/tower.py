@@ -15,7 +15,6 @@ characters of the square-class group of the top field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Union
 
 from .bloch_core import prebloch_presentation, rb0_is_trivial, square_class_group
@@ -28,18 +27,18 @@ SYMBOLIC_BASES = ("real-closed", "quadratically-closed")
 _SYMBOLIC_RANK = {"real-closed": 1, "quadratically-closed": 0}
 
 
-@dataclass(frozen=True)
 class TowerSpec:
     """A base field plus the number of Laurent levels stacked on it."""
 
-    base: Union[FieldSpec, str]
-    levels: int
+    __slots__ = ("base", "levels")
 
-    def __post_init__(self):
-        if self.levels < 0:
+    def __init__(self, base: Union[FieldSpec, str], levels: int):
+        if levels < 0:
             raise ValueError("levels must be >= 0")
-        if isinstance(self.base, str) and self.base not in SYMBOLIC_BASES:
+        if isinstance(base, str) and base not in SYMBOLIC_BASES:
             raise ValueError(f"symbolic base must be one of {SYMBOLIC_BASES}")
+        self.base = base
+        self.levels = levels
 
     @property
     def numeric(self) -> bool:
@@ -67,12 +66,14 @@ class TowerSpec:
         }
 
 
-@dataclass(frozen=True)
 class HypothesisCheck:
-    index: int
-    name: str
-    status: str  # "verified" | "assumed" | "failed"
-    note: str = ""
+    __slots__ = ("index", "name", "status", "note")
+
+    def __init__(self, index: int, name: str, status: str, note: str = ""):
+        self.index = index
+        self.name = name
+        self.status = status  # "verified" | "assumed" | "failed"
+        self.note = note
 
 
 def check_hypotheses(tower: TowerSpec) -> list[HypothesisCheck]:
@@ -161,23 +162,30 @@ def check_hypotheses(tower: TowerSpec) -> list[HypothesisCheck]:
     return checks
 
 
-@dataclass(frozen=True)
 class PredictedSummand:
     """One direct summand of the predicted decomposition."""
 
-    kind: str  # "K3ind-symbolic" | "prebloch-numeric" | "prebloch-symbolic"
-    field_label: str
-    level: Optional[int]
-    multiplicity: int
-    invariants: Optional[AbelianInvariants] = None
+    __slots__ = ("kind", "field_label", "level", "multiplicity", "invariants")
 
-    def __post_init__(self):
-        if self.multiplicity < 1 or self.multiplicity & (self.multiplicity - 1):
+    def __init__(
+        self,
+        kind: str,
+        field_label: str,
+        level: Optional[int],
+        multiplicity: int,
+        invariants: Optional[AbelianInvariants] = None,
+    ):
+        if multiplicity < 1 or multiplicity & (multiplicity - 1):
             raise ValueError("multiplicities are powers of two")
-        if self.kind == "prebloch-numeric" and self.invariants is None:
+        if kind == "prebloch-numeric" and invariants is None:
             raise ValueError("numeric summands carry invariants")
-        if self.kind != "prebloch-numeric" and self.invariants is not None:
+        if kind != "prebloch-numeric" and invariants is not None:
             raise ValueError("symbolic summands never carry invariants")
+        self.kind = kind  # "K3ind-symbolic" | "prebloch-numeric" | "prebloch-symbolic"
+        self.field_label = field_label
+        self.level = level
+        self.multiplicity = multiplicity
+        self.invariants = invariants
 
     def to_json(self) -> dict:
         out = {
@@ -191,19 +199,42 @@ class PredictedSummand:
         return out
 
 
-@dataclass(frozen=True)
 class DecompositionReport:
     """Predicted structure of the third SL(2)-homology with 2 inverted."""
 
-    tower: TowerSpec
-    hypotheses: tuple[HypothesisCheck, ...]
-    summands: tuple[PredictedSummand, ...]
-    exponents: tuple[int, ...]
-    surjection_only: bool
-    rsq_order: Optional[int]
-    rsq_note: str
-    constant_module_dimension: Optional[int]
-    notes: tuple[str, ...] = dataclass_field(default=())
+    __slots__ = (
+        "tower",
+        "hypotheses",
+        "summands",
+        "exponents",
+        "surjection_only",
+        "rsq_order",
+        "rsq_note",
+        "constant_module_dimension",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        tower: TowerSpec,
+        hypotheses: tuple[HypothesisCheck, ...],
+        summands: tuple[PredictedSummand, ...],
+        exponents: tuple[int, ...],
+        surjection_only: bool,
+        rsq_order: Optional[int],
+        rsq_note: str,
+        constant_module_dimension: Optional[int],
+        notes: tuple[str, ...] = (),
+    ):
+        self.tower = tower
+        self.hypotheses = hypotheses
+        self.summands = summands
+        self.exponents = exponents
+        self.surjection_only = surjection_only
+        self.rsq_order = rsq_order
+        self.rsq_note = rsq_note
+        self.constant_module_dimension = constant_module_dimension
+        self.notes = notes
 
 
 def predict(tower: TowerSpec) -> DecompositionReport:
@@ -277,17 +308,18 @@ def predict(tower: TowerSpec) -> DecompositionReport:
 # character census
 
 
-@dataclass(frozen=True)
 class LedgerRow:
-    signs: tuple[int, ...]
-    target: str  # "coinvariants" | "level i" | "residue-nontrivial"
-    level: Optional[int]
+    __slots__ = ("signs", "target", "level")
+
+    def __init__(self, signs: tuple[int, ...], target: str, level: Optional[int]):
+        self.signs = signs
+        self.target = target  # "coinvariants" | "level i" | "residue-nontrivial"
+        self.level = level
 
     def to_json(self) -> dict:
         return {"signs": list(self.signs), "target": self.target, "level": self.level}
 
 
-@dataclass(frozen=True)
 class EigenspaceLedger:
     """Census of the characters of the top square-class group.
 
@@ -298,9 +330,12 @@ class EigenspaceLedger:
     vanishes).  Aggregating levels must reproduce the predicted exponents.
     """
 
-    basis: tuple[str, ...]
-    rows: tuple[LedgerRow, ...]
-    census: dict
+    __slots__ = ("basis", "rows", "census")
+
+    def __init__(self, basis: tuple[str, ...], rows: tuple[LedgerRow, ...], census: dict):
+        self.basis = basis
+        self.rows = rows
+        self.census = census
 
     def to_json(self) -> dict:
         return {

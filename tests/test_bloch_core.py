@@ -1,6 +1,5 @@
 import itertools
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -10,6 +9,7 @@ from blochtower.exact_linalg import AbelianInvariants, FpPresentation, IntMatrix
 from blochtower.finite_field import field, field_from_q, square_class_code
 from blochtower.group_ring import (
     GroupRingElement,
+    RModulePresentation,
     bracket,
     character_specialize,
     double_bracket,
@@ -275,7 +275,7 @@ class TestSweepOracles:
         )
         row = dict(rp.relations[3])
         row[j] = row[j] + GroupRingElement.one(rp.group) if j in row else GroupRingElement.one(rp.group)
-        perturbed = replace(rp, relations=rp.relations[:3] + (row,) + rp.relations[4:])
+        perturbed = RModulePresentation(rp.group, rp.generators, rp.relations[:3] + (row,) + rp.relations[4:])
         monkeypatch.setattr(bc, "refined_presentation", lambda _F: perturbed)
         mine, expected = bc.verify_lambda_well_defined(F), oracle.lambda_well_defined_sweep(F)
         assert mine == expected

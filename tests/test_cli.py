@@ -180,6 +180,20 @@ class TestReportContract:
 
 
 class TestImports:
+    def test_cli_start_up_skips_heavy_stdlib_modules(self):
+        # each of these costs milliseconds per CLI process: dataclasses pulls
+        # in inspect, and fractions pulls in decimal
+        heavy = ("dataclasses", "inspect", "fractions", "decimal")
+        script = (
+            "import sys, blochtower.cli, blochtower.tower\n"
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))\n"
+        )
+        src = str(Path(blochtower.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [], f"imported at start-up: {proc.stdout.strip()}"
+
     def test_tower_module_loaded_only_by_its_command(self, tmp_path):
         # laurent stays a module-level import: the traced benchmark reads it
         # from sys.modules right after importing the CLI

@@ -103,6 +103,15 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             TLS(F5, 0, (0, 1))
 
+    @pytest.mark.parametrize("bad", [-1, 5])
+    @pytest.mark.parametrize("where", ["lead", "tail"])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_coefficient_code_outside_field_rejected(self, bad, where, exact):
+        coeffs = (bad, 1) if where == "lead" else (1, 2, bad)
+        with pytest.raises(ValueError, match="coefficient code out of range"):
+            TLS(F5, 0, coeffs, exact=exact)
+        assert TLS(F5, 0, (1, 0, 4)).coeffs == (1, 0, 4)  # 0 and q - 1 are codes
+
     def test_from_coeffs_strips_leading_zeros(self):
         a = TLS.from_coeffs(F5, 2, [0, 0, 3, 1])
         assert a.valuation == 4 and a.coeffs == (3, 1)
