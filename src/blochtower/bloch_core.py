@@ -214,20 +214,22 @@ def specialized_relations(F: FieldSpec, chi: Character) -> IntMatrix:
     Equal to ``character_specialize(refined_presentation(F), chi)``, read
     straight from the term table: each relation row is written as one
     {generator: value} dict, where each term adds coeff * chi(class), and
-    handed to the matrix as it is made, so no second copy of the matrix is
-    ever alive.  The trivial character gives the pre-Bloch relations.
+    the matrix adopts it (the table's indices are in range), so no second
+    copy of the matrix is ever alive.  The trivial character gives the
+    pre-Bloch relations.
     """
     if chi.group != square_class_group(F):
         raise ValueError("character of a different square-class group")
     signs = [chi(e) for e in chi.group.elements()]
-
-    def specialize(terms):
+    rows = []
+    for terms in _five_term_table(F):
         row: dict[int, int] = {}
         for j, coeff, cls in terms:
             row[j] = row.get(j, 0) + coeff * signs[cls]
-        return row
-
-    return IntMatrix.from_sparse_rows(map(specialize, _five_term_table(F)), generator_count(F))
+        if 0 in row.values():
+            row = {j: v for j, v in row.items() if v}
+        rows.append(row)
+    return IntMatrix._of(rows, generator_count(F))
 
 
 @lru_cache(maxsize=None)
@@ -542,7 +544,13 @@ def _rp_zmatrix(F: FieldSpec) -> IntMatrix:
 
 @lru_cache(maxsize=None)
 def rp_lattice(F: FieldSpec) -> Lattice:
-    """Relation lattice of the scalar-restricted refined presentation."""
+    """Relation lattice of the scalar-restricted refined presentation.
+
+    Over a trivial square-class group (even q) the z-expanded relations are
+    the pre-Bloch relations, so the pre-Bloch lattice is reused.
+    """
+    if square_class_group(F).size == 1:
+        return prebloch_presentation(F).lattice
     return Lattice(_rp_zmatrix(F))
 
 

@@ -6,26 +6,28 @@ membership after inverting 2, and element orders all read it), and kernels
 of maps between presented groups.
 
 All arithmetic uses Python's arbitrary-precision integers.  Pivoting is
-deterministic (minimal absolute value, ties broken in (row, col) order),
-so every result is reproducible bit for bit.  A matrix is stored as one
-sparse ``{col: value}`` dict per row, the form elimination works on: a
-relation matrix is written row by row and a lattice eliminates those rows
-as they are stored, so the relations are never held twice.  The Smith form
-takes a sparse Hermite basis first and only then runs a dense core on it,
-since elimination causes fill-in.
+deterministic (minimal absolute value; the sparse Hermite elimination
+breaks ties by fewest nonzeros, then row index, and the dense Smith core in
+(row, col) order), so every result is reproducible bit for bit.  A matrix is
+stored as one sparse ``{col: value}`` dict per row, the form elimination
+works on: a relation matrix is written row by row and a lattice eliminates
+those rows as they are stored, so the relations are never held twice.  The
+Smith form takes a sparse Hermite basis first and only then runs a dense
+core on it, since elimination causes fill-in.
 
 Every elimination goes through ``Lattice``, which gets its row Hermite
-basis from certified subsets: the first ``CERTIFIED_SUBSET_FACTOR * cols``
-rows are eliminated, every other row is tested through the quotient map of
-that basis (its sparse image vanishes exactly when it lies in the
+basis from certified subsets: of a matrix with more than
+``CERTIFIED_SUBSET_FACTOR * cols`` rows, ``cols + 8`` rows spread evenly
+over it are eliminated, every other row is tested through the quotient map
+of that basis (its sparse image vanishes exactly when it lies in the
 lattice), and the rows outside are eliminated with the basis in rounds of
-at most that many.  Every row is checked, and the reduced row Hermite form
-of a lattice is unique, so the basis is the one full elimination gives.  No
-elimination keeps a transform: one that is needed is carried as identity
-columns, since the Hermite basis of [M | I] is [H | U] with U*M = H.  The
-Hermite and Smith transforms and the kernel of a map are read from such
-columns.  A lattice keeps its basis and one Smith transform V of it,
-restricted to the columns of the nontrivial quotient coordinates: the
+at most ``cols + 8``.  Every row is checked, and the reduced row Hermite
+form of a lattice is unique, so the basis is the one full elimination
+gives.  No elimination keeps a transform: one that is needed is carried as
+identity columns, since the Hermite basis of [M | I] is [H | U] with
+U*M = H.  The Hermite and Smith transforms and the kernel of a map are read
+from such columns.  A lattice keeps its basis and one Smith transform V of
+it, restricted to the columns of the nontrivial quotient coordinates: the
 quotient map needs nothing else.  A presentation owns the lattice of its
 relations, built once on first use: its invariants, kernels of maps out of
 it and membership tests all read that one lattice.
@@ -50,8 +52,9 @@ from .record import Record
 #: normal use.
 VERIFY_TRANSFORMS = False
 
-#: Transform-free Hermite bases of matrices with more than this many rows
-#: per column are built from that many rows per column, then certified.
+#: A matrix with more than this many rows per column is tall: its Hermite
+#: basis is built from a spread head of cols + 8 rows and the other rows are
+#: certified (see ``_certified_hnf``).  A shorter one is eliminated whole.
 CERTIFIED_SUBSET_FACTOR = 4
 
 #: A quotient map v -> (v.V_i mod d_i): the moduli d_i, and row r of V
@@ -307,30 +310,63 @@ def _row_addmul(target: dict[int, int], source: dict[int, int], q: int) -> None:
 def _certified_hnf(rows: list[dict[int, int]], cols: int) -> tuple[list[dict[int, int]], Optional[QuotientMap]]:
     """Transform-free row Hermite basis from certified row subsets, with its quotient map.
 
-    The first ``CERTIFIED_SUBSET_FACTOR * cols`` rows are eliminated, and
-    every later row is tested through the quotient map of that basis
-    (``_smith_quotient``): its sparse image vanishes exactly when the row
-    lies in the lattice spanned so far, at nnz(row) multiply-adds per
-    modulus.  Rows outside are taken in rounds: the basis is eliminated
-    again with the first ``CERTIFIED_SUBSET_FACTOR * cols`` of them, which
-    strictly enlarges the lattice, and the rest are tested through the new
-    map.  So no elimination sees more than ``(CERTIFIED_SUBSET_FACTOR + 1) *
-    cols`` rows, and a row-ordered block matrix takes one round per block.
-    Every row is checked, and the reduced Hermite basis of a lattice is
-    unique, so the basis is the one ``_eliminate`` on all rows gives.
+    A matrix of at most ``CERTIFIED_SUBSET_FACTOR * cols`` rows is simply
+    eliminated.  A taller one is eliminated from a head of ``cols + 8`` rows
+    spread evenly over it (``_spread``), and every other row is tested
+    through the quotient map of that basis (``_smith_quotient``): a row lies
+    in the lattice spanned so far exactly when each kept coordinate's
+    weighted sum over its entries vanishes mod d_i, at nnz(row)
+    multiply-adds per modulus.  Rows outside are taken in rounds: the basis
+    is eliminated again with ``cols + 8`` of them, spread the same way,
+    which strictly enlarges the lattice, and the rest are tested through the
+    new map.  So no elimination sees more than the basis (at most ``cols``
+    rows) plus ``cols + 8`` rows.  Every pivot step reduces each head row
+    that meets its column, so the head is kept near the rank: certifying a
+    row costs less than eliminating it.  Spreading it over the matrix
+    samples every part of a row-ordered one.  Every row is checked, and the
+    reduced Hermite basis of a lattice is unique, so the basis is the one
+    ``_eliminate`` on all rows gives.
 
     Returns (basis rows in echelon order, quotient map of that basis); the
-    map is None when no row was tested (a short input is simply eliminated).
+    map is None when no row was tested.
     """
-    head = CERTIFIED_SUBSET_FACTOR * cols
-    basis, tail, quotient = _echelon_basis(rows[:head], cols), rows[head:], None
+    if len(rows) <= CERTIFIED_SUBSET_FACTOR * cols:
+        return _echelon_basis(rows, cols), None
+    basis, tail = [], rows
     while tail:
+        head, tail = _spread(tail, cols + 8)
+        basis = _echelon_basis(basis + head, cols)
+        if not tail:
+            return basis, None
         quotient = _smith_quotient(basis, cols)
-        moduli = quotient[0]
-        tail = [row for row in tail if not _vanishes(_image(row.items(), *quotient), moduli)]
-        if tail:
-            basis, tail, quotient = _echelon_basis(basis + tail[:head], cols), tail[head:], None
+        weights = [(d, [vrow[i] for vrow in quotient[1]]) for i, d in enumerate(quotient[0])]
+        tail = [row for row in tail if not _weighed_member(row, weights)]
     return basis, quotient
+
+
+def _spread(rows: list, m: int) -> tuple[list, list]:
+    """(rows i*n//m for i < m, the others), n = len(rows); all rows when n <= m."""
+    n = len(rows)
+    if n <= m:
+        return rows, []
+    picked = [i * n // m for i in range(m)]
+    taken = set(picked)
+    return [rows[i] for i in picked], [row for i, row in enumerate(rows) if i not in taken]
+
+
+def _weighed_member(row: dict[int, int], weights: list[tuple[int, list[int]]]) -> bool:
+    """Does row vanish in the quotient: sum(w[c] * x) = 0 mod d for each (d, w)?
+
+    ``w`` lists one kept coordinate's column of V (row r of V holds what
+    unit vector r adds to each coordinate), and d = 0 asks for exactly 0.
+    """
+    for d, w in weights:
+        s = 0
+        for c, x in row.items():
+            s += w[c] * x
+        if s % d if d else s:
+            return False
+    return True
 
 
 def _echelon_basis(rows: list[dict[int, int]], cols: int) -> list[dict[int, int]]:
@@ -358,10 +394,13 @@ def _eliminate(rows: list[dict[int, int]], cols: int):
     """Full row Hermite elimination of every row; returns (rows, pivots).
 
     ``pivots`` lists (row_index, col) pairs in echelon order; rows below the
-    last pivot are zero.  No transform is kept: a caller that needs one
-    appends identity columns (``_with_identity``) and reads it from the
-    result.  The only caller is ``_certified_hnf`` (through
-    ``_echelon_basis``), behind ``Lattice``.
+    last pivot are zero.  Each column's pivot is a candidate of least
+    absolute value, ties broken by fewest nonzeros, then row index: the
+    sparsest row spreads the least fill-in and coefficient growth into the
+    rows it reduces, and the reduced basis is the same whichever is taken.
+    No transform is kept: a caller that needs one appends identity columns
+    (``_with_identity``) and reads it from the result.  The only caller is
+    ``_certified_hnf`` (through ``_echelon_basis``), behind ``Lattice``.
     """
     n = len(rows)
     work = [dict(r) for r in rows]
@@ -374,7 +413,7 @@ def _eliminate(rows: list[dict[int, int]], cols: int):
             cands = [i for i in range(pr, n) if col in work[i]]
             if not cands:
                 break
-            best = min(cands, key=lambda i: (abs(work[i][col]), i))
+            best = min(cands, key=lambda i: (abs(work[i][col]), len(work[i]), i))
             done = True
             for i in cands:
                 if i == best:

@@ -272,7 +272,11 @@ class RModulePresentation:
         self.relations = relations
 
     def with_extra_relations(self, rows: Iterable[Mapping[int, GroupRingElement]]) -> "RModulePresentation":
-        return RModulePresentation(self.group, self.generators, self.relations + tuple(dict(r) for r in rows))
+        """This presentation plus the given rows; only the new rows are checked."""
+        extra = RModulePresentation(self.group, self.generators, tuple(dict(r) for r in rows))
+        out = object.__new__(RModulePresentation)
+        out.group, out.generators, out.relations = self.group, self.generators, self.relations + extra.relations
+        return out
 
 
 def character_specialize(M: RModulePresentation, chi: Character) -> tuple[IntMatrix, int]:
@@ -300,26 +304,22 @@ def z_expand(M: RModulePresentation) -> tuple[IntMatrix, int]:
 
     Each module generator becomes 2^rank integer generators indexed by group
     elements; each relation contributes one integer row per group translate,
-    written as one {column: value} dict and handed to the matrix as it is
-    made.  Requires integral coefficients.
+    written as one {column: value} dict that the matrix adopts: the
+    presentation has checked every index, so no row is checked or copied
+    again.  Requires integral coefficients.
     """
     g = M.group.size
     width = M.generators * g
-
-    def rows():
-        for rel in M.relations:
-            for coeff in rel.values():
-                if not coeff.is_integral():
-                    raise ValueError("z_expand needs integral relation coefficients")
-            for e in M.group.elements():
-                row: dict[int, int] = {}
-                for j, coeff in rel.items():
-                    for f, c in coeff.coeffs.items():
-                        k = j * g + (e ^ f)
-                        row[k] = row.get(k, 0) + c
-                yield row
-
-    return IntMatrix.from_sparse_rows(rows(), width), width
+    rows = []
+    for rel in M.relations:
+        terms = []
+        for j, coeff in rel.items():
+            if not coeff.is_integral():
+                raise ValueError("z_expand needs integral relation coefficients")
+            terms += [(j * g, f, int(c)) for f, c in coeff.coeffs.items()]
+        # distinct (generator, group element) terms land in distinct columns
+        rows += [{base + (e ^ f): c for base, f, c in terms} for e in M.group.elements()]
+    return IntMatrix._of(rows, width), width
 
 
 def z_vector(group: SquareClassGroup, generators: int, coeffs: Mapping[int, GroupRingElement]) -> list[int]:

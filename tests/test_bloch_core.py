@@ -450,6 +450,15 @@ class TestCertifiedLattices:
             factors = tuple(d for d in lat.moduli if d)
             assert AbelianInvariants(factors, lat.moduli.count(0)) == cokernel_invariants(M, M.cols), name
 
+    @pytest.mark.parametrize("q", [2, 4, 8, 16, 32])
+    def test_even_q_reuses_prebloch_lattice(self, q):
+        # the square-class group is trivial, so the z-expanded refined
+        # relations are the pre-Bloch relations, eliminated once
+        F = field_from_q(q)
+        P = bc.prebloch_presentation(F)
+        assert bc._rp_zmatrix(F).sparse_rows() == P.relations.sparse_rows()
+        assert bc.rp_lattice(F) is P.lattice
+
     @pytest.mark.parametrize("q", [7, 9, 13])
     def test_presentation_invariants_match_textbook_smith(self, q):
         F = field_from_q(q)

@@ -24,6 +24,7 @@ from blochtower.exact_linalg import (
     _det_unimodular,
     _eliminate,
     _reduce,
+    _smith_quotient,
 )
 from blochtower.finite_field import field_from_q
 
@@ -45,7 +46,8 @@ def tall_matrices(draw):
 
     The first 4c rows are random, zero, one repeated row, or even with an
     empty last column; in the last three cases later rows must add pivots
-    or change the index, so the basis needs the certification pass.
+    or change the index, so a spread head that samples mostly those first
+    rows leaves the certification pass rows outside its lattice.
     """
     c = draw(st.integers(1, 5))
     head_size = CERTIFIED_SUBSET_FACTOR * c
@@ -261,12 +263,20 @@ class TestCertifiedHermite:
         assert lat.is_member(rows[-1])
 
     def test_row_ordered_blocks_take_one_round_each(self, monkeypatch):
-        # two copies of the q = 13 pre-Bloch matrix on disjoint columns, one
-        # after the other: the second block lies wholly outside the first
-        # subset's lattice, so it must not be eliminated in one piece
+        # two copies of the q = 13 pre-Bloch matrix on disjoint columns; the
+        # spread head (rows i * N // head) holds only rows of the first
+        # block, and every row of the second falls between them, so the
+        # second block lies wholly outside the head's lattice and is taken
+        # in rounds, never in one piece: no elimination sees more than the
+        # basis (at most 2n rows) plus one head of 2n + 8 rows
         P = prebloch_presentation(field_from_q(13))
         rows, n = P.relations.sparse_rows(), P.generators
-        stacked = [{j + b * n: v for j, v in row.items()} for b in range(2) for row in rows]
+        first, second = ([{j + b * n: v for j, v in row.items()} for row in rows] for b in range(2))
+        head = 2 * n + 8
+        between = iter(first[head:] + second)
+        k = -(-(len(first) + len(second)) // head)
+        stacked = [first[i // k] if i % k == 0 else next(between, {}) for i in range(head * k)]
+        assert not next(between, None)
         sizes = []
 
         def recording(rows, cols):
@@ -277,16 +287,64 @@ class TestCertifiedHermite:
         lat = Lattice(IntMatrix.from_sparse_rows(stacked, 2 * n))
         work, pivots = _eliminate(stacked, 2 * n)
         assert lat.basis_rows() == [work[r] for r, _ in pivots]
-        assert len(sizes) > 1 and max(sizes) <= (CERTIFIED_SUBSET_FACTOR + 1) * 2 * n
+        assert len(sizes) > 1 and max(sizes) <= 2 * n + head
         assert lat.invariants() == AbelianInvariants((14, 14), 0)
 
+    @pytest.mark.parametrize("kind", ["duplicates", "zeros", "free", "blocks"])
+    def test_tall_sparse_matrices_match_full_elimination(self, kind):
+        assert exact_linalg.VERIFY_TRANSFORMS  # every quotient map is checked too
+        for seed in range(12):
+            rows, cols = _tall_sparse(random.Random(seed), kind)
+            work, pivots = _eliminate(rows, cols)
+            full = [work[r] for r, _ in pivots]
+            lat = Lattice(IntMatrix.from_sparse_rows(rows, cols))
+            assert lat.basis_rows() == full, seed
+            assert lat.moduli == _smith_quotient(full, cols)[0], seed
+            if kind == "free":
+                assert 0 in lat.moduli, seed
+
     def test_rows_past_a_round_are_tested_again(self):
-        # the zero head spans nothing, the first round takes only copies of
-        # (2, 0), so the last row's pivot is found by testing it again
-        head = CERTIFIED_SUBSET_FACTOR * 2
-        rows = [[0, 0]] * head + [[2, 0]] * head + [[1, 3]]
+        # the spread head (every third row) is all zeros and spans nothing,
+        # the first round's spread takes only copies of (2, 0), so the last
+        # row's pivot is found by testing it again
+        rows = [[0, 0] if i % 3 == 0 else [2, 0] for i in range(29)] + [[1, 3]]
         work, pivots = _eliminate(mat(rows).sparse_rows(), 2)
         assert Lattice(mat(rows)).basis_rows() == [work[r] for r, _ in pivots] == [{0: 1, 1: 3}, {1: 6}]
+
+
+def _tall_sparse(rng, kind):
+    """(rows, cols): a sparse matrix with more than CERTIFIED_SUBSET_FACTOR rows per column.
+
+    ``duplicates`` repeats a few rows, ``zeros`` is mostly zero rows,
+    ``free`` combines fewer rows than there are columns on a subset of the
+    columns (rank deficient, with free summands), and ``blocks`` lists the
+    rows of one column block before those of another.
+    """
+    cols = rng.randint(2, 10)
+    n = rng.randint(CERTIFIED_SUBSET_FACTOR * cols + 1, 12 * cols)
+
+    def sparse_row(columns):
+        picked = rng.sample(columns, rng.randint(1, min(3, len(columns))))
+        return {j: rng.choice([-3, -2, -1, 1, 2, 3]) for j in sorted(picked)}
+
+    if kind == "duplicates":
+        base = [sparse_row(range(cols)) for _ in range(rng.randint(1, cols))]
+        return [dict(rng.choice(base)) for _ in range(n)], cols
+    if kind == "zeros":
+        return [sparse_row(range(cols)) if rng.random() < 0.1 else {} for _ in range(n)], cols
+    if kind == "free":
+        used = rng.sample(range(cols), rng.randint(1, cols - 1))
+        base = [sparse_row(used) for _ in range(rng.randint(1, len(used)))]
+        rows = []
+        for _ in range(n):
+            row = {}
+            for b in rng.sample(base, rng.randint(1, len(base))):
+                exact_linalg._row_addmul(row, b, rng.randint(-2, 2))
+            rows.append(row)
+        return rows, cols
+    split = rng.randint(1, cols - 1)
+    cut = rng.randint(1, n - 1)
+    return [sparse_row(range(split) if i < cut else range(split, cols)) for i in range(n)], cols
 
 
 class TestCokernelInvariants:

@@ -165,6 +165,13 @@ class TestSpecializeAndExpand:
         inv = cokernel_invariants(mat, width)
         assert inv.factors == () and inv.free_rank == 1
 
+    def test_z_expand_writes_int_entries(self):
+        # an integral Fraction coefficient becomes an int matrix entry
+        rel = {0: gre(G1, {0: Fraction(4, 2), 1: -1})}
+        mat, _ = z_expand(RModulePresentation(G1, 1, (rel,)))
+        assert mat.to_rows() == [[2, -1], [-1, 2]]
+        assert all(type(v) is int for v in mat.entries.values())
+
     def test_z_expand_requires_integrality(self):
         rel = {0: gre(G1, {0: Fraction(1, 2)})}
         M = RModulePresentation(G1, 1, (rel,))
@@ -175,6 +182,18 @@ class TestSpecializeAndExpand:
         coeffs = {1: gre(G2, {0: 2, 3: -1})}
         vec = z_vector(G2, 2, coeffs)
         assert vec == [0, 0, 0, 0, 2, 0, 0, -1]
+
+
+class TestModulePresentation:
+    def test_extra_rows_are_checked(self):
+        M = RModulePresentation(G1, 2, ({0: double_bracket(G1, 1)},))
+        with pytest.raises(ValueError, match="different group ring"):
+            M.with_extra_relations([{1: bracket(G2, 1)}])
+        with pytest.raises(ValueError, match="out of range"):
+            M.with_extra_relations([{2: bracket(G1, 1)}])
+        N = M.with_extra_relations([{1: bracket(G1, 1)}])
+        assert (N.group, N.generators) == (G1, 2)
+        assert N.relations == M.relations + ({1: bracket(G1, 1)},)
 
 
 class TestEigenspaceReconstruction:
