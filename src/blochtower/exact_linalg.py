@@ -17,18 +17,18 @@ core on it, since elimination causes fill-in.
 
 Every elimination goes through ``Lattice``, which gets its row Hermite
 basis from certified subsets: of a matrix with more than
-``CERTIFIED_SUBSET_FACTOR * cols`` rows, ``cols + 8`` rows spread evenly
-over it are eliminated, every other row is tested through the quotient map
-of that basis (its sparse image vanishes exactly when it lies in the
-lattice), and the rows outside are eliminated with the basis in rounds of
-at most ``cols + 8``.  Every row is checked, and the reduced row Hermite
-form of a lattice is unique, so the basis is the one full elimination
-gives.  No elimination keeps a transform: one that is needed is carried as
-identity columns, since the Hermite basis of [M | I] is [H | U] with
-U*M = H.  The Hermite and Smith transforms and the kernel of a map are read
-from such columns.  A lattice keeps its basis and one Smith transform V of
-it, restricted to the columns of the nontrivial quotient coordinates: the
-quotient map needs nothing else.  A presentation owns the lattice of its
+``CERTIFIED_SUBSET_FACTOR * cols`` rows, ``cols + SPREAD_HEAD_SLACK`` rows
+spread evenly over it are eliminated, every other row is tested through the
+quotient map of that basis (its sparse image vanishes exactly when it lies
+in the lattice), and the rows outside are eliminated with the basis in
+rounds of at most that many.  Every row is checked, and the reduced row
+Hermite form of a lattice is unique, so the basis is the one full
+elimination gives.  No elimination keeps a transform: one that is needed
+is carried as identity columns, since the Hermite basis of [M | I] is
+[H | U] with U*M = H.  The Hermite and Smith transforms and the kernel of a
+map are read from such columns.  A lattice keeps its basis and one Smith
+transform V of it, restricted to the columns of the nontrivial quotient
+coordinates: the quotient map needs nothing else.  A presentation owns the lattice of its
 relations, built once on first use: its invariants, kernels of maps out of
 it and membership tests all read that one lattice.
 
@@ -53,9 +53,13 @@ from .record import Record
 VERIFY_TRANSFORMS = False
 
 #: A matrix with more than this many rows per column is tall: its Hermite
-#: basis is built from a spread head of cols + 8 rows and the other rows are
-#: certified (see ``_certified_hnf``).  A shorter one is eliminated whole.
+#: basis is built from a spread head and the other rows are certified (see
+#: ``_certified_hnf``).  A shorter one is eliminated whole.
 CERTIFIED_SUBSET_FACTOR = 4
+
+#: A spread head holds cols + this many rows: enough past the rank that one
+#: round rarely follows, few enough that each pivot step reduces little.
+SPREAD_HEAD_SLACK = 8
 
 #: A quotient map v -> (v.V_i mod d_i): the moduli d_i, and row r of V
 #: restricted to the kept columns (see ``_smith_quotient``).
@@ -311,20 +315,20 @@ def _certified_hnf(rows: list[dict[int, int]], cols: int) -> tuple[list[dict[int
     """Transform-free row Hermite basis from certified row subsets, with its quotient map.
 
     A matrix of at most ``CERTIFIED_SUBSET_FACTOR * cols`` rows is simply
-    eliminated.  A taller one is eliminated from a head of ``cols + 8`` rows
-    spread evenly over it (``_spread``), and every other row is tested
-    through the quotient map of that basis (``_smith_quotient``): a row lies
-    in the lattice spanned so far exactly when each kept coordinate's
-    weighted sum over its entries vanishes mod d_i, at nnz(row)
-    multiply-adds per modulus.  Rows outside are taken in rounds: the basis
-    is eliminated again with ``cols + 8`` of them, spread the same way,
-    which strictly enlarges the lattice, and the rest are tested through the
-    new map.  So no elimination sees more than the basis (at most ``cols``
-    rows) plus ``cols + 8`` rows.  Every pivot step reduces each head row
-    that meets its column, so the head is kept near the rank: certifying a
-    row costs less than eliminating it.  Spreading it over the matrix
-    samples every part of a row-ordered one.  Every row is checked, and the
-    reduced Hermite basis of a lattice is unique, so the basis is the one
+    eliminated.  A taller one is eliminated from a head of ``cols +
+    SPREAD_HEAD_SLACK`` rows spread evenly over it (``_spread``), and every
+    other row is tested through the quotient map of that basis
+    (``_smith_quotient``): its sparse image vanishes exactly when the row
+    lies in the lattice spanned so far, at nnz(row) multiply-adds per
+    modulus.  Rows outside are taken in rounds: the basis is eliminated
+    again with a head of as many of them, spread the same way, which
+    strictly enlarges the lattice, and the rest are tested through the new
+    map.  So no elimination sees more than the basis (at most ``cols``
+    rows) plus one head.  Every pivot step reduces each head row that meets
+    its column, so the head is kept near the rank: certifying a row costs
+    less than eliminating it.  Spreading it over the matrix samples every
+    part of a row-ordered one.  Every row is checked, and the reduced
+    Hermite basis of a lattice is unique, so the basis is the one
     ``_eliminate`` on all rows gives.
 
     Returns (basis rows in echelon order, quotient map of that basis); the
@@ -334,13 +338,13 @@ def _certified_hnf(rows: list[dict[int, int]], cols: int) -> tuple[list[dict[int
         return _echelon_basis(rows, cols), None
     basis, tail = [], rows
     while tail:
-        head, tail = _spread(tail, cols + 8)
+        head, tail = _spread(tail, cols + SPREAD_HEAD_SLACK)
         basis = _echelon_basis(basis + head, cols)
         if not tail:
             return basis, None
         quotient = _smith_quotient(basis, cols)
-        weights = [(d, [vrow[i] for vrow in quotient[1]]) for i, d in enumerate(quotient[0])]
-        tail = [row for row in tail if not _weighed_member(row, weights)]
+        moduli = quotient[0]
+        tail = [row for row in tail if not _vanishes(_image(row.items(), *quotient), moduli)]
     return basis, quotient
 
 
@@ -352,21 +356,6 @@ def _spread(rows: list, m: int) -> tuple[list, list]:
     picked = [i * n // m for i in range(m)]
     taken = set(picked)
     return [rows[i] for i in picked], [row for i, row in enumerate(rows) if i not in taken]
-
-
-def _weighed_member(row: dict[int, int], weights: list[tuple[int, list[int]]]) -> bool:
-    """Does row vanish in the quotient: sum(w[c] * x) = 0 mod d for each (d, w)?
-
-    ``w`` lists one kept coordinate's column of V (row r of V holds what
-    unit vector r adds to each coordinate), and d = 0 asks for exactly 0.
-    """
-    for d, w in weights:
-        s = 0
-        for c, x in row.items():
-            s += w[c] * x
-        if s % d if d else s:
-            return False
-    return True
 
 
 def _echelon_basis(rows: list[dict[int, int]], cols: int) -> list[dict[int, int]]:

@@ -256,27 +256,38 @@ class RModulePresentation:
     """Finitely presented module over the group ring.
 
     ``relations`` holds sparse rows: maps generator index -> coefficient.
+    Every row is checked except the first ``_checked``, which the caller
+    (``with_extra_relations``) has checked before.
     """
 
     __slots__ = ("group", "generators", "relations")
 
-    def __init__(self, group: SquareClassGroup, generators: int, relations: tuple[Mapping[int, GroupRingElement], ...]):
-        for row in relations:
-            for idx, coeff in row.items():
-                if not (0 <= idx < generators):
-                    raise ValueError(f"generator index {idx} out of range")
-                if coeff.group != group:
-                    raise ValueError("relation coefficient from a different group ring")
+    def __init__(
+        self,
+        group: SquareClassGroup,
+        generators: int,
+        relations: tuple[Mapping[int, GroupRingElement], ...],
+        _checked: int = 0,
+    ):
+        _check_rows(group, generators, relations[_checked:])
         self.group = group
         self.generators = generators
         self.relations = relations
 
     def with_extra_relations(self, rows: Iterable[Mapping[int, GroupRingElement]]) -> "RModulePresentation":
         """This presentation plus the given rows; only the new rows are checked."""
-        extra = RModulePresentation(self.group, self.generators, tuple(dict(r) for r in rows))
-        out = object.__new__(RModulePresentation)
-        out.group, out.generators, out.relations = self.group, self.generators, self.relations + extra.relations
-        return out
+        relations = self.relations + tuple(dict(r) for r in rows)
+        return RModulePresentation(self.group, self.generators, relations, len(self.relations))
+
+
+def _check_rows(group: SquareClassGroup, generators: int, rows: Iterable[Mapping[int, GroupRingElement]]) -> None:
+    """Refuse a relation row with a generator index out of range or a coefficient of another group ring."""
+    for row in rows:
+        for idx, coeff in row.items():
+            if not (0 <= idx < generators):
+                raise ValueError(f"generator index {idx} out of range")
+            if coeff.group != group:
+                raise ValueError("relation coefficient from a different group ring")
 
 
 def character_specialize(M: RModulePresentation, chi: Character) -> tuple[IntMatrix, int]:

@@ -10,6 +10,7 @@ from blochtower.bloch_core import _lambda_two_matrix, asym2_presentation, preblo
 from blochtower import exact_linalg
 from blochtower.exact_linalg import (
     CERTIFIED_SUBSET_FACTOR,
+    SPREAD_HEAD_SLACK,
     AbelianInvariants,
     DimensionMismatchError,
     FpPresentation,
@@ -42,27 +43,33 @@ small_matrices = st.integers(1, 5).flatmap(
 
 @st.composite
 def tall_matrices(draw):
-    """Matrices with 4c < rows <= 12c, past the certified-subset threshold.
+    """Tall matrices that leave rows outside their spread head to certify.
 
-    The first 4c rows are random, zero, one repeated row, or even with an
-    empty last column; in the last three cases later rows must add pivots
-    or change the index, so a spread head that samples mostly those first
-    rows leaves the certification pass rows outside its lattice.
+    With c columns there are more than max(4c, c + SPREAD_HEAD_SLACK) and
+    at most max(that + 1, 12c) rows.  The spread head samples the rows
+    i * n // m, m = c + SPREAD_HEAD_SLACK; those rows are random, zero, one
+    repeated row, or even with an empty last column, and the others are
+    random.  In the last three cases the other rows must add pivots or
+    change the index, so the basis needs the certification pass.
     """
     c = draw(st.integers(1, 5))
-    head_size = CERTIFIED_SUBSET_FACTOR * c
-    n = draw(st.integers(head_size + 1, 3 * head_size))
+    m = c + SPREAD_HEAD_SLACK
+    low = max(CERTIFIED_SUBSET_FACTOR * c, m) + 1
+    n = draw(st.integers(low, max(low, 3 * CERTIFIED_SUBSET_FACTOR * c)))
+    sampled = {i * n // m for i in range(m)}
     row = st.lists(st.integers(-9, 9), min_size=c, max_size=c)
     kind = draw(st.sampled_from(["random", "zero", "duplicated", "even_no_last_col"]))
     if kind == "zero":
-        head = [[0] * c for _ in range(head_size)]
+        head = [[0] * c for _ in sampled]
     elif kind == "duplicated":
-        head = [draw(row)] * head_size
+        head = [draw(row)] * len(sampled)
     else:
-        head = draw(st.lists(row, min_size=head_size, max_size=head_size))
+        head = draw(st.lists(row, min_size=len(sampled), max_size=len(sampled)))
         if kind == "even_no_last_col":
             head = [[2 * x for x in r[:-1]] + [0] for r in head]
-    return head + draw(st.lists(row, min_size=n - head_size, max_size=n - head_size))
+    rest = iter(draw(st.lists(row, min_size=n - len(sampled), max_size=n - len(sampled))))
+    head = iter(head)
+    return [next(head) if i in sampled else next(rest) for i in range(n)]
 
 
 def mat(rows, cols=None):
@@ -268,11 +275,11 @@ class TestCertifiedHermite:
         # block, and every row of the second falls between them, so the
         # second block lies wholly outside the head's lattice and is taken
         # in rounds, never in one piece: no elimination sees more than the
-        # basis (at most 2n rows) plus one head of 2n + 8 rows
+        # basis (at most 2n rows) plus one head of 2n + SPREAD_HEAD_SLACK rows
         P = prebloch_presentation(field_from_q(13))
         rows, n = P.relations.sparse_rows(), P.generators
         first, second = ([{j + b * n: v for j, v in row.items()} for row in rows] for b in range(2))
-        head = 2 * n + 8
+        head = 2 * n + SPREAD_HEAD_SLACK
         between = iter(first[head:] + second)
         k = -(-(len(first) + len(second)) // head)
         stacked = [first[i // k] if i % k == 0 else next(between, {}) for i in range(head * k)]
@@ -313,7 +320,7 @@ class TestCertifiedHermite:
 
 
 def _tall_sparse(rng, kind):
-    """(rows, cols): a sparse matrix with more than CERTIFIED_SUBSET_FACTOR rows per column.
+    """(rows, cols): a tall sparse matrix with rows outside its spread head.
 
     ``duplicates`` repeats a few rows, ``zeros`` is mostly zero rows,
     ``free`` combines fewer rows than there are columns on a subset of the
@@ -321,7 +328,7 @@ def _tall_sparse(rng, kind):
     rows of one column block before those of another.
     """
     cols = rng.randint(2, 10)
-    n = rng.randint(CERTIFIED_SUBSET_FACTOR * cols + 1, 12 * cols)
+    n = rng.randint(max(CERTIFIED_SUBSET_FACTOR * cols, cols + SPREAD_HEAD_SLACK) + 1, 12 * cols)
 
     def sparse_row(columns):
         picked = rng.sample(columns, rng.randint(1, min(3, len(columns))))
