@@ -12,11 +12,13 @@ The fields with 2 and 3 elements get their standard ad-hoc replacements (an
 order-3 group with a distinguished generator, and the cyclic module on [-1]
 with the single relation 2([-1] + <-1>[-1]) = 0).
 
-Both presentations, and the integer relation matrix of every character
-specialization, are read from one term table that lists each relation row
-as (generator, integer coefficient, square class) terms: the pre-Bloch
-matrix sums the coefficients, the refined module wraps them in group-ring
-elements, and a character adds coeff * chi(class) into sparse rows.
+Every command reads the O(q^2) relations from one term table that lists
+each relation row as (generator, integer coefficient, square class) terms:
+a character specialization (the pre-Bloch matrix for the trivial one) adds
+coeff * chi(class) into sparse rows, the z-expanded refined matrix adds each
+coefficient at its (generator, translated class) column, and the lambda
+sweep sums the invariants over the terms.  ``refined_presentation`` wraps
+the same terms in group-ring elements; it is the reference form for tests.
 
 Downstream of the presentations: the invariant maps lambda_one (into the
 square of the augmentation ideal) and lambda_two (into the antisymmetric
@@ -241,7 +243,13 @@ def prebloch_presentation(F: FieldSpec) -> FpPresentation:
 
 @lru_cache(maxsize=None)
 def refined_presentation(F: FieldSpec) -> RModulePresentation:
-    """The refined pre-Bloch module over the square-class group ring."""
+    """The refined pre-Bloch module over the square-class group ring.
+
+    This is the reference form of the term table, one group-ring element per
+    (row, generator), kept for the test oracles and the perfbench tracer; no
+    CLI command reaches it, since every reader of the O(q^2) relations sums
+    the table's ints directly.
+    """
     G = square_class_group(F)
     rows: list[dict[int, GroupRingElement]] = []
     for terms in _five_term_table(F):
@@ -536,10 +544,25 @@ def constant_b(F: FieldSpec) -> BlochConstants:
 # lattices for zero-testing inside the presented modules
 
 
-@lru_cache(maxsize=None)
 def _rp_zmatrix(F: FieldSpec) -> IntMatrix:
-    mat, _ = z_expand(refined_presentation(F))
-    return mat
+    """The z-expanded refined relations, read straight from the term table.
+
+    Equal to ``z_expand(refined_presentation(F))`` row for row: translate e
+    of a relation row puts each nonzero (generator, class) sum at column
+    generator * |G| + (e xor class).  Not cached: only the cached
+    ``rp_lattice`` reads it, and the lattice keeps its own basis rows.
+    """
+    g = square_class_group(F).size
+    rows = []
+    for terms in _five_term_table(F):
+        sums: dict[int, int] = {}
+        for j, coeff, cls in terms:
+            k = j * g + cls
+            sums[k] = sums.get(k, 0) + coeff
+        nonzero = [(k, v) for k, v in sums.items() if v]
+        # class < g and g is a power of 2, so k ^ e = j * g + (class ^ e)
+        rows += [{k ^ e: v for k, v in nonzero} for e in range(g)]
+    return IntMatrix._of(rows, generator_count(F) * g)
 
 
 @lru_cache(maxsize=None)
@@ -625,7 +648,8 @@ def df_module(F: FieldSpec) -> DfModuleReport:
 
     (1) psi_1(x) - psi_2(x) = <<x>> c for every x (after inverting 2; the
         integral outcome is recorded separately rather than asserted).
-    (2) <<x>> c = 0 whenever x is, up to sign, a norm from F(zeta3).
+    (2) <<x>> c = 0 whenever x is, up to sign, a norm from F(zeta3); over a
+        finite field that is every x (``plus_minus_norm_codes``).
 
     A failed check is fatal: these identities hold for every field, so a
     failure means the implementation is wrong.
@@ -637,16 +661,22 @@ def df_module(F: FieldSpec) -> DfModuleReport:
 
 
 class ReducedQuotients:
-    """The two reduced quotients of the refined module.
+    """The relations that cut the two reduced quotients out of the refined module.
 
-    ``mod_inversions_and_ic``: quotient by all psi_1(x) plus the augmentation
-    multiples of c (symbols stay meaningful across specialization).
-    ``mod_inversions_and_c``: the further quotient by c itself.
+    ``mod_inversions_and_ic``: all psi_1(x) plus the augmentation multiples
+    of c (symbols stay meaningful across specialization).
+    ``mod_inversions_and_c``: all psi_1(x) plus c itself.
+    Each is a tuple of relation rows (generator index -> group-ring element)
+    added to the refined relations, which are not repeated here.
     """
 
     __slots__ = ("mod_inversions_and_ic", "mod_inversions_and_c")
 
-    def __init__(self, mod_inversions_and_ic: RModulePresentation, mod_inversions_and_c: RModulePresentation):
+    def __init__(
+        self,
+        mod_inversions_and_ic: tuple[dict[int, GroupRingElement], ...],
+        mod_inversions_and_c: tuple[dict[int, GroupRingElement], ...],
+    ):
         self.mod_inversions_and_ic = mod_inversions_and_ic
         self.mod_inversions_and_c = mod_inversions_and_c
 
@@ -662,8 +692,7 @@ def _suslin_rows(F: FieldSpec) -> list[dict[int, GroupRingElement]]:
 
 @lru_cache(maxsize=None)
 def reduced_quotients(F: FieldSpec) -> ReducedQuotients:
-    rp = refined_presentation(F)
-    G = rp.group
+    G = square_class_group(F)
     consts = constant_b(F)
     psi_rows = _suslin_rows(F)
     ic_rows = []
@@ -674,10 +703,7 @@ def reduced_quotients(F: FieldSpec) -> ReducedQuotients:
         if not row.is_zero_vector():
             ic_rows.append(dict(row.coeffs))
     c_rows = [] if consts.c.is_zero_vector() else [dict(consts.c.coeffs)]
-    return ReducedQuotients(
-        mod_inversions_and_ic=rp.with_extra_relations(psi_rows + ic_rows),
-        mod_inversions_and_c=rp.with_extra_relations(psi_rows + c_rows),
-    )
+    return ReducedQuotients(tuple(psi_rows + ic_rows), tuple(psi_rows + c_rows))
 
 
 @lru_cache(maxsize=None)
@@ -686,13 +712,12 @@ def reduced_lattice(F: FieldSpec, which: str) -> Lattice:
     if which not in ("ic", "c"):
         raise ValueError(f"unknown reduced quotient {which!r}; choose 'ic' or 'c'")
     quotients = reduced_quotients(F)
-    pres = quotients.mod_inversions_and_ic if which == "ic" else quotients.mod_inversions_and_c
-    # A reduced quotient is the refined module modulo extra relations, so its
-    # lattice is spanned by the refined lattice's Hermite basis plus the
-    # z-expanded extra rows: a few hundred rows instead of every refined one.
+    added = quotients.mod_inversions_and_ic if which == "ic" else quotients.mod_inversions_and_c
+    # A reduced quotient is the refined module modulo the added relations, so
+    # its lattice is spanned by the refined lattice's Hermite basis plus the
+    # z-expanded added rows: a few hundred rows instead of every refined one.
     rp = rp_lattice(F)
-    extra_rows = pres.relations[len(refined_presentation(F).relations):]
-    extra, _ = z_expand(RModulePresentation(pres.group, pres.generators, extra_rows))
+    extra, _ = z_expand(RModulePresentation(square_class_group(F), generator_count(F), added))
     return Lattice(IntMatrix.from_sparse_rows(rp.basis_rows(), rp.cols).stack(extra))
 
 
@@ -728,31 +753,31 @@ class SweepResult(Record):
 def verify_lambda_well_defined(F: FieldSpec) -> SweepResult:
     """Both invariant maps must kill every relation row, exactly.
 
-    Each row of ``refined_presentation(F)`` is read in ints: lambda_one as a
+    Each row of the five-term table is read in ints: lambda_one as a
     coefficient list over G (<f> acting as e -> e^f) and lambda_two as an
-    int mod ``asym2_modulus``, both from the row's coefficients and the
-    cached per-generator values.
+    int mod ``asym2_modulus``, both summed over the row's
+    (generator, coefficient, class) terms from the cached per-generator
+    values.
     """
     G = square_class_group(F)
     mod = asym2_modulus(F)
     n = generator_count(F)
     lam1 = [tuple(_lambda_one_of_generator(F, j).coeffs.items()) for j in range(n)]
     lam2 = [_lambda_two_of_generator(F, j) for j in range(n)]
-    relations = refined_presentation(F).relations
+    table = _five_term_table(F)
     failures = []
-    for ridx, rel in enumerate(relations):
+    for ridx, terms in enumerate(table):
         one = [0] * G.size
         two = 0
-        for j, coeff in rel.items():
-            for e, c in coeff.coeffs.items():
-                two += c * lam2[j]
-                for f, w in lam1[j]:
-                    one[e ^ f] += c * w
+        for j, coeff, e in terms:
+            two += coeff * lam2[j]
+            for f, w in lam1[j]:
+                one[e ^ f] += coeff * w
         if any(one):
             failures.append(f"lambda_one nonzero on relation {ridx}")
         if two % mod:
             failures.append(f"lambda_two nonzero on relation {ridx}")
-    return SweepResult("lambda_well_defined", len(relations), tuple(failures))
+    return SweepResult("lambda_well_defined", len(table), tuple(failures))
 
 
 def verify_suslin_identities(F: FieldSpec) -> SweepResult:

@@ -422,59 +422,14 @@ def has_sqrt_minus3(F: FieldSpec) -> bool:
     return F.sqrt_code(F.neg_code(3 % F.p)) is not None
 
 
-def _embedding(F: FieldSpec, E: FieldSpec) -> list[int]:
-    """Embedding F -> E as a code map, via the least root of F's modulus in E."""
-    mod = list(F.modulus)
-    root = None
-    for cand in E.elements():
-        acc = 0
-        power = 1
-        for c in mod:
-            if c:
-                acc = E.add_code(acc, E.mul_code(c % E.p, power))
-            power = E.mul_code(power, cand)
-        if acc == 0:
-            root = cand
-            break
-    if root is None:  # pragma: no cover - a degree-m field always embeds in degree 2m
-        raise AssertionError("modulus has no root in the extension")
-    table = [0] * F.q
-    for code in F.elements():
-        acc = 0
-        power = 1
-        for c in F.coeffs_of(code):
-            if c:
-                acc = E.add_code(acc, E.mul_code(c, power))
-            power = E.mul_code(power, root)
-        table[code] = acc
-    return table
-
-
 def plus_minus_norm_codes(F: FieldSpec) -> frozenset[int]:
     """The subgroup <-1> * N_{E/F}(E^x) of F^x, E = F(zeta3), as codes.
 
-    When X^2 - X + 1 already splits in F the extension is trivial and the
-    whole unit group is returned.  Otherwise E is the quadratic extension and
-    the norms are enumerated by walking the cyclic group E^x.
+    The norm of a finite extension of finite fields is onto (on the cyclic
+    group E^x it is the power map x -> x^(|E^x| / |F^x|)), so the subgroup is
+    the whole unit group.
     """
-    if has_root_x2_minus_x_plus_1(F):
-        return frozenset(F.units())
-    E = field(F.p, 2 * F.m)
-    emb = _embedding(F, E)
-    back = {e_code: f_code for f_code, e_code in enumerate(emb)}
-    g = E.generator_code()
-    step = E.pow_code(g, F.q + 1)
-    norms = set()
-    cur = step
-    while True:
-        norms.add(back[cur])
-        if cur == 1:
-            break
-        cur = E.mul_code(cur, step)
-    out = set(norms)
-    for n in norms:
-        out.add(F.neg_code(n))
-    return frozenset(out)
+    return frozenset(F.units())
 
 
 def rsq_order(F: FieldSpec) -> int:

@@ -256,8 +256,8 @@ class RModulePresentation:
     """Finitely presented module over the group ring.
 
     ``relations`` holds sparse rows: maps generator index -> coefficient.
-    Every row is checked except the first ``_checked``, which the caller
-    (``with_extra_relations``) has checked before.
+    The constructor refuses a row with a generator index out of range or a
+    coefficient of another group ring.
     """
 
     __slots__ = ("group", "generators", "relations")
@@ -267,27 +267,16 @@ class RModulePresentation:
         group: SquareClassGroup,
         generators: int,
         relations: tuple[Mapping[int, GroupRingElement], ...],
-        _checked: int = 0,
     ):
-        _check_rows(group, generators, relations[_checked:])
+        for row in relations:
+            for idx, coeff in row.items():
+                if not (0 <= idx < generators):
+                    raise ValueError(f"generator index {idx} out of range")
+                if coeff.group != group:
+                    raise ValueError("relation coefficient from a different group ring")
         self.group = group
         self.generators = generators
         self.relations = relations
-
-    def with_extra_relations(self, rows: Iterable[Mapping[int, GroupRingElement]]) -> "RModulePresentation":
-        """This presentation plus the given rows; only the new rows are checked."""
-        relations = self.relations + tuple(dict(r) for r in rows)
-        return RModulePresentation(self.group, self.generators, relations, len(self.relations))
-
-
-def _check_rows(group: SquareClassGroup, generators: int, rows: Iterable[Mapping[int, GroupRingElement]]) -> None:
-    """Refuse a relation row with a generator index out of range or a coefficient of another group ring."""
-    for row in rows:
-        for idx, coeff in row.items():
-            if not (0 <= idx < generators):
-                raise ValueError(f"generator index {idx} out of range")
-            if coeff.group != group:
-                raise ValueError("relation coefficient from a different group ring")
 
 
 def character_specialize(M: RModulePresentation, chi: Character) -> tuple[IntMatrix, int]:

@@ -36,7 +36,7 @@ import random
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .bloch_core import constant_b, reduced_lattice, reduced_quotients, _symbol_index
+from .bloch_core import constant_b, generator_count, reduced_lattice, square_class_group, _symbol_index
 from .exact_linalg import DimensionMismatchError
 from .finite_field import FieldSpec, check_difference_of_squares, square_class_code
 from .record import Record
@@ -389,9 +389,8 @@ class SpecializationTarget:
     def __init__(self, residue_field: FieldSpec):
         _require_odd(residue_field)
         self.field = residue_field
-        pres = reduced_quotients(residue_field).mod_inversions_and_ic
-        self.group_size = pres.group.size
-        self.width = pres.generators * self.group_size
+        self.group_size = square_class_group(residue_field).size
+        self.width = generator_count(residue_field) * self.group_size
         self.total = 2 * self.width
         self.lattice = reduced_lattice(residue_field, "ic")
         b_coords = constant_b(residue_field).b.z_coordinates()

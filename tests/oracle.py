@@ -17,15 +17,18 @@ vectors, group-ring elements and a fresh membership query, where the
 package sweeps add up quotient images and integer lists.  The sweep
 oracles read ``suslin_element``, ``refined_presentation`` and
 ``rp_lattice`` from the ``bloch_core`` module at call time, so a test that
-patches one of them reaches both sides.
+patches one of them reaches both sides.  The matrix and quotient oracles
+z-expand the group-ring form of the refined relations, where the package
+writes its rows from the five-term table's ints, and the norm oracle counts
+the norms x^(q+1) of F_{q^2} by walking its whole unit group.
 """
 
 import itertools
 
 from blochtower import bloch_core as bc
 from blochtower.exact_linalg import FpPresentation, IntMatrix, Lattice, _apply_map, _reduce
-from blochtower.finite_field import square_class_code
-from blochtower.group_ring import bracket
+from blochtower.finite_field import FieldSpec, square_class_code
+from blochtower.group_ring import RModulePresentation, bracket, z_expand
 from blochtower.laurent import (
     PrecisionExhaustedError,
     RelationCheckOutcome,
@@ -317,6 +320,25 @@ def five_term_rows(F):
         tuple((index[arg], sign, cls) for arg, sign, cls in five_term_arguments(F, x, y) if arg != 1)
         for x, y in itertools.permutations(bc.symbol_generators(F), 2)
     )
+
+
+def norm_count(F):
+    """Number of distinct norms x^(q+1) of the units x of E = F_{q^2}, counted in E."""
+    E = FieldSpec(F.p, 2 * F.m)  # uncached: the tables go when the count is done
+    return len({E.pow_code(x, F.q + 1) for x in E.units()})
+
+
+def refined_zmatrix(F):
+    """The z-expanded refined relations, through group-ring elements."""
+    return z_expand(bc.refined_presentation(F))[0]
+
+
+def reduced_quotient(F, which):
+    """The full reduced quotient ("ic" or "c"): every refined relation plus the added rows."""
+    quotients = bc.reduced_quotients(F)
+    added = quotients.mod_inversions_and_ic if which == "ic" else quotients.mod_inversions_and_c
+    rp = bc.refined_presentation(F)
+    return RModulePresentation(rp.group, rp.generators, rp.relations + added)
 
 
 def suslin_cocycle_sweep(F):

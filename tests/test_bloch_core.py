@@ -4,12 +4,11 @@ import tracemalloc
 import pytest
 
 from blochtower import bloch_core as bc
-from blochtower import cli, exact_linalg
+from blochtower import cli, exact_linalg, laurent
 from blochtower.exact_linalg import AbelianInvariants, FpPresentation, IntMatrix, _eliminate, cokernel_invariants
 from blochtower.finite_field import field, field_from_q, square_class_code
 from blochtower.group_ring import (
     GroupRingElement,
-    RModulePresentation,
     bracket,
     character_specialize,
     double_bracket,
@@ -267,16 +266,17 @@ class TestSweepOracles:
 
     @pytest.mark.parametrize("q", [5, 7, 9, 13])
     def test_perturbed_relation_row_fails_alike(self, q, monkeypatch):
+        # the sweep reads the term table, and the oracle reads the group-ring
+        # form built from it; the uncached builder sees the perturbed row too
         F = field_from_q(q)
-        rp = bc.refined_presentation(F)
         j = next(
-            j for j in range(rp.generators)
+            j for j in range(bc.generator_count(F))
             if bc._lambda_two_of_generator(F, j) or not bc._lambda_one_of_generator(F, j).is_zero()
         )
-        row = dict(rp.relations[3])
-        row[j] = row[j] + GroupRingElement.one(rp.group) if j in row else GroupRingElement.one(rp.group)
-        perturbed = RModulePresentation(rp.group, rp.generators, rp.relations[:3] + (row,) + rp.relations[4:])
-        monkeypatch.setattr(bc, "refined_presentation", lambda _F: perturbed)
+        table = bc._five_term_table(F)
+        perturbed = table[:3] + (table[3] + ((j, 1, 0),),) + table[4:]
+        monkeypatch.setattr(bc, "_five_term_table", lambda _F: perturbed)
+        monkeypatch.setattr(bc, "refined_presentation", bc.refined_presentation.__wrapped__)
         mine, expected = bc.verify_lambda_well_defined(F), oracle.lambda_well_defined_sweep(F)
         assert mine == expected
         assert mine.failures and all(f.endswith(" on relation 3") for f in mine.failures)
@@ -380,18 +380,15 @@ class TestReducedQuotients:
 
     def test_rp2_coinvariants_quotient_of_prebloch(self):
         F = field(5)
-        rp2 = bc.reduced_quotients(F).mod_inversions_and_c
+        rp2 = oracle.reduced_quotient(F, "c")
         mat, n = character_specialize(rp2, rp2.group.character(0))
         order = cokernel_invariants(mat, n).order()
         assert bc.prebloch_presentation(F).invariants().order() % order == 0
 
     def test_f2_quotients(self):
-        from blochtower.group_ring import z_expand
-
-        rq = bc.reduced_quotients(field(2))
-        mat3, w3 = z_expand(rq.mod_inversions_and_ic)
+        mat3, w3 = z_expand(oracle.reduced_quotient(field(2), "ic"))
         assert cokernel_invariants(mat3, w3) == inv(3)
-        mat2, w2 = z_expand(rq.mod_inversions_and_c)
+        mat2, w2 = z_expand(oracle.reduced_quotient(field(2), "c"))
         assert cokernel_invariants(mat2, w2).is_trivial()
 
 
@@ -399,10 +396,9 @@ class TestEigenspaceReconstruction:
     @pytest.mark.parametrize("q", [3, 5, 7, 9])
     def test_bloch_presentations(self, q):
         F = field_from_q(q)
-        rq = bc.reduced_quotients(F)
         assert eigenspace_reconstruction_ok(bc.refined_presentation(F))
-        assert eigenspace_reconstruction_ok(rq.mod_inversions_and_ic)
-        assert eigenspace_reconstruction_ok(rq.mod_inversions_and_c)
+        assert eigenspace_reconstruction_ok(oracle.reduced_quotient(F, "ic"))
+        assert eigenspace_reconstruction_ok(oracle.reduced_quotient(F, "c"))
 
     @pytest.mark.parametrize("q", [3, 5, 7, 9, 13])
     def test_refined_bloch_integral_vs_characters(self, q):
@@ -437,18 +433,27 @@ class TestCertifiedLattices:
         # the reduced lattices start from the refined basis; the oracle
         # eliminates the full z-expanded quotient matrices instead
         F = field_from_q(q)
-        quotients = bc.reduced_quotients(F)
         lattices = {
             "rp": (bc.rp_lattice(F), bc._rp_zmatrix(F)),
             "pb": (bc.prebloch_lattice(F), bc.prebloch_presentation(F).relations),
-            "ic": (bc.reduced_lattice(F, "ic"), z_expand(quotients.mod_inversions_and_ic)[0]),
-            "c": (bc.reduced_lattice(F, "c"), z_expand(quotients.mod_inversions_and_c)[0]),
+            "ic": (bc.reduced_lattice(F, "ic"), z_expand(oracle.reduced_quotient(F, "ic"))[0]),
+            "c": (bc.reduced_lattice(F, "c"), z_expand(oracle.reduced_quotient(F, "c"))[0]),
         }
         for name, (lat, M) in lattices.items():
             work, pivots = _eliminate(M.sparse_rows(), M.cols)
             assert lat.basis_rows() == [work[r] for r, _ in pivots], name
             factors = tuple(d for d in lat.moduli if d)
             assert AbelianInvariants(factors, lat.moduli.count(0)) == cokernel_invariants(M, M.cols), name
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27, 32, 49, 61, 64])
+    def test_zmatrix_matches_group_ring_form(self, q):
+        # the rows are written from the term table's ints; the oracle
+        # z-expands the group-ring elements built from the same table
+        F = field_from_q(q)
+        expected = oracle.refined_zmatrix(F)
+        mine = bc._rp_zmatrix(F)
+        assert (mine.rows, mine.cols) == (expected.rows, expected.cols)
+        assert mine.sparse_rows() == expected.sparse_rows()
 
     @pytest.mark.parametrize("q", [2, 4, 8, 16, 32])
     def test_even_q_reuses_prebloch_lattice(self, q):
@@ -500,14 +505,39 @@ class TestOneEliminationPerMatrix:
     def test_reduced_lattices_start_from_refined_basis(self, eliminated, tmp_path):
         assert cli.main(["verify", "--q", "13", "--suite", "pb", "--out", str(tmp_path / "report.json")]) == 0
         F = field_from_q(13)
-        quotients = bc.reduced_quotients(F)
         refined = len(bc.refined_presentation(F).relations)
         sizes = {len(rows) for rows in eliminated}
         basis = len(bc.rp_lattice(F).basis_rows())
-        for pres in (quotients.mod_inversions_and_ic, quotients.mod_inversions_and_c):
-            extra = (len(pres.relations) - refined) * pres.group.size
+        for which in ("ic", "c"):
+            full = oracle.reduced_quotient(F, which)
+            extra = (len(full.relations) - refined) * full.group.size
             assert basis + extra in sizes
-            assert z_expand(pres)[0].rows not in sizes
+            assert z_expand(full)[0].rows not in sizes
+
+
+class TestGroupRingRelationsUnreached:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prebloch", "--q", "9"],
+            ["verify", "--q", "9", "--suite", "all"],
+            ["laurent-fuzz", "--q", "5", "--precision", "8", "--samples", "20"],
+        ],
+        ids=["prebloch", "verify", "laurent-fuzz"],
+    )
+    def test_commands_read_only_the_term_table(self, argv, monkeypatch, tmp_path):
+        # from cold caches, so that no lattice or target built by an earlier
+        # test hides a call
+        for module in (bc, laurent):
+            for fn in vars(module).values():
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+
+        def refuse(F):
+            raise AssertionError("a command built the group-ring relations")
+
+        monkeypatch.setattr(bc, "refined_presentation", refuse)
+        assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0
 
 
 class TestRelationMatrixMemory:

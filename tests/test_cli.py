@@ -174,6 +174,20 @@ class TestReportContract:
         assert main(["prebloch", "--q", "17"]) == 2
         capsys.readouterr()
 
+    def test_commands_stay_within_the_bound_of_their_field(self, tmp_path):
+        # F_32 is inside a bound of 64 and F_1024 is not, so no command on F_32
+        # may build its quadratic extension; a fresh process, since an earlier
+        # test may already hold F_1024 in the field cache
+        src = str(Path(blochtower.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, BLOCH_MAX_Q="64")
+        for argv in (["verify", "--q", "32", "--suite", "df"], ["tower", "--base", "32", "--levels", "1"]):
+            out = tmp_path / f"{argv[0]}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "blochtower.cli", *argv, "--out", str(out)], env=env, capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(out.read_text())["status"] == "ok"
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "blochtower" in capsys.readouterr().out

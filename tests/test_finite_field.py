@@ -15,6 +15,8 @@ from blochtower.finite_field import (
     square_class_code,
 )
 
+import oracle
+
 SMALL_PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31]
 
 
@@ -154,9 +156,13 @@ class TestNormGroups:
         assert rsq_order(field_from_q(q)) == 1
 
     def test_norm_subgroup_structure(self):
-        F = field(5)
-        group = plus_minus_norm_codes(F)
-        assert group == frozenset(F.units())  # norms from F_25 cover everything
+        # the norm from F_{q^2} is onto F_q^x, so the subgroup is every unit
+        for q in range(2, 129):
+            if len(set(_factor(q))) != 1:
+                continue
+            F = field_from_q(q)
+            assert oracle.norm_count(F) == q - 1, q
+            assert plus_minus_norm_codes(F) == frozenset(F.units()), q
 
     def test_zeta3_detection(self):
         assert has_root_x2_minus_x_plus_1(field(7))  # 3 divides 7 - 1

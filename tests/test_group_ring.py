@@ -185,15 +185,17 @@ class TestSpecializeAndExpand:
 
 
 class TestModulePresentation:
-    def test_extra_rows_are_checked(self):
-        M = RModulePresentation(G1, 2, ({0: double_bracket(G1, 1)},))
+    def test_every_row_is_checked(self):
+        first = {0: double_bracket(G1, 1)}
         with pytest.raises(ValueError, match="different group ring"):
-            M.with_extra_relations([{1: bracket(G2, 1)}])
+            RModulePresentation(G1, 2, (first, {1: bracket(G2, 1)}))
         with pytest.raises(ValueError, match="out of range"):
-            M.with_extra_relations([{2: bracket(G1, 1)}])
-        N = M.with_extra_relations([{1: bracket(G1, 1)}])
+            RModulePresentation(G1, 2, (first, {2: bracket(G1, 1)}))
+        with pytest.raises(ValueError, match="out of range"):
+            RModulePresentation(G1, 2, ({-1: bracket(G1, 1)}, first))
+        N = RModulePresentation(G1, 2, (first, {1: bracket(G1, 1)}))
         assert (N.group, N.generators) == (G1, 2)
-        assert N.relations == M.relations + ({1: bracket(G1, 1)},)
+        assert N.relations == (first, {1: bracket(G1, 1)})
 
 
 class TestEigenspaceReconstruction:
