@@ -5,30 +5,25 @@ abelian groups, the quotient map of a presented group Z^n/L (membership,
 membership after inverting 2, and element orders all read it), and kernels
 of maps between presented groups.
 
-All arithmetic uses Python's arbitrary-precision integers.  Pivoting is
-deterministic (minimal absolute value; the sparse Hermite elimination
-breaks ties by fewest nonzeros, then row index, and the dense Smith core in
-(row, col) order), so every result is reproducible bit for bit.  A matrix is
-stored as one sparse ``{col: value}`` dict per row, the form elimination
-works on: a relation matrix is written row by row and a lattice eliminates
-those rows as they are stored, so the relations are never held twice.  The
-Smith form takes a sparse Hermite basis first and only then runs a dense
-core on it, since elimination causes fill-in.
+All arithmetic uses Python's arbitrary-precision integers.  Every choice is
+deterministic (rows are inserted in a fixed order, and the dense Smith core
+picks a pivot of minimal absolute value, ties in (row, col) order), so every
+result is reproducible bit for bit.  A matrix is stored as one sparse
+``{col: value}`` dict per row, the form elimination works on: a relation
+matrix is written row by row and a lattice reads those rows as they are
+stored, so the relations are never held twice.  The Smith form takes a
+sparse Hermite basis first and only then runs a dense core on it, since
+elimination causes fill-in.
 
 Every elimination goes through ``Lattice``, which gets its row Hermite
-basis from certified subsets: of a matrix with more than
-``CERTIFIED_SUBSET_FACTOR * cols`` rows, ``cols + SPREAD_HEAD_SLACK`` rows
-spread evenly over it are eliminated, every other row is tested through the
-quotient map of that basis (its sparse image vanishes exactly when it lies
-in the lattice), and the rows outside are eliminated with the basis in
-rounds of at most that many.  Every row is checked, and the reduced row
-Hermite form of a lattice is unique, so the basis is the one full
-elimination gives.  No elimination keeps a transform: one that is needed
-is carried as identity columns, since the Hermite basis of [M | I] is
-[H | U] with U*M = H.  The Hermite and Smith transforms and the kernel of a
-map are read from such columns.  A lattice keeps its basis and one Smith
-transform V of it, restricted to the columns of the nontrivial quotient
-coordinates: the quotient map needs nothing else.  A presentation owns the lattice of its
+basis by inserting every row into a basis kept reduced above its pivots
+(``_hermite_basis``): after every row, each entry above a pivot lies in
+[0, pivot), which bounds coefficient growth.  No elimination keeps a transform: one that is needed is carried as
+identity columns, since the Hermite basis of [M | I] is [H | U] with
+U*M = H.  The Hermite and Smith transforms and the kernel of a map are read
+from such columns.  A lattice keeps its basis and one Smith transform V of
+it, restricted to the columns of the nontrivial quotient coordinates: the
+quotient map needs nothing else.  A presentation owns the lattice of its
 relations, built once on first use: its invariants, kernels of maps out of
 it and membership tests all read that one lattice.
 
@@ -40,6 +35,7 @@ whichever call builds it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -51,15 +47,6 @@ from .record import Record
 #: zero, V is unimodular).  The test suite switches this on; it is off in
 #: normal use.
 VERIFY_TRANSFORMS = False
-
-#: A matrix with more than this many rows per column is tall: its Hermite
-#: basis is built from a spread head and the other rows are certified (see
-#: ``_certified_hnf``).  A shorter one is eliminated whole.
-CERTIFIED_SUBSET_FACTOR = 4
-
-#: A spread head holds cols + this many rows: enough past the rank that one
-#: round rarely follows, few enough that each pivot step reduces little.
-SPREAD_HEAD_SLACK = 8
 
 #: A quotient map v -> (v.V_i mod d_i): the moduli d_i, and row r of V
 #: restricted to the kept columns (see ``_smith_quotient``).
@@ -311,56 +298,109 @@ def _row_addmul(target: dict[int, int], source: dict[int, int], q: int) -> None:
             target.pop(c, None)
 
 
-def _certified_hnf(rows: list[dict[int, int]], cols: int) -> tuple[list[dict[int, int]], Optional[QuotientMap]]:
-    """Transform-free row Hermite basis from certified row subsets, with its quotient map.
+def _hermite_basis(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
+    """Reduced row Hermite basis of the lattice the rows span, in echelon order.
 
-    A matrix of at most ``CERTIFIED_SUBSET_FACTOR * cols`` rows is simply
-    eliminated.  A taller one is eliminated from a head of ``cols +
-    SPREAD_HEAD_SLACK`` rows spread evenly over it (``_spread``), and every
-    other row is tested through the quotient map of that basis
-    (``_smith_quotient``): its sparse image vanishes exactly when the row
-    lies in the lattice spanned so far, at nnz(row) multiply-adds per
-    modulus.  Rows outside are taken in rounds: the basis is eliminated
-    again with a head of as many of them, spread the same way, which
-    strictly enlarges the lattice, and the rest are tested through the new
-    map.  So no elimination sees more than the basis (at most ``cols``
-    rows) plus one head.  Every pivot step reduces each head row that meets
-    its column, so the head is kept near the rank: certifying a row costs
-    less than eliminating it.  Spreading it over the matrix samples every
-    part of a row-ordered one.  Every row is checked, and the reduced
-    Hermite basis of a lattice is unique, so the basis is the one
-    ``_eliminate`` on all rows gives.
-
-    Returns (basis rows in echelon order, quotient map of that basis); the
-    map is None when no row was tested.
+    Every nonzero row is inserted into a ``_ReducedBasis``, in order of
+    descending leading column.  The reduced Hermite basis of a lattice is
+    unique, so the result does not depend on that order; the order only
+    keeps the work small.  The input rows are read, not changed, and copied
+    one at a time.
     """
-    if len(rows) <= CERTIFIED_SUBSET_FACTOR * cols:
-        return _echelon_basis(rows, cols), None
-    basis, tail = [], rows
-    while tail:
-        head, tail = _spread(tail, cols + SPREAD_HEAD_SLACK)
-        basis = _echelon_basis(basis + head, cols)
-        if not tail:
-            return basis, None
-        quotient = _smith_quotient(basis, cols)
-        moduli = quotient[0]
-        tail = [row for row in tail if not _vanishes(_image(row.items(), *quotient), moduli)]
-    return basis, quotient
+    basis = _ReducedBasis()
+    basis.extend(sorted(filter(None, rows), key=min, reverse=True))
+    return [basis.rows[c] for c in basis.pivots]
 
 
-def _spread(rows: list, m: int) -> tuple[list, list]:
-    """(rows i*n//m for i < m, the others), n = len(rows); all rows when n <= m."""
-    n = len(rows)
-    if n <= m:
-        return rows, []
-    picked = [i * n // m for i in range(m)]
-    taken = set(picked)
-    return [rows[i] for i in picked], [row for i, row in enumerate(rows) if i not in taken]
+class _ReducedBasis:
+    """A row Hermite basis kept reduced above its pivots, grown by row insertion.
 
+    ``rows`` maps each pivot column to its row, and ``pivots`` lists those
+    columns in increasing order.  Each pivot is positive and every entry
+    above it lies in [0, pivot), after every insertion: that bounds
+    coefficient growth (Kannan and Bachem, SIAM J. Comput. 8, 1979; Cohen,
+    GTM 138, 2.4).
+    """
 
-def _echelon_basis(rows: list[dict[int, int]], cols: int) -> list[dict[int, int]]:
-    work, pivots = _eliminate(rows, cols)
-    return [work[r] for r, _ in pivots]
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self) -> None:
+        self.rows: dict[int, dict[int, int]] = {}
+        self.pivots: list[int] = []
+
+    def extend(self, rows: Iterable[dict[int, int]]) -> None:
+        """Insert each row in turn, so that the basis spans it too.
+
+        While a row v is nonzero, its leading column c and entry a decide
+        the step: with no pivot at c, v (made positive) opens one; a pivot b
+        that divides a reduces v; otherwise v and the pivot row p are merged
+        by the unimodular 2 x 2 extended-gcd step: with s*b + t*a =
+        g = gcd(a, b), p becomes s*p + t*v, and v goes on as
+        (a/g)*p - (b/g)*v, which is zero at c.
+        """
+        pivot_rows = self.rows
+        for row in rows:
+            v = dict(row)
+            while v:
+                c = min(v)
+                a = v[c]
+                p = pivot_rows.get(c)
+                if p is None:
+                    self._install(v if a > 0 else {j: -x for j, x in v.items()}, c)
+                    break
+                b = p[c]
+                q, r = divmod(a, b)
+                if not r:  # _row_addmul(v, p, -q), inlined: most rows take only this step
+                    del v[c]
+                    for j, x in p.items():
+                        if j != c:
+                            y = v.get(j, 0) - q * x
+                            if y:
+                                v[j] = y
+                            else:
+                                del v[j]
+                    continue
+                g = math.gcd(a, b)
+                s = pow(b // g, -1, abs(a) // g)
+                t = (g - s * b) // a
+                merged = {j: t * x for j, x in v.items()}
+                _row_addmul(merged, p, s)
+                v = {j: -(b // g) * x for j, x in v.items()}
+                _row_addmul(v, p, a // g)
+                self._install(merged, c)
+
+    def _install(self, row: dict[int, int], c: int) -> None:
+        """Make ``row``, with positive leading entry at c, the pivot row of c.
+
+        Its entries at later pivot columns are reduced into [0, pivot), and
+        every earlier basis row's entry at c is reduced modulo the new
+        pivot, followed by that row's later pivot columns.
+        """
+        self._reduce_after(row, c)
+        if c not in self.rows:
+            insort(self.pivots, c)
+        self.rows[c] = row
+        g = row[c]
+        for e in self.pivots[:bisect_left(self.pivots, c)]:
+            earlier = self.rows[e]
+            q = earlier.get(c, 0) // g
+            if q:
+                _row_addmul(earlier, row, -q)
+                self._reduce_after(earlier, c)
+
+    def _reduce_after(self, row: dict[int, int], c: int) -> None:
+        """Reduce the row's entries at the pivot columns after c into [0, pivot).
+
+        One left-to-right pass is enough: a pivot row starts at its pivot,
+        so reducing one column changes only later ones.
+        """
+        for d in self.pivots[bisect_right(self.pivots, c):]:
+            x = row.get(d)
+            if x is not None:
+                p = self.rows[d]
+                q = x // p[d]
+                if q:
+                    _row_addmul(row, p, -q)
 
 
 def _reduce(basis: list[dict[int, int]], pivot_cols: list[int], v: dict[int, int]):
@@ -377,57 +417,6 @@ def _reduce(basis: list[dict[int, int]], pivot_cols: list[int], v: dict[int, int
             _row_addmul(work, basis[i], -q)
             quotients[i] = q
     return work, quotients
-
-
-def _eliminate(rows: list[dict[int, int]], cols: int):
-    """Full row Hermite elimination of every row; returns (rows, pivots).
-
-    ``pivots`` lists (row_index, col) pairs in echelon order; rows below the
-    last pivot are zero.  Each column's pivot is a candidate of least
-    absolute value, ties broken by fewest nonzeros, then row index: the
-    sparsest row spreads the least fill-in and coefficient growth into the
-    rows it reduces, and the reduced basis is the same whichever is taken.
-    No transform is kept: a caller that needs one appends identity columns
-    (``_with_identity``) and reads it from the result.  The only caller is
-    ``_certified_hnf`` (through ``_echelon_basis``), behind ``Lattice``.
-    """
-    n = len(rows)
-    work = [dict(r) for r in rows]
-    pivots: list[tuple[int, int]] = []
-    pr = 0
-    for col in range(cols):
-        if pr == n:
-            break
-        while True:
-            cands = [i for i in range(pr, n) if col in work[i]]
-            if not cands:
-                break
-            best = min(cands, key=lambda i: (abs(work[i][col]), len(work[i]), i))
-            done = True
-            for i in cands:
-                if i == best:
-                    continue
-                q = work[i][col] // work[best][col]
-                _row_addmul(work[i], work[best], -q)
-                if col in work[i]:
-                    done = False
-            if done:
-                if best != pr:
-                    work[pr], work[best] = work[best], work[pr]
-                break
-        if col not in work[pr]:
-            continue
-        if work[pr][col] < 0:
-            work[pr] = {c: -v for c, v in work[pr].items()}
-        p = work[pr][col]
-        for i in range(pr):
-            if col in work[i]:
-                q = work[i][col] // p
-                if q:
-                    _row_addmul(work[i], work[pr], -q)
-        pivots.append((pr, col))
-        pr += 1
-    return work, pivots
 
 
 def _with_identity(rows: list[dict[int, int]], cols: int, k: int) -> IntMatrix:
@@ -665,36 +654,34 @@ def _vanishes(image: Sequence[int], moduli: tuple[int, ...], invert_two: bool = 
 class Lattice:
     """The row lattice L of an integer matrix, with the quotient map of Z^n/L.
 
-    This is the one place a matrix is eliminated: the row Hermite basis
-    comes from certified row subsets (see ``_certified_hnf``).  One dense
-    Smith step on that basis gives unimodular V with Z^n/L = sum of Z/d_i,
-    read through the quotient map v -> (v.V_i mod d_i) (``_smith_quotient``).
-    ``moduli`` lists the d_i other than 1 (0 for a free summand) and
-    ``image`` computes the map from the nonzero entries of v; it is
+    This is the one place a matrix is eliminated: the reduced row Hermite
+    basis comes from inserting every row (``_hermite_basis``).  On first
+    use, one dense Smith step on that basis gives unimodular V with
+    Z^n/L = sum of Z/d_i, read through the quotient map v -> (v.V_i mod d_i)
+    (``_smith_quotient``), so a lattice read only for its basis never pays
+    for it.  ``moduli`` lists the d_i other than 1 (0 for a free summand)
+    and ``image`` computes the map from the nonzero entries of v; it is
     additive, so a sum of images may stand for the image of a sum, and
     ``vanishes`` decides whether such a sum is zero.  Membership (also after
     inverting 2), element orders and the invariants of Z^n/L are read from
-    them.  A tall matrix gets its map while its tail rows are certified; any
-    other gets it on first use, so a short lattice read only for its basis
-    never pays for it.  A lattice that extends a known one may be built
-    from that one's ``basis_rows`` plus the new rows: the basis and moduli
-    are the same.  The matrix's row dicts are read in place, not copied,
-    and only its width is kept.
+    them.  A lattice that extends a known one may be built from that one's
+    ``basis_rows`` plus the new rows: the basis and moduli are the same.
+    The matrix's row dicts are read in place, not copied, and only its
+    width is kept.
     """
 
     def __init__(self, matrix: IntMatrix):
         self.cols = matrix.cols
-        self._basis, self._map = _certified_hnf(matrix._rows, matrix.cols)
+        self._basis = _hermite_basis(matrix._rows)
 
+    @cached_property
     def _quotient(self) -> QuotientMap:
         """(moduli, rows of V on their columns), from the Smith step on first use."""
-        if self._map is None:
-            self._map = _smith_quotient(self._basis, self.cols)
-        return self._map
+        return _smith_quotient(self._basis, self.cols)
 
     @property
     def moduli(self) -> tuple[int, ...]:
-        return self._quotient()[0]
+        return self._quotient[0]
 
     def basis_rows(self) -> list[dict[int, int]]:
         return [dict(row) for row in self._basis]
@@ -717,7 +704,7 @@ class Lattice:
             raise DimensionMismatchError("vector length must equal matrix width")
         else:
             items = [(r, x) for r, x in enumerate(v) if x]
-        return _image(items, *self._quotient())
+        return _image(items, *self._quotient)
 
     def vanishes(self, image: Sequence[int], invert_two: bool = False) -> bool:
         """Is an image, or a sum of images, zero in Z^n/L (see ``_vanishes``)?"""

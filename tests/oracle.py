@@ -2,7 +2,9 @@
 
 The lattice oracles deliberately share no code with blochtower.exact_linalg:
 dense lists, first-nonzero pivoting, and Bezout 2x2 block transforms instead
-of sparse rows and minimal-absolute-value pivoting.  The relation oracle
+of sparse rows and minimal-absolute-value pivoting.  The Hermite-basis
+oracle ``eliminate`` sweeps the sparse rows column by column, where the
+package inserts them one at a time into a reduced basis.  The relation oracle
 forms the five Laurent arguments in full with the package's truncated-series
 arithmetic, where the package itself reads only their heads; the dense
 head oracle sums each head's symbol as a dense vector over both cosets,
@@ -191,6 +193,75 @@ def _box_points(n, box):
     for rest in _box_points(n - 1, box):
         for x in range(box):
             yield rest + (x,)
+
+
+def _row_addmul(target, source, q):
+    if not q:
+        return
+    for c, v in source.items():
+        nv = target.get(c, 0) + q * v
+        if nv:
+            target[c] = nv
+        else:
+            target.pop(c, None)
+
+
+def eliminate(rows, cols):
+    """Full row Hermite elimination of every row; returns (rows, pivots).
+
+    ``pivots`` lists (row_index, col) pairs in echelon order; rows below the
+    last pivot are zero.  Each column's pivot is a candidate of least
+    absolute value, ties broken by fewest nonzeros, then row index: the
+    sparsest row spreads the least fill-in and coefficient growth into the
+    rows it reduces, and the reduced basis is the same whichever is taken.
+    This column sweep is the package's former elimination, kept as the
+    oracle for ``exact_linalg._hermite_basis``, which inserts one row at a
+    time instead: the reduced Hermite basis of a lattice is unique, so the
+    two must agree row for row.
+    """
+    n = len(rows)
+    work = [dict(r) for r in rows]
+    pivots: list[tuple[int, int]] = []
+    pr = 0
+    for col in range(cols):
+        if pr == n:
+            break
+        while True:
+            cands = [i for i in range(pr, n) if col in work[i]]
+            if not cands:
+                break
+            best = min(cands, key=lambda i: (abs(work[i][col]), len(work[i]), i))
+            done = True
+            for i in cands:
+                if i == best:
+                    continue
+                q = work[i][col] // work[best][col]
+                _row_addmul(work[i], work[best], -q)
+                if col in work[i]:
+                    done = False
+            if done:
+                if best != pr:
+                    work[pr], work[best] = work[best], work[pr]
+                break
+        if col not in work[pr]:
+            continue
+        if work[pr][col] < 0:
+            work[pr] = {c: -v for c, v in work[pr].items()}
+        p = work[pr][col]
+        for i in range(pr):
+            if col in work[i]:
+                q = work[i][col] // p
+                if q:
+                    _row_addmul(work[i], work[pr], -q)
+        pivots.append((pr, col))
+        pr += 1
+    return work, pivots
+
+
+def echelon_basis(rows, cols):
+    """The nonzero rows of ``eliminate``, in echelon order."""
+    work, pivots = eliminate(rows, cols)
+    return [work[r] for r, _ in pivots]
 
 
 def relation_check_by_series(target, x, y, exact_precision=64):

@@ -5,7 +5,7 @@ import pytest
 
 from blochtower import bloch_core as bc
 from blochtower import cli, exact_linalg, laurent
-from blochtower.exact_linalg import AbelianInvariants, FpPresentation, IntMatrix, _eliminate, cokernel_invariants
+from blochtower.exact_linalg import AbelianInvariants, FpPresentation, IntMatrix, cokernel_invariants
 from blochtower.finite_field import field, field_from_q, square_class_code
 from blochtower.group_ring import (
     GroupRingElement,
@@ -315,7 +315,7 @@ class TestZeroTestCounts:
         reduce = exact_linalg._reduce
         monkeypatch.setattr(exact_linalg, "_reduce", lambda *args: reduced.append(args) or reduce(*args))
         P = bc.prebloch_presentation(field_from_q(13))
-        assert P.relations.rows > exact_linalg.CERTIFIED_SUBSET_FACTOR * P.generators
+        assert P.relations.rows > 4 * P.generators
         assert P.lattice.invariants() == inv(14)
         assert not reduced
 
@@ -440,8 +440,7 @@ class TestCertifiedLattices:
             "c": (bc.reduced_lattice(F, "c"), z_expand(oracle.reduced_quotient(F, "c"))[0]),
         }
         for name, (lat, M) in lattices.items():
-            work, pivots = _eliminate(M.sparse_rows(), M.cols)
-            assert lat.basis_rows() == [work[r] for r, _ in pivots], name
+            assert lat.basis_rows() == oracle.echelon_basis(M.sparse_rows(), M.cols), name
             factors = tuple(d for d in lat.moduli if d)
             assert AbelianInvariants(factors, lat.moduli.count(0)) == cokernel_invariants(M, M.cols), name
 
@@ -484,17 +483,18 @@ class TestCertifiedLattices:
 class TestOneEliminationPerMatrix:
     @pytest.fixture
     def eliminated(self, monkeypatch):
-        """Row lists given to the elimination entry points, from cold caches."""
+        """Row lists given to the elimination entry point, from cold caches."""
         for fn in vars(bc).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
         seen = []
-        for name in ("_certified_hnf", "_eliminate"):
-            def recording(rows, *args, _original=getattr(exact_linalg, name), **kwargs):
-                seen.append([dict(row) for row in rows])
-                return _original(rows, *args, **kwargs)
+        hermite_basis = exact_linalg._hermite_basis
 
-            monkeypatch.setattr(exact_linalg, name, recording)
+        def recording(rows):
+            seen.append([dict(row) for row in rows])
+            return hermite_basis(rows)
+
+        monkeypatch.setattr(exact_linalg, "_hermite_basis", recording)
         return seen
 
     def test_prebloch_matrix_eliminated_once(self, eliminated, tmp_path):
