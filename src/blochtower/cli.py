@@ -74,8 +74,11 @@ def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
         lines.append(f"elapsed: {report['timing']['seconds']}s")
         text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -259,10 +262,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         report, code = args.func(args)
+        _emit(report, args.format, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.format, args.out)
     return code
 
 

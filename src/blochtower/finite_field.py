@@ -10,10 +10,8 @@ code sum(c_i * p^i).  Element ordering used for deterministic choices
 through cached discrete-log tables, which also serve the antisymmetric
 pairing needed elsewhere.
 
-Besides the arithmetic there are the square-class map, norm-group
-computations for the quotient F^x / +-N_{F(zeta3)/F}(F(zeta3)^x), and the
-difference-of-two-nonzero-squares search used by the valuation-theoretic
-probes.
+Besides the arithmetic there are the square-class map and norm-group
+computations for the quotient F^x / +-N_{F(zeta3)/F}(F(zeta3)^x).
 """
 
 from __future__ import annotations
@@ -436,28 +434,3 @@ def rsq_order(F: FieldSpec) -> int:
     """Order of F^x / (<-1> * norms from F(zeta3)); 1 for every finite field."""
     subgroup = plus_minus_norm_codes(F)
     return (F.q - 1) // len(subgroup)
-
-
-# ---------------------------------------------------------------------------
-# difference of two nonzero squares
-
-
-def check_difference_of_squares(F: FieldSpec, u: int) -> Optional[tuple[int, int]]:
-    """Codes of nonzero r, s with u = r^2 - s^2, or None when no pair exists.
-
-    ``u`` is a nonzero code.  Only meaningful for odd q; raises for even q
-    where every difference identity is degenerate.
-    """
-    if F.q % 2 == 0:
-        raise ValueError("difference-of-squares search needs odd q")
-    if not (0 < u < F.q):
-        raise ValueError(f"u must be a nonzero code below q={F.q}, got {u}")
-    for r_code in F.units():
-        r_sq = F.mul_code(r_code, r_code)
-        s_sq = F.sub_code(r_sq, u)
-        if s_sq == 0:
-            continue
-        s_code = F.sqrt_code(s_sq)
-        if s_code is not None and s_code != 0:
-            return r_code, s_code
-    return None

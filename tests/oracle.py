@@ -5,12 +5,14 @@ dense lists, first-nonzero pivoting, and Bezout 2x2 block transforms instead
 of sparse rows and minimal-absolute-value pivoting.  The Hermite-basis
 oracle ``eliminate`` sweeps the sparse rows column by column, where the
 package inserts them one at a time into a reduced basis.  The relation oracle
-forms the five Laurent arguments in full with the package's truncated-series
-arithmetic, where the package itself reads only their heads; the dense
-head oracle sums each head's symbol as a dense vector over both cosets,
-where the package adds up quotient images built once per target, and the
-fuzz sampler oracle draws through ``randrange`` where the package reads
-``getrandbits``.  The kernel oracle reads the left kernel of the stacked map
+forms the five Laurent arguments in full with the truncated-series arithmetic
+kept here, over the package's series record, where the package itself reads
+only their heads; the dense head oracle sums each head's symbol as a dense
+vector over both cosets, where the package adds up quotient images built
+once per target, and the fuzz sampler oracle draws through ``randrange``
+where the package reads ``getrandbits``.  The same arithmetic checks the two
+square-class identities behind the eigenspace-vanishing argument for valued
+fields, with ``check_difference_of_squares`` as the witness search.  The kernel oracle reads the left kernel of the stacked map
 from the textbook Smith transform, and gives the kernel one relation per
 domain relation row instead of one per row of the domain's Hermite basis.
 The five-term oracle forms each relation's arguments pair by pair, and the
@@ -31,13 +33,7 @@ from blochtower import bloch_core as bc
 from blochtower.exact_linalg import FpPresentation, IntMatrix, Lattice, _apply_map, _reduce
 from blochtower.finite_field import FieldSpec, square_class_code
 from blochtower.group_ring import RModulePresentation, bracket, z_expand
-from blochtower.laurent import (
-    PrecisionExhaustedError,
-    RelationCheckOutcome,
-    TruncatedLaurentSeries,
-    head_square_class,
-    laurent_square_class,
-)
+from blochtower.laurent import PrecisionExhaustedError, RelationCheckOutcome, TruncatedLaurentSeries as TLS
 
 
 def _ext_gcd(a, b):
@@ -264,6 +260,262 @@ def echelon_basis(rows, cols):
     return [work[r] for r, _ in pivots]
 
 
+# Truncated Laurent-series arithmetic over the package's series record.  Each
+# operation computes the exact worst-case window of its result, and one whose
+# result cannot be told from zero inside that window raises
+# PrecisionExhaustedError.  A square class is a (valuation parity, residue
+# square class) pair, which is the class exactly when 1-units are squares.
+
+
+def zero(F):
+    return TLS(F, 0, (), exact=True)
+
+
+def constant(F, code):
+    return zero(F) if code == 0 else TLS(F, 0, (code,), exact=True)
+
+
+def one(F):
+    return constant(F, 1)
+
+
+def uniformizer(F, power=1):
+    return TLS(F, power, (1,), exact=True)
+
+
+def prec_exp(a):
+    """First unknown exponent; None means exact (everything known)."""
+    return None if a.exact else a.valuation + len(a.coeffs)
+
+
+def truncate(a, prec):
+    """Forget everything from t^prec on (turns exact into tracked)."""
+    if a.is_zero():
+        raise ValueError("cannot truncate the zero series")
+    length = prec - a.valuation
+    if length <= 0:
+        raise PrecisionExhaustedError("truncation window is empty")
+    window = list(a.coeffs[:length])
+    window += [0] * (length - len(window))
+    return TLS(a.base, a.valuation, tuple(window), exact=False)
+
+
+def _same_field(a, b):
+    if a.base != b.base:
+        raise ValueError("series over different fields")
+
+
+def neg(a):
+    F = a.base
+    return TLS(F, a.valuation, tuple(F.neg_code(c) for c in a.coeffs), a.exact)
+
+
+def add(a, b):
+    _same_field(a, b)
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    F = a.base
+    lo = min(a.valuation, b.valuation)
+    if a.exact and b.exact:
+        hi = max(a.valuation + len(a.coeffs), b.valuation + len(b.coeffs))
+    else:
+        hi = min(prec_exp(s) for s in (a, b) if not s.exact)
+    window = [0] * (hi - lo)
+    for src in (a, b):
+        for k, c in enumerate(src.coeffs):
+            e = src.valuation + k - lo
+            if e < len(window):
+                window[e] = F.add_code(window[e], c)
+    while window and window[0] == 0:
+        window.pop(0)
+        lo += 1
+    if not window:
+        if a.exact and b.exact:
+            return zero(F)
+        raise PrecisionExhaustedError("cancellation consumed the tracked window")
+    return TLS(F, lo, tuple(window), exact=a.exact and b.exact)
+
+
+def sub(a, b):
+    return add(a, neg(b))
+
+
+def mul(a, b):
+    _same_field(a, b)
+    F = a.base
+    if a.is_zero() or b.is_zero():
+        return zero(F)
+    # a product is known to as many coefficients as its shortest tracked factor
+    tracked = [len(s.coeffs) for s in (a, b) if not s.exact]
+    length = min(tracked) if tracked else len(a.coeffs) + len(b.coeffs) - 1
+    out = [0] * length
+    for i, x in enumerate(a.coeffs[:length]):
+        if x:
+            for j, y in enumerate(b.coeffs[: length - i]):
+                if y:
+                    out[i + j] = F.add_code(out[i + j], F.mul_code(x, y))
+    return TLS(F, a.valuation + b.valuation, tuple(out), exact=not tracked)
+
+
+def inv(a, precision=None):
+    """Multiplicative inverse via the geometric-series recurrence.
+
+    Exact one-term series invert exactly; otherwise the result carries the
+    same number of correct coefficients as the input (``precision`` sets
+    that count for exact multi-term inputs).
+    """
+    if a.is_zero():
+        raise ZeroDivisionError("inverse of the zero series")
+    F = a.base
+    if a.exact and len(a.coeffs) == 1:
+        return TLS(F, -a.valuation, (F.inv_code(a.coeffs[0]),), exact=True)
+    if a.exact:
+        if precision is None:
+            raise ValueError("inverting an exact multi-term series needs an explicit precision")
+        return inv(truncate(a, a.valuation + precision))
+    n = len(a.coeffs)
+    a0_inv = F.inv_code(a.coeffs[0])
+    out = [a0_inv] + [0] * (n - 1)
+    for k in range(1, n):
+        acc = 0
+        for j in range(1, k + 1):
+            if a.coeffs[j] and out[k - j]:
+                acc = F.add_code(acc, F.mul_code(a.coeffs[j], out[k - j]))
+        out[k] = F.neg_code(F.mul_code(a0_inv, acc))
+    return TLS(F, -a.valuation, tuple(out), exact=False)
+
+
+def one_minus(a):
+    """1 - a: valuation 0 when v(a) > 0, v(a) when v(a) < 0, and above 0 only for a 1-unit."""
+    return add(one(a.base), neg(a))
+
+
+def agrees_with(a, b):
+    """Do the two series agree on the overlap of their known windows?"""
+    _same_field(a, b)
+    if a.is_zero() and b.is_zero():
+        return True
+    precs = [p for p in (prec_exp(a), prec_exp(b)) if p is not None]
+    if not precs:
+        return a == b
+    hi = min(precs)
+    lo = min((s.valuation for s in (a, b) if not s.is_zero()), default=hi)
+    if hi <= lo:
+        raise PrecisionExhaustedError("windows do not overlap")
+
+    def coeff(s, e):
+        k = e - s.valuation
+        return s.coeffs[k] if 0 <= k < len(s.coeffs) else 0
+
+    return all(coeff(a, e) == coeff(b, e) for e in range(lo, hi))
+
+
+def square_class(a):
+    """(valuation parity, residue square class) of a nonzero series."""
+    if a.is_zero():
+        raise ValueError("square class of zero is undefined")
+    return a.valuation & 1, square_class_code(a.base, a.coeffs[0])
+
+
+def sqrt_unit(a, precision=None):
+    """A square root of a unit series whose leading coefficient is a square.
+
+    Coefficients come from the recurrence for the square root of a 1-unit
+    (2 is invertible); the result has the same tracked window as the input.
+    """
+    if a.is_zero() or a.valuation != 0:
+        raise ValueError("square root needs a unit series")
+    F = a.base
+    lead_root = F.sqrt_code(a.coeffs[0])
+    if lead_root is None:
+        raise ValueError("leading coefficient is not a square")
+    if a.exact:
+        if precision is None:
+            raise ValueError("square root of an exact series needs an explicit precision")
+        a = truncate(a, precision)
+    z = mul(a, constant(F, F.inv_code(F.mul_code(lead_root, lead_root))))
+    n = len(z.coeffs)
+    half = F.inv_code(2 % F.p)
+    y = [1] + [0] * (n - 1)
+    for k in range(1, n):
+        acc = z.coeffs[k]
+        for i in range(1, k):
+            if y[i] and y[k - i]:
+                acc = F.sub_code(acc, F.mul_code(y[i], y[k - i]))
+        y[k] = F.mul_code(acc, half)
+    return mul(TLS(F, 0, tuple(y), exact=False), constant(F, lead_root))
+
+
+def check_difference_of_squares(F, u):
+    """Codes of nonzero r, s with u = r^2 - s^2, or None when no pair exists.
+
+    ``u`` is a nonzero code.  Only meaningful for odd q; raises for even q
+    where every difference identity is degenerate.
+    """
+    if F.q % 2 == 0:
+        raise ValueError("difference-of-squares search needs odd q")
+    if not (0 < u < F.q):
+        raise ValueError(f"u must be a nonzero code below q={F.q}, got {u}")
+    for r in F.units():
+        s_sq = F.sub_code(F.mul_code(r, r), u)
+        s = F.sqrt_code(s_sq) if s_sq else None
+        if s:
+            return r, s
+    return None
+
+
+# Dense-vector specialization into the induced module of a package
+# ``SpecializationTarget``: two coset copies of the fully reduced residue
+# presentation, each of ``target.width`` coordinates.
+
+
+def b_vector(target, sign=1):
+    """+-(the constant b of the residue field), in coset 0."""
+    b = bc.constant_b(target.field).b.z_coordinates()
+    return [sign * x for x in b] + [0] * target.width
+
+
+def residue_symbol(target, code):
+    """The coset-0 symbol of a nonzero residue; [1] is zero."""
+    out = [0] * target.total
+    if code != 1:
+        out[bc._symbol_index(target.field)[code] * target.group_size] = 1
+    return out
+
+
+def act(target, cls, vec):
+    """The action of a (parity, residue class) square class: an index permutation.
+
+    Odd parity swaps the cosets, and the residue class translates within one.
+    """
+    parity, residue_class = cls
+    out = [0] * target.total
+    for idx, val in enumerate(vec):
+        if val:
+            coset, rem = divmod(idx, target.width)
+            j, e = divmod(rem, target.group_size)
+            out[(coset ^ parity) * target.width + j * target.group_size + (e ^ residue_class)] = val
+    return out
+
+
+def symbol(target, valuation, leading):
+    """Units go to the symbol of their residue, other valuations to +-b."""
+    if valuation:
+        return b_vector(target, 1 if valuation > 0 else -1)
+    return residue_symbol(target, leading)
+
+
+def specialize(target, a):
+    """The specialization of the symbol [a] of a nonzero series (see ``symbol``)."""
+    if a.is_zero():
+        raise ValueError("[0] does not specialize")
+    if a.base != target.field:
+        raise ValueError("series over a different residue field")
+    return symbol(target, a.valuation, a.coeffs[0])
+
+
 def relation_check_by_series(target, x, y, exact_precision=64):
     """The five-term specialization check computed on full truncated series.
 
@@ -273,28 +525,22 @@ def relation_check_by_series(target, x, y, exact_precision=64):
     coefficients; nothing else reads that value.
     """
     try:
-        inv_x = x.inv(exact_precision)
-        inv_y = y.inv(exact_precision)
-        a3 = y * inv_x
-        n4 = inv_x.one_minus()
-        a4 = n4 * (inv_y.one_minus()).inv(exact_precision)
-        n5 = x.one_minus()
-        a5 = n5 * (y.one_minus()).inv(exact_precision)
-        c3 = laurent_square_class(x)
-        c4 = laurent_square_class(-n4)
-        c5 = laurent_square_class(n5)
+        inv_x = inv(x, exact_precision)
+        inv_y = inv(y, exact_precision)
+        n4 = one_minus(inv_x)
+        n5 = one_minus(x)
         terms = (
             (1, None, x),
             (-1, None, y),
-            (1, c3, a3),
-            (-1, c4, a4),
-            (1, c5, a5),
+            (1, square_class(x), mul(y, inv_x)),
+            (-1, square_class(neg(n4)), mul(n4, inv(one_minus(inv_y), exact_precision))),
+            (1, square_class(n5), mul(n5, inv(one_minus(y), exact_precision))),
         )
         total = [0] * target.total
         for sign, cls, arg in terms:
-            vec = target.specialize(arg)
+            vec = specialize(target, arg)
             if cls is not None:
-                vec = target.act(cls, vec)
+                vec = act(target, cls, vec)
             for i, v in enumerate(vec):
                 if v:
                     total[i] += sign * v
@@ -314,9 +560,9 @@ def terms_vanish_dense(target, terms):
     """
     total = [0] * target.total
     for sign, twist, (v, lead) in terms:
-        vec = target.symbol(v, lead)
+        vec = symbol(target, v, lead)
         if twist is not None:
-            vec = target.act(head_square_class(target.field, *twist), vec)
+            vec = act(target, (twist[0] & 1, square_class_code(target.field, twist[1])), vec)
         for i, val in enumerate(vec):
             if val:
                 total[i] += sign * val
@@ -328,7 +574,7 @@ def sample_series_by_randrange(F, rng, precision):
     valuation = rng.randint(-3, 3)
     lead = rng.randrange(1, F.q)
     rest = [rng.randrange(F.q) for _ in range(precision - 1)]
-    return TruncatedLaurentSeries(F, valuation, tuple([lead] + rest), exact=False)
+    return TLS(F, valuation, tuple([lead] + rest), exact=False)
 
 
 def kernel_with_all_relation_rows(domain, codomain, map_matrix):

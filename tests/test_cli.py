@@ -164,6 +164,23 @@ class TestReportContract:
         assert out == ""
         assert json.loads(path.read_text())["command"] == "prebloch"
 
+    def test_unwritable_out_exits_2(self, tmp_path):
+        # a missing directory and a directory are refused like bad usage,
+        # without a traceback: exit 1 means a failed check
+        src = str(Path(blochtower.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        for path in (tmp_path / "missing" / "report.json", tmp_path):
+            proc = subprocess.run(
+                [sys.executable, "-m", "blochtower.cli", "prebloch", "--q", "5", "--out", str(path)],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith(f"error: cannot write report to {path}: "), proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == ""
+
     def test_text_format(self, capsys):
         code, out = run(capsys, "verify", "--q", "5", "--suite", "lambda", "--format", "text")
         assert code == 0

@@ -4,7 +4,6 @@ import pytest
 
 from blochtower.finite_field import (
     FieldBoundError,
-    check_difference_of_squares,
     field,
     field_from_q,
     has_root_x2_minus_x_plus_1,
@@ -16,6 +15,7 @@ from blochtower.finite_field import (
 )
 
 import oracle
+from oracle import check_difference_of_squares
 
 SMALL_PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31]
 
@@ -175,6 +175,8 @@ class TestNormGroups:
 
 
 class TestDifferenceOfSquares:
+    """The oracle's witness search for the odd-valuation square-class identity."""
+
     def test_f7_witness(self):
         F = field(7)
         r, s = check_difference_of_squares(F, 3)

@@ -1,29 +1,47 @@
 import random
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blochtower import cli, laurent
 from blochtower.exact_linalg import DimensionMismatchError, IntMatrix, Lattice
 from blochtower.finite_field import field, field_from_q
 from blochtower.laurent import (
-    LaurentSquareClass,
     PrecisionExhaustedError,
     TruncatedLaurentSeries as TLS,
     five_term_heads,
     fuzz_specialization,
-    laurent_square_class,
-    probe_deep_unit_square,
-    probe_unit_difference_of_squares,
-    proof_identity_probe,
     relation_specialization_check,
     specialization_target,
-    sqrt_unit,
     _one_minus_head,
     _sample_series,
 )
 
 import oracle
+from oracle import (
+    act,
+    add,
+    agrees_with,
+    b_vector,
+    check_difference_of_squares,
+    constant,
+    inv,
+    mul,
+    neg,
+    one,
+    one_minus,
+    residue_symbol,
+    specialize,
+    sqrt_unit,
+    square_class,
+    sub,
+    truncate,
+    uniformizer,
+    zero,
+)
 
 F5 = field(5)
 F7 = field(7)
@@ -37,67 +55,65 @@ def rand_series(F, rng, precision, vmin=-3, vmax=3):
 
 
 class TestArithmetic:
+    """The oracle's series arithmetic over the package's series record."""
+
     def test_inv_of_t(self):
-        t = TLS.uniformizer(F5)
-        assert t.inv() == TLS.uniformizer(F5, -1)
+        assert inv(uniformizer(F5)) == uniformizer(F5, -1)
 
     def test_inverse_identity(self):
-        a = TLS.uniformizer(F5).one_minus().truncate(24)  # 1 - t
-        prod = a * a.inv()
-        assert prod.valuation == 0 and prod.leading() == 1
+        a = truncate(one_minus(uniformizer(F5)), 24)  # 1 - t
+        prod = mul(a, inv(a))
+        assert prod.valuation == 0 and prod.coeffs[0] == 1
         assert all(c == 0 for c in prod.coeffs[1:])
 
     def test_one_minus_negative_valuation(self):
-        w = TLS.uniformizer(F5, -1).one_minus()
+        w = one_minus(uniformizer(F5, -1))
         assert w.valuation == -1
-        assert w.leading() == F5.neg_code(1)
+        assert w.coeffs[0] == F5.neg_code(1)
         # cross-check: w + t^-1 == 1
-        back = w + TLS.uniformizer(F5, -1)
-        assert back == TLS.one(F5)
+        assert add(w, uniformizer(F5, -1)) == one(F5)
 
     def test_one_minus_mul_oracle(self):
         rng = random.Random(11)
         for _ in range(50):
             a = rand_series(F5, rng, 12)
             try:
-                w = a.one_minus()
+                w = one_minus(a)
             except PrecisionExhaustedError:
                 continue
-            total = w + a  # should be 1 within the window
-            assert total.valuation == 0 and total.leading() == 1
+            total = add(w, a)  # should be 1 within the window
+            assert total.valuation == 0 and total.coeffs[0] == 1
 
     def test_cancellation_raises(self):
-        one_unit = TLS(F5, 0, (1, 0, 0, 0))
         with pytest.raises(PrecisionExhaustedError):
-            one_unit.one_minus()
+            one_minus(TLS(F5, 0, (1, 0, 0, 0)))
 
     def test_sub_of_self_raises(self):
         a = TLS(F5, 0, (2, 3, 1))
         with pytest.raises(PrecisionExhaustedError):
-            a - a
+            sub(a, a)
 
     def test_exact_cancellation_is_zero(self):
-        t = TLS.uniformizer(F5)
-        assert (t - t).is_zero()
+        t = uniformizer(F5)
+        assert sub(t, t).is_zero()
 
     def test_exact_trailing_zeros_are_canonical(self):
-        one = TLS.one(F5)
         padded = TLS(F5, 0, (1, 0), exact=True)
         assert padded.coeffs == (1,)
-        assert padded == one and hash(padded) == hash(one)
-        assert padded.agrees_with(one) and one.agrees_with(padded)
-        assert (padded - one).is_zero()
-        t = TLS.uniformizer(F5)
-        assert (t.one_minus() + t) == one  # (1 - t) + t, built by exact addition
+        assert padded == one(F5) and hash(padded) == hash(one(F5))
+        assert agrees_with(padded, one(F5)) and agrees_with(one(F5), padded)
+        assert sub(padded, one(F5)).is_zero()
+        t = uniformizer(F5)
+        assert add(one_minus(t), t) == one(F5)  # (1 - t) + t, built by exact addition
         assert TLS(F5, 0, (1, 0, 0, 0)).coeffs == (1, 0, 0, 0)  # tracked zeros stay
 
     def test_zero_inverse_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            TLS.zero(F5).inv()
+            inv(zero(F5))
 
     def test_even_q_rejected(self):
         with pytest.raises(ValueError):
-            TLS.uniformizer(field(2, 2))
+            TLS(field(2, 2), 1, (1,), exact=True)
 
     def test_leading_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -112,30 +128,25 @@ class TestArithmetic:
             TLS(F5, 0, coeffs, exact=exact)
         assert TLS(F5, 0, (1, 0, 4)).coeffs == (1, 0, 4)  # 0 and q - 1 are codes
 
-    def test_from_coeffs_strips_leading_zeros(self):
-        a = TLS.from_coeffs(F5, 2, [0, 0, 3, 1])
-        assert a.valuation == 4 and a.coeffs == (3, 1)
-        assert a.prec_exp == 6
-
     def test_mul_associativity_to_precision(self):
         rng = random.Random(5)
         for _ in range(30):
             a, b, c = (rand_series(F5, rng, 10) for _ in range(3))
-            assert ((a * b) * c).agrees_with(a * (b * c))
+            assert agrees_with(mul(mul(a, b), c), mul(a, mul(b, c)))
 
     def test_precision_tracking_through_mul(self):
         a = TLS(F5, 1, (1, 2))  # known to O(t^3)
         b = TLS(F5, -1, (3, 0, 0, 1))  # known to O(t^3)
-        prod = a * b
-        assert prod.valuation == 0 and prod.prec_exp == 2
+        prod = mul(a, b)
+        assert prod.valuation == 0 and oracle.prec_exp(prod) == 2
 
     def test_sqrt_unit(self):
         rng = random.Random(3)
         for _ in range(30):
             s = rand_series(F5, rng, 16, vmin=0, vmax=0)
-            sq = s * s
+            sq = mul(s, s)
             root = sqrt_unit(sq)
-            assert (root * root).agrees_with(sq)
+            assert agrees_with(mul(root, root), sq)
 
     def test_sqrt_requires_square_leading(self):
         with pytest.raises(ValueError):
@@ -144,15 +155,15 @@ class TestArithmetic:
 
 class TestSquareClass:
     def test_uniformizer(self):
-        assert laurent_square_class(TLS.uniformizer(F5).truncate(4)) == LaurentSquareClass(1, 0)
+        assert square_class(truncate(uniformizer(F5), 4)) == (1, 0)
 
     def test_nonsquare_unit_times_t_squared(self):
         a = TLS(F7, 2, (3, 0, 0))  # 3 t^2, 3 is not a square mod 7
-        assert laurent_square_class(a) == LaurentSquareClass(0, 1)
+        assert square_class(a) == (0, 1)
 
     def test_one_unit_trivial(self):
         a = TLS(F5, 0, (1, 1, 2, 3))
-        assert laurent_square_class(a) == LaurentSquareClass(0, 0)
+        assert square_class(a) == (0, 0)
 
     def test_multiplicative_seeded(self):
         for q in (5, 7):
@@ -161,42 +172,42 @@ class TestSquareClass:
             for _ in range(1000):
                 a = rand_series(F, rng, 6)
                 b = rand_series(F, rng, 6)
-                lhs = laurent_square_class(a * b)
-                rhs = laurent_square_class(a).compose(laurent_square_class(b))
-                assert lhs == rhs
+                (pa, ra), (pb, rb) = square_class(a), square_class(b)
+                assert square_class(mul(a, b)) == (pa ^ pb, ra ^ rb)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            laurent_square_class(TLS.zero(F5))
+            square_class(zero(F5))
 
 
 class TestSpecialize:
+    """The oracle's dense-vector specialization into a package target."""
+
     def test_positive_valuation_gives_constant(self):
         tgt = specialization_target(F5)
-        t = TLS.uniformizer(F5).truncate(8)
-        assert tgt.specialize(t) == tgt.b_vector(1)
+        t = truncate(uniformizer(F5), 8)
+        assert specialize(tgt, t) == b_vector(tgt, 1)
 
     def test_negative_valuation_gives_minus_constant(self):
         tgt = specialization_target(F5)
-        tinv = TLS.uniformizer(F5).inv().truncate(8)
-        assert tgt.specialize(tinv) == tgt.b_vector(-1)
+        tinv = truncate(inv(uniformizer(F5)), 8)
+        assert specialize(tgt, tinv) == b_vector(tgt, -1)
 
     def test_unit_gives_residue_symbol(self):
         tgt = specialization_target(F5)
         u = TLS(F5, 0, (3, 1, 4))
-        assert tgt.specialize(u) == tgt.residue_symbol(3)
+        assert specialize(tgt, u) == residue_symbol(tgt, 3)
 
     def test_one_unit_goes_to_zero(self):
         tgt = specialization_target(F5)
         u = TLS(F5, 0, (1, 2, 3))
-        assert tgt.specialize(u) == [0] * tgt.total
+        assert specialize(tgt, u) == [0] * tgt.total
 
     def test_action_respects_unit_twist(self):
         # acting by a unit class equals twisting the residue symbol
         tgt = specialization_target(F5)
         u = TLS(F5, 0, (3, 1, 4))
-        cls = LaurentSquareClass(0, 1)
-        twisted = tgt.act(cls, tgt.specialize(u))
+        twisted = act(tgt, (0, 1), specialize(tgt, u))
         direct = [0] * tgt.total
         idx = tgt._index[3] * tgt.group_size
         direct[idx ^ 1] = 1
@@ -204,14 +215,13 @@ class TestSpecialize:
 
     def test_action_is_involution(self):
         tgt = specialization_target(F5)
-        vec = tgt.b_vector(1)
-        cls = LaurentSquareClass(1, 1)
-        assert tgt.act(cls, tgt.act(cls, vec)) == vec
+        vec = b_vector(tgt, 1)
+        assert act(tgt, (1, 1), act(tgt, (1, 1), vec)) == vec
 
     def test_zero_rejected(self):
         tgt = specialization_target(F5)
         with pytest.raises(ValueError):
-            tgt.specialize(TLS.zero(F5))
+            specialize(tgt, zero(F5))
 
 
 class TestRelationCheck:
@@ -223,8 +233,8 @@ class TestRelationCheck:
 
     def test_t_and_t_squared(self):
         tgt = specialization_target(F5)
-        x = TLS.uniformizer(F5).truncate(64)
-        y = TLS.uniformizer(F5, 2).truncate(64)
+        x = truncate(uniformizer(F5), 64)
+        y = truncate(uniformizer(F5, 2), 64)
         assert relation_specialization_check(tgt, x, y).status == "pass"
 
     def test_one_unit_input_inconclusive(self):
@@ -252,9 +262,9 @@ def relation_arguments(draw, F):
     zero runs after the lead, and exact constants and powers of t."""
     kind = draw(st.sampled_from(("series", "one_unit", "constant", "uniformizer")))
     if kind == "constant":
-        return TLS.constant(F, draw(st.integers(2, F.q - 1)))
+        return constant(F, draw(st.integers(2, F.q - 1)))
     if kind == "uniformizer":
-        return TLS.uniformizer(F, draw(st.sampled_from((-3, -2, -1, 1, 2, 3))))
+        return uniformizer(F, draw(st.sampled_from((-3, -2, -1, 1, 2, 3))))
     precision = draw(st.integers(1, 6))
     if kind == "one_unit":
         valuation, lead = 0, 1
@@ -285,8 +295,8 @@ class TestRelationHeads:
         a = data.draw(relation_arguments(F))
         for invert in (False, True):
             try:
-                w = (a.inv() if invert else a).one_minus()
-                expected = (w.valuation, w.leading())
+                w = one_minus(inv(a) if invert else a)
+                expected = (w.valuation, w.coeffs[0])
             except PrecisionExhaustedError as exc:
                 expected = str(exc)
             try:
@@ -298,29 +308,29 @@ class TestRelationHeads:
     @pytest.mark.parametrize(
         "name, value, arg",
         [
-            ("x", 1, TLS.one(F5)),
-            ("y", 1, TLS.one(F5)),
+            ("x", 1, one(F5)),
+            ("y", 1, one(F5)),
             ("x", 1, TLS(F5, 0, (1, 0, 0), exact=True)),
-            ("y", 0, TLS.zero(F5)),
+            ("y", 0, zero(F5)),
         ],
     )
     def test_exact_zero_or_one_rejected(self, name, value, arg):
         tgt = specialization_target(F5)
-        args = {"x": TLS.constant(F5, 2), "y": TLS.uniformizer(F5), name: arg}
+        args = {"x": constant(F5, 2), "y": uniformizer(F5), name: arg}
         with pytest.raises(ValueError, match=f"^{name} is exactly {value};"):
             relation_specialization_check(tgt, args["x"], args["y"])
 
     def test_series_agreeing_with_one_is_inconclusive(self):
         tgt = specialization_target(F5)
-        y = TLS.one(F5).truncate(6)
-        outcome = relation_specialization_check(tgt, TLS.constant(F5, 2), y)
+        y = truncate(one(F5), 6)
+        outcome = relation_specialization_check(tgt, constant(F5, 2), y)
         assert outcome.status == "inconclusive"
         assert outcome.reason == "cancellation consumed the tracked window"
 
     def test_other_field_rejected(self):
         tgt = specialization_target(F5)
         with pytest.raises(ValueError, match="^x is a series over a different residue field"):
-            relation_specialization_check(tgt, TLS.constant(F7, 2), TLS.constant(F5, 2))
+            relation_specialization_check(tgt, constant(F7, 2), constant(F5, 2))
 
 
 HEAD_FIELDS = (3, 5, 7, 9, 13, 25, 27, 31)
@@ -469,32 +479,109 @@ class TestFuzz:
                 assert mine.getstate() == ref.getstate()
 
 
+def deep_unit(a):
+    """1 - a/t."""
+    return one_minus(mul(a, inv(uniformizer(a.base))))
+
+
+def difference_of_squares(u, precision=32):
+    """The two sides of the odd-valuation identity for the unit series u.
+
+    With residue u = r^2 - s^2 (r, s nonzero), 1 - u/r^2 = (s/r)^2 and
+    z = (1 - 1/(r^2 t)) / (1 - u/r^2) has the class of -t.  Returns whether
+    the first holds with 1 - u/r^2 a square, and the class of z; None when
+    the residue has no witness, which is a genuine small-field phenomenon.
+    """
+    F = u.base
+    witness = check_difference_of_squares(F, u.coeffs[0])
+    if witness is None:
+        return None
+    s = constant(F, witness[1])
+    r = sqrt_unit(add(u, mul(s, s)), precision=precision)
+    lhs = one_minus(mul(u, inv(mul(r, r))))
+    root = mul(s, inv(r))
+    square_ok = agrees_with(lhs, mul(root, root)) and square_class(lhs) == (0, 0)
+    z = mul(one_minus(inv(mul(mul(r, r), uniformizer(F)))), inv(lhs))
+    return square_ok, square_class(z)
+
+
 class TestProbes:
+    """The square-class identities behind eigenspace vanishing for valued fields."""
+
     def test_case_i_default(self):
-        assert probe_deep_unit_square(F5).status == "pass"
+        # v(a) >= 2: 1 - a/t is a 1-unit of trivial square class
+        rng = random.Random(2)
+        for a in [truncate(uniformizer(F5, 2), 34)] + [rand_series(F7, rng, 16, vmin=2, vmax=5) for _ in range(20)]:
+            w = deep_unit(a)
+            assert w.valuation == 0 and w.coeffs[0] == 1 and square_class(w) == (0, 0)
 
     def test_case_i_rejects_shallow(self):
-        with pytest.raises(ValueError):
-            probe_deep_unit_square(F5, a=TLS.uniformizer(F5).truncate(8))
+        # v(a) = 1 is outside the identity: t + O(t^8) leaves nothing of
+        # 1 - a/t, and 3t leaves the nonsquare unit 1 - 3 = 3 mod 5
+        with pytest.raises(PrecisionExhaustedError):
+            deep_unit(truncate(uniformizer(F5), 8))
+        w = deep_unit(TLS(F5, 1, (3, 0, 0, 0)))
+        assert w.valuation == 0 and w.coeffs[0] == 3 and square_class(w) == (0, 1)
 
     def test_case_ii_f7(self):
-        report = probe_unit_difference_of_squares(F7, 3)
-        assert report.status == "pass"
-        assert report.details["square_identity"]
+        assert difference_of_squares(truncate(constant(F7, 3), 32)) == (True, square_class(neg(uniformizer(F7))))
 
     def test_case_ii_no_witness(self):
-        assert probe_unit_difference_of_squares(F5, 1).status == "no_witness"
+        assert difference_of_squares(truncate(constant(F5, 1), 32)) is None
 
     def test_case_ii_f3(self):
         # residue 1 over F_3: the 4-pair search finds nothing
-        assert probe_unit_difference_of_squares(field(3), 1).status == "no_witness"
+        assert difference_of_squares(truncate(constant(field(3), 1), 32)) is None
 
     def test_case_ii_nonconstant_unit(self):
         u = TLS(F7, 0, (3, 1, 2, 5, 0, 1, 4, 2) + (0,) * 24)
-        assert probe_unit_difference_of_squares(F7, u).status == "pass"
+        assert difference_of_squares(u) == (True, square_class(neg(uniformizer(F7))))
 
-    def test_dispatch(self):
-        assert proof_identity_probe("i", F5).case == "deep_unit_square"
-        assert proof_identity_probe("ii", F7, u=3).case == "unit_difference_of_squares"
-        with pytest.raises(ValueError):
-            proof_identity_probe("iii", F5)
+
+def _functions(code, prefix=""):
+    """(first line, name) -> qualified name of every def in a module's code, nested ones too."""
+    out = {}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType) and not const.co_name.startswith("<"):
+            name = prefix + const.co_name
+            if const.co_flags & 0x2:  # CO_NEWLOCALS: a function, not a class body
+                out[(const.co_firstlineno, const.co_name)] = name
+            out.update(_functions(const, name + "."))
+    return out
+
+
+class TestOnePath:
+    """laurent-fuzz enters every function of the laurent module.
+
+    The module keeps one specialization path, the head path the fuzz runs,
+    so a function no fuzz run enters is a second path growing back.  Input
+    refusals are branches inside entered functions and are not counted.
+    """
+
+    NOT_ENTERED = {
+        "SpecializationTarget.is_zero_vector",  # wrapped by the traced benchmark run
+        "TruncatedLaurentSeries.__repr__",  # only in a failure message
+    }
+
+    def test_fuzz_enters_every_function(self, tmp_path):
+        with open(laurent.__file__, encoding="utf-8") as fh:
+            defined = _functions(compile(fh.read(), laurent.__file__, "exec"))
+        entered = set()
+
+        def tracer(frame, event, arg):
+            if frame.f_globals.get("__name__") == laurent.__name__:
+                entered.add((frame.f_code.co_firstlineno, frame.f_code.co_name))
+
+        laurent.specialization_target.cache_clear()  # so the target is built under the trace
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            for q, precision in (("5", "64"), ("31", "8")):
+                argv = ["laurent-fuzz", "--q", q, "--precision", precision, "--samples", "200"]
+                assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        finally:
+            sys.settrace(previous)
+        assert "five_term_heads.ratio" in defined.values()
+        missed = {name for key, name in defined.items() if key not in entered}
+        assert missed <= self.NOT_ENTERED, sorted(missed - self.NOT_ENTERED)
+

@@ -13,7 +13,7 @@ from blochtower.bloch_core import SweepResult
 from blochtower.exact_linalg import AbelianInvariants
 from blochtower.finite_field import field_from_q
 from blochtower.group_ring import Character, SquareClassGroup
-from blochtower.laurent import FuzzReport, LaurentSquareClass, RelationCheckOutcome, TruncatedLaurentSeries
+from blochtower.laurent import FuzzReport, RelationCheckOutcome, TruncatedLaurentSeries
 
 F5 = field_from_q(5)
 
@@ -33,7 +33,6 @@ CASES = {
         (1, (2, 3), True),
         [(0, (2, 3), True), (1, (2, 4), True), (1, (2, 3), False)],
     ),
-    "LaurentSquareClass": (LaurentSquareClass, (1, 0), [(0, 0), (1, 1)]),
     "RelationCheckOutcome": (RelationCheckOutcome, ("fail", "x"), [("pass", "x"), ("fail", "y")]),
     "FuzzReport": (
         FuzzReport,
@@ -72,5 +71,5 @@ def test_one_differing_field_unequal(name):
 
 
 def test_records_of_different_classes_unequal():
-    assert LaurentSquareClass(1, 0) != RelationCheckOutcome(1, 0)
+    assert SquareClassGroup(1, 0) != RelationCheckOutcome(1, 0)
     assert Character(group(), 1) != (group(), 1)
