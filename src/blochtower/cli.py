@@ -178,7 +178,7 @@ def _cmd_tower(args) -> tuple[dict, int]:
     spec = TowerSpec(base, args.levels)
     report_data = predict(spec)
     ledger = eigenspace_ledger(spec)
-    census_ok = census_matches_exponents(spec)
+    census_ok = census_matches_exponents(report_data, ledger)
     checks = [
         {"name": f"hypothesis_{h.index}", "status": h.status, "condition": h.name, "note": h.note}
         for h in report_data.hypotheses

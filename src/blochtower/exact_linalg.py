@@ -6,23 +6,23 @@ membership after inverting 2, and element orders all read it), and kernels
 of maps between presented groups.
 
 All arithmetic uses Python's arbitrary-precision integers.  Every choice is
-deterministic (rows are inserted in a fixed order, and the dense Smith core
-picks a pivot of minimal absolute value, ties in (row, col) order), so every
-result is reproducible bit for bit.  A matrix is stored as one sparse
-``{col: value}`` dict per row, the form elimination works on: a relation
-matrix is written row by row and a lattice reads those rows as they are
-stored, so the relations are never held twice.  The Smith form takes a
-sparse Hermite basis first and only then runs a dense core on it, since
-elimination causes fill-in.
+deterministic (rows are inserted in a fixed order), so every result is
+reproducible bit for bit.  A matrix is stored as one sparse ``{col: value}``
+dict per row, the form elimination works on: a relation matrix is written
+row by row and a lattice reads those rows as they are stored, so the
+relations are never held twice.
 
-Every elimination goes through ``Lattice``, which gets its row Hermite
-basis by inserting every row into a basis kept reduced above its pivots
-(``_hermite_basis``): after every row, each entry above a pivot lies in
-[0, pivot), which bounds coefficient growth.  No elimination keeps a transform: one that is needed is carried as
-identity columns, since the Hermite basis of [M | I] is [H | U] with
-U*M = H.  The Hermite and Smith transforms and the kernel of a map are read
-from such columns.  A lattice keeps its basis and one Smith transform V of
-it, restricted to the columns of the nontrivial quotient coordinates: the
+There is one elimination engine: a row Hermite basis built by inserting
+every row into a basis kept reduced above its pivots (``_hermite_basis``):
+after every row, each entry above a pivot lies in [0, pivot), which bounds
+coefficient growth.  A Smith form takes such bases of the columns and of the
+rows in turn until the basis is diagonal, then gcd/lcm steps on pairs of
+diagonal entries make a divisibility chain (``_smith_core``).  No
+elimination keeps a transform: one that is needed is carried as identity
+columns, since the Hermite basis of [M | I] is [H | U] with U*M = H.  The
+Hermite and Smith transforms and the kernel of a map are read from such
+columns.  A ``Lattice`` keeps its basis and one Smith transform V of it,
+restricted to the columns of the nontrivial quotient coordinates: the
 quotient map needs nothing else.  A presentation owns the lattice of its
 relations, built once on first use: its invariants, kernels of maps out of
 it and membership tests all read that one lattice.
@@ -442,127 +442,84 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# dense Smith core
+# Smith forms
 
 
-def _dense_snf_core(a: list[list[int]], c: int):
-    """Smith form of the first c columns of a small dense block.  Returns (diag, V).
+def _transpose(rows: list[dict[int, int]], cols: int) -> list[dict[int, int]]:
+    """The ``cols`` columns of sparse rows, as rows."""
+    out: list[dict[int, int]] = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
 
-    Pivots are chosen and columns operated on only among the first c
-    columns; row operations act on whole rows, so columns past c (identity
-    columns carrying a transform) travel with their rows.  Rows of ``a`` are
-    rebound, so the caller reads the result back from ``a`` itself.  Pivot
-    choice: minimal absolute value over the remaining block, ties in (row,
-    col) order.  Diagonal entries come out nonnegative and form a
-    divisibility chain.
+
+def _combine(x: dict[int, int], a: int, y: dict[int, int], b: int) -> dict[int, int]:
+    """The sparse row a*x + b*y."""
+    out = {j: a * v for j, v in x.items()} if a else {}
+    _row_addmul(out, y, b)
+    return out
+
+
+def _smith_core(basis: list[dict[int, int]], cols: int):
+    """Smith diagonal of a k-row echelon basis of rank k, with its transforms.
+
+    Entries before ``cols`` are the matrix B; entries from ``cols`` on (the
+    identity columns of a Hermite transform) are the rows of U.  Returns
+    (diag, rows of U still shifted by cols, rows of V) with U*B*V = D.
+    Hermite bases of the columns and of the rows are taken in turn (Kannan
+    and Bachem, SIAM J. Comput. 8, 1979), each carrying its transform as
+    columns from ``cols`` on: the rows of V^T on the column side, the rows
+    of U on the row side.  The first, on the cols columns, leaves a k x k
+    head on top of cols - k rows of V^T that the head vanishes on (the free
+    coordinates); the turns end once every head row has one entry.  Each
+    pair of diagonal entries a, b with a not dividing b then becomes
+    (gcd, lcm) by one unimodular 2 x 2 step on rows i, j of U and V^T, so
+    the diagonal ends a divisibility chain.
     """
-    k = len(a)
-    V = [[int(i == j) for j in range(c)] for i in range(c)]
-
-    def swap_rows(i, j):
-        if i == j:
-            return
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def row_addmul(i, j, q):
-        # row i += q * row j
-        ri, rj = a[i], a[j]
-        for x in range(len(ri)):
-            ri[x] += q * rj[x]
-
-    def col_addmul(i, j, q):
-        # col i += q * col j
-        for row in a:
-            row[i] += q * row[j]
-        for row in V:
-            row[i] += q * row[j]
-
-    def negate_row(i):
-        a[i] = [-v for v in a[i]]
-
-    t = 0
-    limit = min(k, c)
-    while t < limit:
-        best = None
-        for i in range(t, k):
-            row = a[i]
-            for j in range(t, c):
-                v = row[j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-                    if best[0] == 1:  # no smaller pivot exists
-                        break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
+    k = len(basis)
+    heads = _transpose([{j: x for j, x in row.items() if j < cols} for row in basis], cols)
+    sides = [[{cols + j: 1} for j in range(cols)], [{j: x for j, x in row.items() if j >= cols} for row in basis]]
+    turn = 0
+    while True:
+        rows = _hermite_basis([{**h, **t} for h, t in zip(heads, sides[turn])])
+        heads = [{j: x for j, x in row.items() if j < k} for row in rows[:k]]
+        # only the first turn has rows past k: the V^T rows of the free coordinates
+        sides[turn][:len(rows)] = [{j: x for j, x in row.items() if j >= k} for row in rows]
+        if all(len(h) == 1 for h in heads):
             break
-        swap_rows(t, best[1])
-        swap_cols(t, best[2])
-        while True:
-            dirty = False
-            for i in range(t + 1, k):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_addmul(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(i, t)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, c):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_addmul(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(j, t)
-                        dirty = True
-            if dirty:
-                continue
-            break
-        p = a[t][t]
-        offender = None
-        for i in range(t + 1, k if abs(p) != 1 else t + 1):  # a unit divides everything
-            row = a[i]
-            for j in range(t + 1, c):
-                if row[j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_addmul(t, offender, 1)
-            continue
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-    diag = [a[i][i] for i in range(limit)]
-    return diag, V
+        heads = _transpose(heads, k)
+        turn ^= 1
+    vt, u = sides
+    diag = [h[i] for i, h in enumerate(heads)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            a, b = diag[i], diag[j]
+            if b % a:
+                # s*a + t*b = g: [[s, t], [-b/g, a/g]] diag(a, b) [[1, -t*b/g], [1, s*a/g]] = diag(g, a*b/g)
+                g = math.gcd(a, b)
+                s = pow(a // g, -1, b // g)
+                t = (g - s * a) // b
+                u[i], u[j] = _combine(u[i], s, u[j], t), _combine(u[i], -(b // g), u[j], a // g)
+                vt[i], vt[j] = _combine(vt[i], 1, vt[j], 1), _combine(vt[i], -t * (b // g), vt[j], s * (a // g))
+                diag[i], diag[j] = g, a // g * b
+    return diag, u, _transpose([{j - cols: x for j, x in row.items()} for row in vt], cols)
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: returns (D, U, V) with U*M*V = D.
 
     U and V are unimodular; the diagonal of D is nonnegative and forms a
-    divisibility chain.  Total on all integer matrices.  The dense core runs
+    divisibility chain.  Total on all integer matrices.  The Smith core runs
     on the Hermite rows of [M | I] with nonzero M part, which carry their U
-    columns; the other rows' U columns follow them.
+    columns; the other rows' U columns (the left kernel of M) follow them.
     """
-    width = M.cols + M.rows
     basis = Lattice(_with_identity(M._rows, M.cols, M.rows)).basis_rows()
-    block = [[row.get(j, 0) for j in range(width)] for row in basis if min(row) < M.cols]
-    diag, v = _dense_snf_core(block, M.cols)
+    k = sum(min(row) < M.cols for row in basis)
+    diag, u, v = _smith_core(basis[:k], M.cols)
     D = IntMatrix.diagonal(diag, M.rows, M.cols)
-    kernel_rows = [[row.get(j, 0) for j in range(M.cols, width)] for row in basis[len(block):]]
-    U = IntMatrix.from_rows([row[M.cols:] for row in block] + kernel_rows, cols=M.rows)
-    V = IntMatrix.from_rows(v, cols=M.cols) if M.cols else IntMatrix(0, 0)
+    U = IntMatrix.from_sparse_rows(({j - M.cols: x for j, x in row.items()} for row in u + basis[k:]), M.rows)
+    V = IntMatrix._of(v, M.cols)
     if VERIFY_TRANSFORMS:
         if (U @ M) @ V != D:
             raise AssertionError("Smith transform verification failed")
@@ -608,20 +565,19 @@ def cokernel_invariants(M: IntMatrix, num_generators: int) -> AbelianInvariants:
 def _smith_quotient(basis: list[dict[int, int]], cols: int) -> QuotientMap:
     """The quotient map of Z^cols modulo the row lattice of an echelon basis.
 
-    One dense Smith step on the basis gives unimodular V with Z^cols/L =
-    sum of Z/d_i.  Returns (the d_i other than 1, 0 for a free summand; the
-    rows of V restricted to their columns), so row r holds what the r-th
-    unit vector adds to each coordinate of an image.
+    The Smith core on the basis gives unimodular V with Z^cols/L = sum of
+    Z/d_i.  Returns (the d_i other than 1, 0 for a free summand; the rows of
+    V restricted to their columns), so row r holds what the r-th unit vector
+    adds to each coordinate of an image.
     """
-    block = [[row.get(j, 0) for j in range(cols)] for row in basis]
-    diag, v = _dense_snf_core(block, cols)
+    diag, _, v = _smith_core(basis, cols)
     diag += [0] * (cols - len(diag))
     kept = [i for i, d in enumerate(diag) if d != 1]
-    quotient = tuple(diag[i] for i in kept), [tuple(row[i] for i in kept) for row in v]
+    quotient = tuple(diag[i] for i in kept), [tuple(row.get(i, 0) for i in kept) for row in v]
     if VERIFY_TRANSFORMS:
         if not all(_vanishes(_image(row.items(), *quotient), quotient[0]) for row in basis):
             raise AssertionError("a basis row has a nonzero quotient image")
-        if cols and abs(_det_unimodular(IntMatrix.from_rows(v, cols=cols))) != 1:
+        if cols and abs(_det_unimodular(IntMatrix._of(v, cols))) != 1:
             raise AssertionError("quotient transform is not unimodular")
     return quotient
 
@@ -654,20 +610,19 @@ def _vanishes(image: Sequence[int], moduli: tuple[int, ...], invert_two: bool = 
 class Lattice:
     """The row lattice L of an integer matrix, with the quotient map of Z^n/L.
 
-    This is the one place a matrix is eliminated: the reduced row Hermite
-    basis comes from inserting every row (``_hermite_basis``).  On first
-    use, one dense Smith step on that basis gives unimodular V with
-    Z^n/L = sum of Z/d_i, read through the quotient map v -> (v.V_i mod d_i)
-    (``_smith_quotient``), so a lattice read only for its basis never pays
-    for it.  ``moduli`` lists the d_i other than 1 (0 for a free summand)
-    and ``image`` computes the map from the nonzero entries of v; it is
-    additive, so a sum of images may stand for the image of a sum, and
-    ``vanishes`` decides whether such a sum is zero.  Membership (also after
-    inverting 2), element orders and the invariants of Z^n/L are read from
-    them.  A lattice that extends a known one may be built from that one's
-    ``basis_rows`` plus the new rows: the basis and moduli are the same.
-    The matrix's row dicts are read in place, not copied, and only its
-    width is kept.
+    The reduced row Hermite basis comes from inserting every row
+    (``_hermite_basis``).  On first use, the Smith core on that basis gives
+    unimodular V with Z^n/L = sum of Z/d_i, read through the quotient map
+    v -> (v.V_i mod d_i) (``_smith_quotient``), so a lattice read only for
+    its basis never pays for it.  ``moduli`` lists the d_i other than 1 (0
+    for a free summand) and ``image`` computes the map from the nonzero
+    entries of v; it is additive, so a sum of images may stand for the image
+    of a sum, and ``vanishes`` decides whether such a sum is zero.
+    Membership (also after inverting 2), element orders and the invariants
+    of Z^n/L are read from them.  A lattice that extends a known one may be
+    built from that one's ``basis_rows`` plus the new rows: the basis and
+    moduli are the same.  The matrix's row dicts are read in place, not
+    copied, and only its width is kept.
     """
 
     def __init__(self, matrix: IntMatrix):

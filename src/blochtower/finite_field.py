@@ -176,8 +176,8 @@ class FieldSpec:
             raise ValueError(f"{p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
+        _check_bound(p, m)
         q = p**m
-        _check_bound(q)
         self.p = p
         self.m = m
         self.q = q
@@ -349,10 +349,12 @@ class FieldSpec:
         return self._sqrt[a]
 
 
-def _check_bound(q: int) -> None:
+def _check_bound(p: int, m: int = 1) -> None:
+    """Refuse q = p^m past the bound before computing p**m: p >= 2, so p^m >= 2^m."""
     bound = max_field_size()
-    if q > bound:
-        raise FieldBoundError(f"q = {q} exceeds the bound {bound} (set {MAX_Q_ENV} to raise it)")
+    if p > bound or m >= bound.bit_length() or p**m > bound:
+        shown = p if m == 1 else f"{p}^{m}"
+        raise FieldBoundError(f"q = {shown} exceeds the bound {bound} (set {MAX_Q_ENV} to raise it)")
 
 
 @lru_cache(maxsize=None)
@@ -365,10 +367,10 @@ def field_from_q(q: int) -> FieldSpec:
     """FieldSpec for a prime power q; rechecks the size bound even on cache hits."""
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
+    _check_bound(q)
     fac = factorize(q)
     if len(fac) != 1:
         raise ValueError(f"q must be a prime power, got {q}")
-    _check_bound(q)
     (p, m), = fac.items()
     return field(p, m)
 
@@ -382,7 +384,7 @@ def parse_field_spec(text: str) -> FieldSpec:
         if m < 1:
             raise ValueError("extension degree must be >= 1")
         if p >= 2:
-            _check_bound(p**m)
+            _check_bound(p, m)
         return field(p, m)
     return field_from_q(int(text))
 

@@ -48,6 +48,9 @@ MAX_PRECISION = 4096
 #: 251 on a 2-vCPU x86 box (Python 3.11), so the bound is about 6.5 s.
 MAX_SAMPLES = 100_000
 
+#: Draws per fuzz sample before it is reported as never conclusive.
+MAX_RETRIES = 64
+
 
 class PrecisionExhaustedError(ArithmeticError):
     """Cancellation consumed every tracked coefficient; result unusable."""
@@ -344,7 +347,6 @@ def fuzz_specialization(
     precision: int,
     samples: int,
     seed: int = DEFAULT_SEED,
-    max_retries: int = 64,
 ) -> FuzzReport:
     """Run seeded random five-term specialization checks.
 
@@ -357,7 +359,7 @@ def fuzz_specialization(
     inconclusive = 0
     attempts = 0
     for i in range(samples):
-        for attempt in range(max_retries):
+        for attempt in range(MAX_RETRIES):
             rng = random.Random(f"{seed}:{i}:{attempt}")
             x = _sample_series(residue_field, rng, precision)
             y = _sample_series(residue_field, rng, precision)
@@ -373,7 +375,7 @@ def fuzz_specialization(
                 failures.append(f"sample {i} attempt {attempt}: {outcome.reason}")
             break
         else:
-            failures.append(f"sample {i}: exhausted {max_retries} retries without a conclusive draw")
+            failures.append(f"sample {i}: exhausted {MAX_RETRIES} retries without a conclusive draw")
     return FuzzReport(
         field=residue_field.spec_string(),
         precision=precision,

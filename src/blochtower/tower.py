@@ -371,9 +371,7 @@ def eigenspace_ledger(tower: TowerSpec) -> EigenspaceLedger:
     return EigenspaceLedger(basis, tuple(rows), census)
 
 
-def census_matches_exponents(tower: TowerSpec) -> bool:
+def census_matches_exponents(report: DecompositionReport, ledger: EigenspaceLedger) -> bool:
     """Independent consistency check: character census vs predicted exponents."""
-    report = predict(tower)
-    ledger = eigenspace_ledger(tower)
     expected = {i: mult for i, mult in enumerate(report.exponents)}
     return ledger.census == expected

@@ -126,9 +126,9 @@ def test_criterion_8_tower_prediction_shape():
         _report(8, False, f"level-0 summand wrong: {level0}")
     if any(h.status != "verified" for h in rep.hypotheses):
         _report(8, False, "hypothesis checklist not fully verified for base F_5")
-    if not census_matches_exponents(spec):
-        _report(8, False, "character census disagrees with exponents")
     ledger = eigenspace_ledger(spec)
+    if not census_matches_exponents(rep, ledger):
+        _report(8, False, "character census disagrees with exponents")
     if ledger.census != {0: 2, 1: 1}:
         _report(8, False, f"census {ledger.census}")
     # the two introductory examples as symbolic reports

@@ -49,6 +49,21 @@ class TestPrebloch:
     def test_missing_argument_exits_2(self):
         assert main(["prebloch"]) == 2
 
+    def test_oversize_prime_refused_before_trial_division(self, capsys, monkeypatch):
+        def no_trial_division(n):
+            raise AssertionError("trial division started")
+
+        monkeypatch.setattr("blochtower.finite_field.factorize", no_trial_division)
+        monkeypatch.setattr("blochtower.finite_field._is_prime", no_trial_division)
+        assert main(["prebloch", "--q", "2305843009213693951"]) == 2
+        assert "q = 2305843009213693951 exceeds the bound" in capsys.readouterr().err
+
+    def test_oversize_power_refused_before_it_is_computed(self, capsys):
+        # 3^20000000 has about 9.5 million digits: computing it, let alone
+        # printing it, takes seconds
+        assert main(["prebloch", "--q", "3^20000000"]) == 2
+        assert "q = 3^20000000 exceeds the bound" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_all_pass_q7(self, capsys):

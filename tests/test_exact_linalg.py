@@ -232,6 +232,24 @@ class TestSmithNormalForm:
             D, U, V = smith_normal_form(IntMatrix.zeros(*shape))
             assert (D.rows, D.cols) == shape
 
+    @pytest.mark.parametrize(
+        "rows,diag",
+        [
+            ([[6, 3], [0, -4]], [1, 24]),  # the head is diagonal only after a column, a row and a column basis
+            ([[4, 0], [0, 6]], [2, 12]),  # already diagonal: only the gcd/lcm step makes the chain
+        ],
+    )
+    def test_pinned_matrices_through_the_smith_core(self, rows, diag):
+        M = mat(rows)
+        D, U, V = smith_normal_form(M)
+        assert D.diagonal_entries() == diag
+        assert (U @ M) @ V == D
+        lat = Lattice(M)
+        assert lat.moduli == tuple(d for d in diag if d != 1)
+        for v in itertools.product(range(-4, 5), repeat=2):
+            assert lat.is_member(v) == oracle.member(rows, list(v)), v
+            assert lat.order(v) == oracle.order_in_quotient(rows, list(v), diag[-1]), v
+
 
 class TestHermite:
     def test_transform_property(self):
@@ -670,6 +688,7 @@ class TestKernelOverHermiteBasis:
         F = field_from_q(13)
         domain, codomain, lam = prebloch_presentation(F), asym2_presentation(F), _lambda_two_matrix(F)
         assert domain.lattice.basis_rows() and codomain.lattice.basis_rows()  # both lattices prebuilt
+        codomain.lattice.moduli  # and the codomain's quotient map, whose Smith step takes Hermite bases too
         calls = []
         hermite_basis = exact_linalg._hermite_basis
 
