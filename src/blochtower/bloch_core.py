@@ -282,9 +282,6 @@ class Asym2Element:
         self.value = value
         self.modulus = modulus
 
-    def is_zero(self) -> bool:
-        return self.value == 0
-
 
 def asym2_modulus(F: FieldSpec) -> int:
     return 2 if F.q % 2 else 1
@@ -329,9 +326,6 @@ class AugSquareElement:
         if not lat.is_member(value.to_int_vector()):
             raise ValueError("element is not in the square of the augmentation ideal")
         self.value = value
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
 
 
 def lambda_one(F: FieldSpec, code: int) -> AugSquareElement:

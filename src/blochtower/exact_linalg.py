@@ -39,7 +39,6 @@ from bisect import bisect_left, bisect_right, insort
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .finite_field import factorize
 from .record import Record
 
 #: When true, every smith_normal_form call re-multiplies U*M*V and compares
@@ -71,7 +70,7 @@ class IntMatrix:
     are.  ``entries`` is the ``(i, j)``-keyed view, derived on each read;
     ``IntMatrix(rows, cols, {(i, j): v})`` still builds a matrix from one.
     A matrix is never changed after construction, so stacked matrices may
-    share row dicts; ``sparse_rows`` hands out copies.
+    share row dicts.
     """
 
     __slots__ = ("rows", "cols", "_rows")
@@ -123,14 +122,6 @@ class IntMatrix:
         return cls._of(data, cols)
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols)
-
-    @classmethod
     def diagonal(cls, diag: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
         n = len(diag)
         rows = n if rows is None else rows
@@ -149,9 +140,6 @@ class IntMatrix:
                 dense[j] = v
         return out
 
-    def sparse_rows(self) -> list[dict[int, int]]:
-        return [dict(row) for row in self._rows]
-
     def stack(self, other: "IntMatrix") -> "IntMatrix":
         if other.cols != self.cols:
             raise DimensionMismatchError("column counts differ")
@@ -169,12 +157,6 @@ class IntMatrix:
             out.append({j: s for j, s in acc.items() if s})
         return IntMatrix._of(out, other.cols)
 
-    def is_zero(self) -> bool:
-        return not any(self._rows)
-
-    def diagonal_entries(self) -> list[int]:
-        return [self._rows[i].get(i, 0) for i in range(min(self.rows, self.cols))]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
@@ -182,9 +164,6 @@ class IntMatrix:
             and self.cols == other.cols
             and self._rows == other._rows
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, {sum(map(len, self._rows))} nonzero)"
@@ -221,41 +200,11 @@ class AbelianInvariants(Record):
                 odd.append(d)
         return AbelianInvariants(tuple(odd), self.free_rank)
 
-    @staticmethod
-    def direct_sum(*summands: "AbelianInvariants") -> "AbelianInvariants":
-        """Canonical invariants of a direct sum (via elementary divisors)."""
-        by_prime: dict[int, list[int]] = {}
-        rank = 0
-        for s in summands:
-            rank += s.free_rank
-            for d in s.factors:
-                for p, e in factorize(d).items():
-                    by_prime.setdefault(p, []).append(e)
-        depth = max((len(v) for v in by_prime.values()), default=0)
-        chain = []
-        for k in range(depth):
-            d = 1
-            for p, exps in by_prime.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if k < len(exps_sorted):
-                    d *= p ** exps_sorted[k]
-            chain.append(d)
-        return AbelianInvariants(tuple(reversed(chain)), rank)
-
-    def order(self):
-        if self.free_rank:
-            return math.inf
-        return math.prod(self.factors) if self.factors else 1
-
     def is_trivial(self) -> bool:
         return not self.factors and not self.free_rank
 
     def to_json(self) -> dict:
         return {"factors": list(self.factors), "free_rank": self.free_rank}
-
-    def __str__(self) -> str:
-        parts = [f"Z/{d}" for d in self.factors] + ["Z"] * self.free_rank
-        return " + ".join(parts) if parts else "0"
 
 
 class FpPresentation:
@@ -547,15 +496,6 @@ def _det_unimodular(M: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * prev
-
-
-def cokernel_invariants(M: IntMatrix, num_generators: int) -> AbelianInvariants:
-    """Invariant factors of Z^n modulo the row space of M (relations as rows)."""
-    if M.cols != num_generators:
-        raise DimensionMismatchError(
-            f"matrix has {M.cols} columns but {num_generators} generators were declared"
-        )
-    return Lattice(M).invariants()
 
 
 # ---------------------------------------------------------------------------

@@ -172,11 +172,12 @@ class FieldSpec:
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_dlog", "_sqrt", "_generator")
 
     def __init__(self, p: int, m: int = 1):
+        if p >= 2:
+            _check_bound(p, m)  # before the trial division, which is slow for a large p
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
-        _check_bound(p, m)
         q = p**m
         self.p = p
         self.m = m
@@ -285,19 +286,6 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         self._ensure_log_tables()
         return self._exp[(-self._dlog[a]) % (self.q - 1)]
-
-    def pow_code(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        e %= self.q - 1
-        if self.m == 1:
-            return pow(a, e, self.p)
-        self._ensure_log_tables()
-        return self._exp[(self._dlog[a] * e) % (self.q - 1)]
 
     def dlog_code(self, a: int) -> int:
         """Discrete log base the canonical generator; a must be nonzero."""

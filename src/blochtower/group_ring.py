@@ -34,11 +34,6 @@ if TYPE_CHECKING:
 Scalar = Union[int, "Fraction"]
 
 
-def _is_dyadic(x: Scalar) -> bool:
-    d = x.denominator
-    return d & (d - 1) == 0
-
-
 class SquareClassGroup(Record):
     """(Z/2)^rank with labelled basis; elements are bitmasks in [0, 2^rank)."""
 
@@ -118,7 +113,7 @@ class GroupRingElement:
 
                 if not isinstance(c, Fraction):
                     raise ValueError(f"coefficient {c!r} is neither an int nor a Fraction")
-                if not _is_dyadic(c):
+                if c.denominator & (c.denominator - 1):
                     raise ValueError(f"coefficient {c} has a non-2-power denominator")
             if c:
                 clean[elem] = c
@@ -169,9 +164,6 @@ class GroupRingElement:
             return GroupRingElement(self.group, out)
         return self.scale(other)
 
-    def __rmul__(self, other) -> "GroupRingElement":
-        return self.scale(other)
-
     def scale(self, c: Scalar) -> "GroupRingElement":
         return GroupRingElement(self.group, {e: v * c for e, v in self.coeffs.items()})
 
@@ -181,9 +173,6 @@ class GroupRingElement:
             and self.group == other.group
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.group, frozenset(self.coeffs.items())))
 
     # -- inspection --------------------------------------------------------
 
@@ -332,23 +321,3 @@ def z_vector(group: SquareClassGroup, generators: int, coeffs: Mapping[int, Grou
         for f, c in coeff.coeffs.items():
             out[j * g + f] += int(c)
     return out
-
-
-def eigenspace_reconstruction_ok(M: RModulePresentation) -> bool:
-    """Does the module rebuild from its character eigenspaces, away from 2?
-
-    Compares the odd part of the scalar-restricted presentation against the
-    direct sum of the odd parts of all character specializations (canonical
-    invariants on both sides, so Z/15 and Z/3 + Z/5 agree).  This is the
-    computable face of the eigenspace decomposition of 2-inverted modules
-    over these group rings.
-    """
-    from .exact_linalg import AbelianInvariants, cokernel_invariants
-
-    zmat, width = z_expand(M)
-    total = cokernel_invariants(zmat, width).odd_part()
-    pieces = []
-    for chi in M.group.characters():
-        mat, gens = character_specialize(M, chi)
-        pieces.append(cokernel_invariants(mat, gens).odd_part())
-    return AbelianInvariants.direct_sum(*pieces) == AbelianInvariants.direct_sum(total)

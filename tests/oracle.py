@@ -24,15 +24,21 @@ oracles read ``suslin_element``, ``refined_presentation`` and
 patches one of them reaches both sides.  The matrix and quotient oracles
 z-expand the group-ring form of the refined relations, where the package
 writes its rows from the five-term table's ints, and the norm oracle counts
-the norms x^(q+1) of F_{q^2} by walking its whole unit group.
+the norms x^(q+1) of F_{q^2} by walking its whole unit group.  The
+eigenspace reconstruction check compares the scalar-restricted module with
+the direct sum of its character specializations, through canonical
+invariants built from elementary divisors here.  The matrix readers
+(``sparse_rows``, ``diagonal_entries``) read an IntMatrix through its
+``entries`` alone, so the package keeps no accessor that only tests call.
 """
 
 import itertools
+import math
 
 from blochtower import bloch_core as bc
-from blochtower.exact_linalg import FpPresentation, IntMatrix, Lattice, _apply_map, _reduce
-from blochtower.finite_field import FieldSpec, square_class_code
-from blochtower.group_ring import RModulePresentation, bracket, z_expand
+from blochtower.exact_linalg import AbelianInvariants, FpPresentation, IntMatrix, Lattice, _apply_map, _reduce
+from blochtower.finite_field import FieldSpec, factorize, square_class_code
+from blochtower.group_ring import RModulePresentation, bracket, character_specialize, z_expand
 from blochtower.laurent import PrecisionExhaustedError, RelationCheckOutcome, TruncatedLaurentSeries as TLS
 
 
@@ -146,6 +152,64 @@ def invariants_from_diagonal(diag, num_generators):
     factors = [d for d in diag if d > 1]
     rank = sum(1 for d in diag if d)
     return factors, num_generators - rank
+
+
+def sparse_rows(M):
+    """The {col: value} rows of an IntMatrix, read from its entries."""
+    rows = [{} for _ in range(M.rows)]
+    for (i, j), v in M.entries.items():
+        rows[i][j] = v
+    return rows
+
+
+def diagonal_entries(M):
+    """The diagonal of an IntMatrix, read from its entries."""
+    entries = M.entries
+    return [entries.get((i, i), 0) for i in range(min(M.rows, M.cols))]
+
+
+def invariants_order(inv):
+    """Order of the group with these AbelianInvariants: math.inf with a free part."""
+    return math.inf if inv.free_rank else math.prod(inv.factors)
+
+
+def direct_sum(*summands):
+    """Canonical AbelianInvariants of a direct sum, through elementary divisors."""
+    by_prime = {}
+    rank = 0
+    for s in summands:
+        rank += s.free_rank
+        for d in s.factors:
+            for p, e in factorize(d).items():
+                by_prime.setdefault(p, []).append(e)
+    depth = max((len(v) for v in by_prime.values()), default=0)
+    chain = []
+    for k in range(depth):
+        d = 1
+        for p, exps in by_prime.items():
+            exps_sorted = sorted(exps, reverse=True)
+            if k < len(exps_sorted):
+                d *= p ** exps_sorted[k]
+        chain.append(d)
+    return AbelianInvariants(tuple(reversed(chain)), rank)
+
+
+def eigenspace_reconstruction_ok(M):
+    """Does a group-ring module rebuild from its character eigenspaces, away from 2?
+
+    Compares the odd part of the scalar-restricted presentation against the
+    direct sum of the odd parts of all character specializations (canonical
+    invariants on both sides, so Z/15 and Z/3 + Z/5 agree).  This is the
+    computable face of the eigenspace decomposition of 2-inverted modules
+    over these group rings.
+    """
+    zmat, width = z_expand(M)
+    total = FpPresentation(width, zmat).invariants().odd_part()
+    pieces = []
+    for chi in M.group.characters():
+        mat, gens = character_specialize(M, chi)
+        pieces.append(FpPresentation(gens, mat).invariants().odd_part())
+    return direct_sum(*pieces) == direct_sum(total)
 
 
 def member(rows, v):
@@ -586,8 +650,8 @@ def kernel_with_all_relation_rows(domain, codomain, map_matrix):
     reduced against it, and its quotients become one kernel relation.
     """
     cod_lat = Lattice(codomain.relations)
-    map_rows = map_matrix.sparse_rows()
-    dom_rows = domain.relations.sparse_rows()
+    map_rows = sparse_rows(map_matrix)
+    dom_rows = sparse_rows(domain.relations)
     for row in dom_rows:
         if not cod_lat.is_member(_apply_map(row, map_rows, codomain.generators)):
             raise ValueError("a domain relation does not map into the relation lattice")
@@ -642,7 +706,18 @@ def five_term_rows(F):
 def norm_count(F):
     """Number of distinct norms x^(q+1) of the units x of E = F_{q^2}, counted in E."""
     E = FieldSpec(F.p, 2 * F.m)  # uncached: the tables go when the count is done
-    return len({E.pow_code(x, F.q + 1) for x in E.units()})
+    return len({_power(E, x, F.q + 1) for x in E.units()})
+
+
+def _power(E, x, e):
+    """x^e in the field E, by square and multiply."""
+    out = 1
+    while e:
+        if e & 1:
+            out = E.mul_code(out, x)
+        x = E.mul_code(x, x)
+        e >>= 1
+    return out
 
 
 def refined_zmatrix(F):

@@ -1,7 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import blochtower
 from blochtower.finite_field import (
     FieldBoundError,
     field,
@@ -44,6 +49,22 @@ def test_field_bound(monkeypatch):
     with pytest.raises(FieldBoundError):
         field_from_q(101).q  # fresh construction hits the bound
     monkeypatch.delenv("BLOCH_MAX_Q")
+
+
+def test_field_checks_the_bound_before_trial_division():
+    # 2^61 - 1 is prime, so trial division alone would take hours; run in a
+    # subprocess, so that the timeout can stop such a run
+    script = (
+        "from blochtower.finite_field import FieldBoundError, field\n"
+        "try:\n"
+        "    field(2305843009213693951)\n"
+        "except FieldBoundError:\n"
+        "    print('refused')\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "BLOCH_MAX_Q"}
+    env["PYTHONPATH"] = str(Path(blochtower.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=10)
+    assert proc.stdout.split() == ["refused"], proc.stderr
 
 
 class TestArithmetic:

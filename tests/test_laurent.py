@@ -1,12 +1,9 @@
 import random
-import sys
-import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochtower import cli, laurent
 from blochtower.exact_linalg import DimensionMismatchError, IntMatrix, Lattice
 from blochtower.finite_field import field, field_from_q
 from blochtower.laurent import (
@@ -536,52 +533,3 @@ class TestProbes:
     def test_case_ii_nonconstant_unit(self):
         u = TLS(F7, 0, (3, 1, 2, 5, 0, 1, 4, 2) + (0,) * 24)
         assert difference_of_squares(u) == (True, square_class(neg(uniformizer(F7))))
-
-
-def _functions(code, prefix=""):
-    """(first line, name) -> qualified name of every def in a module's code, nested ones too."""
-    out = {}
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType) and not const.co_name.startswith("<"):
-            name = prefix + const.co_name
-            if const.co_flags & 0x2:  # CO_NEWLOCALS: a function, not a class body
-                out[(const.co_firstlineno, const.co_name)] = name
-            out.update(_functions(const, name + "."))
-    return out
-
-
-class TestOnePath:
-    """laurent-fuzz enters every function of the laurent module.
-
-    The module keeps one specialization path, the head path the fuzz runs,
-    so a function no fuzz run enters is a second path growing back.  Input
-    refusals are branches inside entered functions and are not counted.
-    """
-
-    NOT_ENTERED = {
-        "SpecializationTarget.is_zero_vector",  # wrapped by the traced benchmark run
-        "TruncatedLaurentSeries.__repr__",  # only in a failure message
-    }
-
-    def test_fuzz_enters_every_function(self, tmp_path):
-        with open(laurent.__file__, encoding="utf-8") as fh:
-            defined = _functions(compile(fh.read(), laurent.__file__, "exec"))
-        entered = set()
-
-        def tracer(frame, event, arg):
-            if frame.f_globals.get("__name__") == laurent.__name__:
-                entered.add((frame.f_code.co_firstlineno, frame.f_code.co_name))
-
-        laurent.specialization_target.cache_clear()  # so the target is built under the trace
-        previous = sys.gettrace()
-        sys.settrace(tracer)
-        try:
-            for q, precision in (("5", "64"), ("31", "8")):
-                argv = ["laurent-fuzz", "--q", q, "--precision", precision, "--samples", "200"]
-                assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0
-        finally:
-            sys.settrace(previous)
-        assert "five_term_heads.ratio" in defined.values()
-        missed = {name for key, name in defined.items() if key not in entered}
-        assert missed <= self.NOT_ENTERED, sorted(missed - self.NOT_ENTERED)
-
