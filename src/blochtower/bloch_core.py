@@ -20,6 +20,13 @@ coefficient at its (generator, translated class) column, and the lambda
 sweep sums the invariants over the terms.  ``refined_presentation`` wraps
 the same terms in group-ring elements; it is the reference form for tests.
 
+Elements of the refined module (psi_1, psi_2, C(x), b, c and the rows the
+reduced quotients add) are sparse {column: int} dicts in those z-expanded
+coordinates, built from symbols, linear combinations and twists, so every
+zero test reads them as they are; lambda_one and lambda_two of an element
+or of a relation row are one sum over its (generator, coefficient, class)
+terms.
+
 Downstream of the presentations: the invariant maps lambda_one (into the
 square of the augmentation ideal) and lambda_two (into the antisymmetric
 square of F^x), their joint kernel (the refined Bloch group, computed per
@@ -35,7 +42,7 @@ pure function of the field.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .exact_linalg import (
     AbelianInvariants,
@@ -57,8 +64,6 @@ from .group_ring import (
     SquareClassGroup,
     bracket,
     double_bracket,
-    z_expand,
-    z_vector,
 )
 from .record import Record
 
@@ -96,75 +101,42 @@ def generator_count(F: FieldSpec) -> int:
     return 1 if F.q == 2 else len(symbol_generators(F))
 
 
-class SymbolVector:
-    """A formal group-ring combination of symbol generators.
+# An element of the refined module is a sparse {column: int} dict in the
+# z-expanded coordinates that every lattice here reads: column j * |G| + e
+# holds the coefficient of <e>[generator j].  |G| is a power of 2 and e < |G|,
+# so <t> acts on the columns as k -> k ^ t.
 
-    Coefficients are keyed by generator index.  The special q=2 presentation
-    has a single synthetic generator at index 0.
-    """
 
-    __slots__ = ("field", "coeffs")
+def _symbol(F: FieldSpec, code: int, twist: int = 0) -> dict[int, int]:
+    """<twist>[code] for a nonzero code; the symbol [1] is zero by construction."""
+    if code == 1:
+        return {}
+    return {_symbol_index(F)[code] * square_class_group(F).size + twist: 1}
 
-    def __init__(self, field: FieldSpec, coeffs: Optional[Mapping[int, GroupRingElement]] = None):
-        self.field = field
-        self.coeffs = {i: c for i, c in (coeffs or {}).items() if not c.is_zero()}
 
-    @classmethod
-    def zero(cls, field: FieldSpec) -> "SymbolVector":
-        return cls(field)
+def _combine(*terms: tuple[int, Mapping[int, int]]) -> dict[int, int]:
+    """The sum of coeff * v over (coeff, v) terms, zero entries dropped."""
+    out: dict[int, int] = {}
+    for coeff, v in terms:
+        for k, c in v.items():
+            out[k] = out.get(k, 0) + coeff * c
+    return {k: c for k, c in out.items() if c}
 
-    @classmethod
-    def symbol(cls, field: FieldSpec, code: int, coeff: Union[int, GroupRingElement] = 1) -> "SymbolVector":
-        """coeff * [code]; the symbol [1] is zero by construction."""
-        if code == 0:
-            raise ValueError("[0] is not a symbol")
-        if code == 1:
-            return cls.zero(field)
-        if isinstance(coeff, int):
-            coeff = GroupRingElement(square_class_group(field), {0: coeff})
-        return cls(field, {_symbol_index(field)[code]: coeff})
 
-    def _check(self, other: "SymbolVector") -> None:
-        if self.field != other.field:
-            raise ValueError("symbol vectors over different fields")
+def _twist(v: Mapping[int, int], t: int) -> dict[int, int]:
+    """<t> v: each column k moves to k ^ t."""
+    return {k ^ t: c for k, c in v.items()}
 
-    def __add__(self, other: "SymbolVector") -> "SymbolVector":
-        self._check(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out[i] + c if i in out else c
-        return SymbolVector(self.field, out)
 
-    def __sub__(self, other: "SymbolVector") -> "SymbolVector":
-        return self + (-other)
+def _double_twist(v: Mapping[int, int], t: int) -> dict[int, int]:
+    """<<t>> v = <t> v - v."""
+    return _combine((1, _twist(v, t)), (-1, v))
 
-    def __neg__(self) -> "SymbolVector":
-        return SymbolVector(self.field, {i: -c for i, c in self.coeffs.items()})
 
-    def scale(self, factor: Union[int, GroupRingElement]) -> "SymbolVector":
-        if isinstance(factor, int):
-            return SymbolVector(self.field, {i: c.scale(factor) for i, c in self.coeffs.items()})
-        return SymbolVector(self.field, {i: factor * c for i, c in self.coeffs.items()})
-
-    def is_zero_vector(self) -> bool:
-        return not self.coeffs
-
-    def z_coordinates(self) -> list[int]:
-        """Integer coordinates in the scalar-restricted presentation."""
-        return z_vector(square_class_group(self.field), generator_count(self.field), self.coeffs)
-
-    def augmentation_coordinates(self) -> list[int]:
-        """Coordinates in the coinvariant (plain pre-Bloch) presentation."""
-        out = [0] * generator_count(self.field)
-        for i, c in self.coeffs.items():
-            a = c.augmentation()
-            if a.denominator != 1:
-                raise ValueError("augmentation is not integral")
-            out[i] += int(a)
-        return out
-
-    def __repr__(self) -> str:
-        return f"SymbolVector({self.field.spec_string()}, {self.coeffs!r})"
+def _terms(F: FieldSpec, v: Mapping[int, int]) -> list[tuple[int, int, int]]:
+    """An element as (generator index, coefficient, square class) terms."""
+    g = square_class_group(F).size
+    return [(k // g, c, k % g) for k, c in v.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -265,37 +237,22 @@ def refined_presentation(F: FieldSpec) -> RModulePresentation:
 # the two invariant maps
 
 
-class Asym2Element:
-    """Element of the antisymmetric square of the cyclic group F^x.
-
-    For F_q this group is Z/gcd(2, q-1) on the generator g o g, and
-    g^a o g^b = ab * (g o g).
-    """
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        if modulus not in (1, 2):
-            raise ValueError("antisymmetric square of a cyclic group has exponent dividing 2")
-        if not 0 <= value < max(modulus, 1):
-            raise ValueError("value must be reduced")
-        self.value = value
-        self.modulus = modulus
-
-
 def asym2_modulus(F: FieldSpec) -> int:
     return 2 if F.q % 2 else 1
 
 
-def asym2_pairing(F: FieldSpec, a: int, b: int) -> Asym2Element:
-    """a o b for nonzero codes a, b."""
-    mod = asym2_modulus(F)
-    if mod == 1:
-        return Asym2Element(0, 1)
-    return Asym2Element((F.dlog_code(a) * F.dlog_code(b)) % 2, 2)
+def asym2_pairing(F: FieldSpec, a: int, b: int) -> int:
+    """a o b for nonzero codes a, b, as an int mod ``asym2_modulus``.
+
+    The antisymmetric square of the cyclic group F_q^x is Z/gcd(2, q-1) on
+    the generator g o g, and g^a o g^b = ab * (g o g).
+    """
+    if asym2_modulus(F) == 1:
+        return 0
+    return (F.dlog_code(a) * F.dlog_code(b)) % 2
 
 
-def lambda_two(F: FieldSpec, code: int) -> Asym2Element:
+def lambda_two(F: FieldSpec, code: int) -> int:
     """(1 - x) o x in the antisymmetric square, for the field code of x."""
     if code in (0, 1):
         raise ValueError("lambda_two needs x outside {0, 1}")
@@ -338,30 +295,41 @@ def lambda_one(F: FieldSpec, code: int) -> AugSquareElement:
 
 
 @lru_cache(maxsize=None)
-def _lambda_one_of_generator(F: FieldSpec, gen_index: int) -> GroupRingElement:
-    G = square_class_group(F)
+def _lambda_one_table(F: FieldSpec) -> tuple[GroupRingElement, ...]:
+    """lambda_one of each generator (0 for the ad-hoc q=2 generator)."""
     if F.q == 2:
-        return GroupRingElement.zero(G)
-    code = symbol_generators(F)[gen_index]
-    return lambda_one(F, code).value
+        return (GroupRingElement.zero(square_class_group(F)),)
+    return tuple(lambda_one(F, code).value for code in symbol_generators(F))
 
 
 @lru_cache(maxsize=None)
 def _lambda_two_of_generator(F: FieldSpec, gen_index: int) -> int:
     if F.q == 2:
         return 0
-    code = symbol_generators(F)[gen_index]
-    return lambda_two(F, code).value
+    return lambda_two(F, symbol_generators(F)[gen_index])
 
 
-def lambda_one_of_vector(v: SymbolVector) -> GroupRingElement:
-    """The group-ring-linear extension of lambda_one to symbol combinations."""
-    F = v.field
-    G = square_class_group(F)
-    out = GroupRingElement.zero(G)
-    for i, coeff in v.coeffs.items():
-        out = out + coeff * _lambda_one_of_generator(F, i)
-    return out
+def _lambda_values(F: FieldSpec, rows: Iterable[Iterable[tuple[int, int, int]]]) -> Iterator[tuple[list[int], int]]:
+    """lambda_one and lambda_two of each row of (generator, coefficient, class) terms.
+
+    lambda_one comes as a coefficient list over G (<e> acting as f -> e ^ f)
+    and lambda_two as an int mod ``asym2_modulus``, each summed over the
+    row's terms from the per-generator values.  A row is a term-table row
+    or an element's ``_terms``; rows are taken one at a time, so a sweep
+    over the term table pays no call per row.
+    """
+    g = square_class_group(F).size
+    mod = asym2_modulus(F)
+    lam1 = [tuple(v.coeffs.items()) for v in _lambda_one_table(F)]
+    lam2 = [_lambda_two_of_generator(F, j) for j in range(generator_count(F))]
+    for terms in rows:
+        one = [0] * g
+        two = 0
+        for j, coeff, e in terms:
+            two += coeff * lam2[j]
+            for f, w in lam1[j]:
+                one[e ^ f] += coeff * w
+        yield one, two % mod
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +360,9 @@ def bloch_invariants(F: FieldSpec) -> AbelianInvariants:
 
 def _refined_lambda_matrix(F: FieldSpec, chi: Character) -> IntMatrix:
     """Per-character matrix of (lambda_one, lambda_two) into Z + asym2."""
-    n = generator_count(F)
     rows = []
-    for i in range(n):
-        l1 = _lambda_one_of_generator(F, i).apply_character(chi)
+    for i, lam in enumerate(_lambda_one_table(F)):
+        l1 = lam.apply_character(chi)
         if l1.denominator != 1:  # pragma: no cover - products of integral elements
             raise InternalConsistencyError("lambda_one specialization not integral")
         rows.append([int(l1), _lambda_two_of_generator(F, i)])
@@ -442,7 +409,7 @@ def rb0_is_trivial(F: FieldSpec) -> bool:
 # inversion elements, constants, and the cyclic module they generate
 
 
-def suslin_element(F: FieldSpec, i: int, code: int) -> SymbolVector:
+def suslin_element(F: FieldSpec, i: int, code: int) -> dict[int, int]:
     """The two standard liftings of [x] + [x^-1], for the field code of x:
 
     psi_1(x) = [x] + <-1>[x^-1]
@@ -453,30 +420,25 @@ def suslin_element(F: FieldSpec, i: int, code: int) -> SymbolVector:
     if code == 0:
         raise ValueError("x must be nonzero")
     if code == 1:
-        return SymbolVector.zero(F)
-    G = square_class_group(F)
+        return {}
     inv = F.inv_code(code)
-    minus_one = F.neg_code(1)
     if i == 1:
-        return SymbolVector.symbol(F, code) + SymbolVector.symbol(F, inv, bracket(G, square_class_code(F, minus_one)))
+        return _combine((1, _symbol(F, code)), (1, _symbol(F, inv, square_class_code(F, F.neg_code(1)))))
     cls_1mx = square_class_code(F, F.sub_code(1, code))
     cls_x = square_class_code(F, code)
-    return SymbolVector.symbol(F, code, bracket(G, cls_1mx ^ cls_x)) + SymbolVector.symbol(
-        F, inv, bracket(G, cls_1mx)
-    )
+    return _combine((1, _symbol(F, code, cls_1mx ^ cls_x)), (1, _symbol(F, inv, cls_1mx)))
 
 
-def constant_element(F: FieldSpec, code: int) -> SymbolVector:
+def constant_element(F: FieldSpec, code: int) -> dict[int, int]:
     """C(x) = [x] + <-1>[1-x] + <<1-x>> psi_1(x) for the field code of x; independent of x."""
     if code in (0, 1):
         raise ValueError("x must avoid 0 and 1")
-    G = square_class_group(F)
     one_minus = F.sub_code(1, code)
-    minus_one = F.neg_code(1)
-    out = SymbolVector.symbol(F, code)
-    out = out + SymbolVector.symbol(F, one_minus, bracket(G, square_class_code(F, minus_one)))
-    out = out + suslin_element(F, 1, code).scale(double_bracket(G, square_class_code(F, one_minus)))
-    return out
+    return _combine(
+        (1, _symbol(F, code)),
+        (1, _symbol(F, one_minus, square_class_code(F, F.neg_code(1)))),
+        (1, _double_twist(suslin_element(F, 1, code), square_class_code(F, one_minus))),
+    )
 
 
 class BlochConstants:
@@ -485,7 +447,7 @@ class BlochConstants:
     __slots__ = ("b", "c", "b_order", "c_order", "base_point", "constancy_checked")
 
     def __init__(
-        self, b: SymbolVector, c: SymbolVector, b_order: int, c_order: int, base_point: Optional[int], constancy_checked: int
+        self, b: dict[int, int], c: dict[int, int], b_order: int, c_order: int, base_point: Optional[int], constancy_checked: int
     ):
         self.b = b
         self.c = c
@@ -509,7 +471,7 @@ def constant_b(F: FieldSpec) -> BlochConstants:
     """
     lat = rp_lattice(F)
     if F.q == 2:
-        b = SymbolVector(F, {0: GroupRingElement(square_class_group(F), {0: 1})})
+        b = {0: 1}
         base: Optional[int] = None
         checked = 0
     elif F.q == 3:
@@ -522,13 +484,12 @@ def constant_b(F: FieldSpec) -> BlochConstants:
         b = constant_element(F, base)
         checked = 0
         for code in candidates[1:]:
-            diff = constant_element(F, code) - b
-            if not lat.is_member(diff.z_coordinates()):
+            if not lat.is_member(_combine((1, constant_element(F, code)), (-1, b))):
                 raise InternalConsistencyError(f"C({code}) differs from C({base}) in F_{F.spec_string()}")
             checked += 1
-    c = b.scale(2)
-    b_order = lat.order(b.z_coordinates())
-    c_order = lat.order(c.z_coordinates())
+    c = _combine((2, b))
+    b_order = lat.order(b)
+    c_order = lat.order(c)
     if not isinstance(b_order, int) or 6 % b_order:
         raise InternalConsistencyError(f"constant element must have order dividing 6, got {b_order}")
     return BlochConstants(b, c, b_order, int(c_order), base, checked)
@@ -575,10 +536,6 @@ def prebloch_lattice(F: FieldSpec) -> Lattice:
     return prebloch_presentation(F).lattice
 
 
-def is_zero_in_prebloch(F: FieldSpec, v: SymbolVector) -> bool:
-    return prebloch_lattice(F).is_member(v.augmentation_coordinates())
-
-
 # ---------------------------------------------------------------------------
 # the cyclic module on c and the reduced quotients
 
@@ -611,18 +568,13 @@ class DfModuleReport:
 
 def _df_checks(F: FieldSpec) -> DfModuleReport:
     consts = constant_b(F)
-    G = square_class_group(F)
     lat = rp_lattice(F)
     failures: list[str] = []
     df1_half = True
     df1_int = True
     for code in F.units():
-        diff = (
-            suslin_element(F, 1, code)
-            - suslin_element(F, 2, code)
-            - consts.c.scale(double_bracket(G, square_class_code(F, code)))
-        )
-        img = lat.image(diff.z_coordinates())
+        twisted = _double_twist(consts.c, square_class_code(F, code))
+        img = lat.image(_combine((1, suslin_element(F, 1, code)), (-1, suslin_element(F, 2, code)), (-1, twisted)))
         if not lat.vanishes(img, invert_two=True):
             df1_half = False
             failures.append(f"difference identity fails at x={code} even with 2 inverted")
@@ -630,8 +582,8 @@ def _df_checks(F: FieldSpec) -> DfModuleReport:
             df1_int = False
     df2 = True
     for code in sorted(plus_minus_norm_codes(F)):
-        twisted = consts.c.scale(double_bracket(G, square_class_code(F, code)))
-        if not lat.is_member(twisted.z_coordinates(), invert_two=True):
+        twisted = _double_twist(consts.c, square_class_code(F, code))
+        if not lat.is_member(twisted, invert_two=True):
             df2 = False
             failures.append(f"norm annihilation fails at x={code}")
     return DfModuleReport(consts.c_order, df1_half, df1_int, df2, tuple(failures))
@@ -654,50 +606,19 @@ def df_module(F: FieldSpec) -> DfModuleReport:
     return report
 
 
-class ReducedQuotients:
-    """The relations that cut the two reduced quotients out of the refined module.
-
-    ``mod_inversions_and_ic``: all psi_1(x) plus the augmentation multiples
-    of c (symbols stay meaningful across specialization).
-    ``mod_inversions_and_c``: all psi_1(x) plus c itself.
-    Each is a tuple of relation rows (generator index -> group-ring element)
-    added to the refined relations, which are not repeated here.
-    """
-
-    __slots__ = ("mod_inversions_and_ic", "mod_inversions_and_c")
-
-    def __init__(
-        self,
-        mod_inversions_and_ic: tuple[dict[int, GroupRingElement], ...],
-        mod_inversions_and_c: tuple[dict[int, GroupRingElement], ...],
-    ):
-        self.mod_inversions_and_ic = mod_inversions_and_ic
-        self.mod_inversions_and_c = mod_inversions_and_c
-
-
-def _suslin_rows(F: FieldSpec) -> list[dict[int, GroupRingElement]]:
-    rows = []
-    for code in F.units():
-        psi = suslin_element(F, 1, code)
-        if not psi.is_zero_vector():
-            rows.append(dict(psi.coeffs))
-    return rows
-
-
 @lru_cache(maxsize=None)
-def reduced_quotients(F: FieldSpec) -> ReducedQuotients:
-    G = square_class_group(F)
-    consts = constant_b(F)
-    psi_rows = _suslin_rows(F)
-    ic_rows = []
-    for elem in G.elements():
-        if elem == 0:
-            continue
-        row = consts.c.scale(double_bracket(G, elem))
-        if not row.is_zero_vector():
-            ic_rows.append(dict(row.coeffs))
-    c_rows = [] if consts.c.is_zero_vector() else [dict(consts.c.coeffs)]
-    return ReducedQuotients(tuple(psi_rows + ic_rows), tuple(psi_rows + c_rows))
+def reduced_quotients(F: FieldSpec) -> dict[str, tuple[dict[int, int], ...]]:
+    """The rows that cut the two reduced quotients out of the refined module.
+
+    "ic": all psi_1(x) plus the augmentation multiples <<t>> c (symbols stay
+    meaningful across specialization); "c": all psi_1(x) plus c itself.
+    Each is a tuple of refined-module elements added as relations to the
+    refined relations, which are not repeated here.
+    """
+    c = constant_b(F).c
+    psi_rows = [psi for psi in (suslin_element(F, 1, code) for code in F.units()) if psi]
+    ic_rows = [row for row in (_double_twist(c, t) for t in square_class_group(F).elements() if t) if row]
+    return {"ic": tuple(psi_rows + ic_rows), "c": tuple(psi_rows + ([c] if c else []))}
 
 
 @lru_cache(maxsize=None)
@@ -705,18 +626,13 @@ def reduced_lattice(F: FieldSpec, which: str) -> Lattice:
     """Zero-testing lattice for the reduced quotients ("ic" or "c")."""
     if which not in ("ic", "c"):
         raise ValueError(f"unknown reduced quotient {which!r}; choose 'ic' or 'c'")
-    quotients = reduced_quotients(F)
-    added = quotients.mod_inversions_and_ic if which == "ic" else quotients.mod_inversions_and_c
     # A reduced quotient is the refined module modulo the added relations, so
-    # its lattice is spanned by the refined lattice's Hermite basis plus the
-    # z-expanded added rows: a few hundred rows instead of every refined one.
+    # its lattice is spanned by the refined lattice's Hermite basis plus every
+    # <t>-translate of the added rows: a few hundred rows instead of every
+    # refined one.
     rp = rp_lattice(F)
-    extra, _ = z_expand(RModulePresentation(square_class_group(F), generator_count(F), added))
-    return Lattice(IntMatrix.from_sparse_rows(rp.basis_rows(), rp.cols).stack(extra))
-
-
-def is_zero_in_reduced(F: FieldSpec, v: SymbolVector, which: str = "ic", invert_two: bool = True) -> bool:
-    return reduced_lattice(F, which).is_member(v.z_coordinates(), invert_two=invert_two)
+    translates = [_twist(row, t) for row in reduced_quotients(F)[which] for t in square_class_group(F).elements()]
+    return Lattice(IntMatrix.from_sparse_rows(rp.basis_rows() + translates, rp.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -747,29 +663,15 @@ class SweepResult(Record):
 def verify_lambda_well_defined(F: FieldSpec) -> SweepResult:
     """Both invariant maps must kill every relation row, exactly.
 
-    Each row of the five-term table is read in ints: lambda_one as a
-    coefficient list over G (<f> acting as e -> e^f) and lambda_two as an
-    int mod ``asym2_modulus``, both summed over the row's
-    (generator, coefficient, class) terms from the cached per-generator
-    values.
+    Each row of the five-term table is read in ints through
+    ``_lambda_values``.
     """
-    G = square_class_group(F)
-    mod = asym2_modulus(F)
-    n = generator_count(F)
-    lam1 = [tuple(_lambda_one_of_generator(F, j).coeffs.items()) for j in range(n)]
-    lam2 = [_lambda_two_of_generator(F, j) for j in range(n)]
     table = _five_term_table(F)
     failures = []
-    for ridx, terms in enumerate(table):
-        one = [0] * G.size
-        two = 0
-        for j, coeff, e in terms:
-            two += coeff * lam2[j]
-            for f, w in lam1[j]:
-                one[e ^ f] += coeff * w
+    for ridx, (one, two) in enumerate(_lambda_values(F, table)):
         if any(one):
             failures.append(f"lambda_one nonzero on relation {ridx}")
-        if two % mod:
+        if two:
             failures.append(f"lambda_two nonzero on relation {ridx}")
     return SweepResult("lambda_well_defined", len(table), tuple(failures))
 
@@ -786,12 +688,9 @@ def verify_suslin_identities(F: FieldSpec) -> SweepResult:
     units = F.units()
     failures = []
     for i in (1, 2):
-        terms = {
-            u: [(j * G.size + f, c) for j, coeff in suslin_element(F, i, u).coeffs.items() for f, c in coeff.coeffs.items()]
-            for u in units
-        }
-        # twisted[t][u] is the image of <t> psi_i(u); <t> sends z-coordinate k to k ^ t
-        twisted = [{u: lat.image({k ^ t: c for k, c in terms[u]}) for u in units} for t in G.elements()]
+        psi = {u: suslin_element(F, i, u) for u in units}
+        # twisted[t][u] is the image of <t> psi_i(u)
+        twisted = [{u: lat.image(_twist(psi[u], t)) for u in units} for t in G.elements()]
         plain = twisted[0]
         for x in units:
             shifted = twisted[square_class_code(F, x)]
@@ -804,32 +703,28 @@ def verify_suslin_identities(F: FieldSpec) -> SweepResult:
 def verify_suslin_lambda_one(F: FieldSpec) -> SweepResult:
     """lambda_one(psi_i(x)) = <<-x>><<x>> as group-ring elements."""
     G = square_class_group(F)
+    pairs = [(i, x) for i in (1, 2) for x in F.units()]
+    psis = (_terms(F, suslin_element(F, i, x)) for i, x in pairs)
     failures = []
-    checked = 0
-    for i in (1, 2):
-        for x in F.units():
-            lhs = lambda_one_of_vector(suslin_element(F, i, x))
-            rhs = double_bracket(G, square_class_code(F, F.neg_code(x))) * double_bracket(G, square_class_code(F, x))
-            checked += 1
-            if lhs != rhs:
-                failures.append(f"lambda_one(psi_{i}) mismatch at x={x}")
-    return SweepResult("suslin_lambda_one", checked, tuple(failures))
+    for (i, x), (lhs, _) in zip(pairs, _lambda_values(F, psis)):
+        rhs = double_bracket(G, square_class_code(F, F.neg_code(x))) * double_bracket(G, square_class_code(F, x))
+        if lhs != rhs.to_int_vector():
+            failures.append(f"lambda_one(psi_{i}) mismatch at x={x}")
+    return SweepResult("suslin_lambda_one", len(pairs), tuple(failures))
 
 
 def verify_two_torsion(F: FieldSpec) -> SweepResult:
     """2([x] + [x^-1]) dies in the plain pre-Bloch group."""
     failures = []
-    checked = 0
     if F.q == 2:
         return SweepResult("inversion_two_torsion", 0, ())
-    for x in F.units():
-        if x == 1:
-            continue
-        v = SymbolVector.symbol(F, x, 2) + SymbolVector.symbol(F, F.inv_code(x), 2)
-        checked += 1
-        if not is_zero_in_prebloch(F, v):
+    index = _symbol_index(F)
+    lat = prebloch_lattice(F)
+    for x in symbol_generators(F):
+        # pre-Bloch coordinates are generator indices
+        if not lat.is_member(_combine((2, {index[x]: 1}), (2, {index[F.inv_code(x)]: 1}))):
             failures.append(f"2([x]+[x^-1]) nonzero at x={x}")
-    return SweepResult("inversion_two_torsion", checked, tuple(failures))
+    return SweepResult("inversion_two_torsion", len(index), tuple(failures))
 
 
 def verify_suslin_image_lattice(F: FieldSpec) -> SweepResult:
@@ -838,13 +733,13 @@ def verify_suslin_image_lattice(F: FieldSpec) -> SweepResult:
     size = G.size
     failures = []
     left_rows = []
-    for i in (1, 2):
-        for x in F.units():
-            val = lambda_one_of_vector(suslin_element(F, i, x))
-            for e in G.elements():
-                shifted = bracket(G, e) * val
-                if not shifted.is_zero():
-                    left_rows.append(shifted.to_int_vector())
+    psis = (_terms(F, suslin_element(F, i, x)) for i in (1, 2) for x in F.units())
+    for val, _ in _lambda_values(F, psis):
+        for e in G.elements():
+            # <e> * val has coefficient val[k ^ e] at k
+            shifted = [val[k ^ e] for k in range(size)]
+            if any(shifted):
+                left_rows.append(shifted)
     right_rows = []
     minus_one_cls = square_class_code(F, F.neg_code(1)) if F.q > 2 else 0
     p_minus = GroupRingElement.one(G) + bracket(G, minus_one_cls)
@@ -898,28 +793,22 @@ def verify_reduced_identities(F: FieldSpec) -> SweepResult:
     in the deeper quotient: [x^-1] = -<-1>[x] and <<-x>>[x] = 0;
     in the full quotient:   [1-x] = -<-1>[x].
     """
-    G = square_class_group(F)
     failures = []
-    checked = 0
     if F.q == 2:
         return SweepResult("reduced_quotient_identities", 0, ())
-    minus_one_twist = bracket(G, square_class_code(F, F.neg_code(1)))
+    ic, c = reduced_lattice(F, "ic"), reduced_lattice(F, "c")
+    minus_one = square_class_code(F, F.neg_code(1))
     for x in symbol_generators(F):
-        inv = F.inv_code(x)
-        v1 = SymbolVector.symbol(F, inv) + SymbolVector.symbol(F, x, minus_one_twist)
-        checked += 1
-        if not is_zero_in_reduced(F, v1, which="ic"):
+        v1 = _combine((1, _symbol(F, F.inv_code(x))), (1, _symbol(F, x, minus_one)))
+        if not ic.is_member(v1, invert_two=True):
             failures.append(f"inversion identity fails at x={x}")
-        v2 = SymbolVector.symbol(F, x, double_bracket(G, square_class_code(F, F.neg_code(x))))
-        checked += 1
-        if not is_zero_in_reduced(F, v2, which="ic"):
+        v2 = _double_twist(_symbol(F, x), square_class_code(F, F.neg_code(x)))
+        if not ic.is_member(v2, invert_two=True):
             failures.append(f"negative-class annihilation fails at x={x}")
-        one_minus = F.sub_code(1, x)
-        v3 = SymbolVector.symbol(F, one_minus) + SymbolVector.symbol(F, x, minus_one_twist)
-        checked += 1
-        if not is_zero_in_reduced(F, v3, which="c"):
+        v3 = _combine((1, _symbol(F, F.sub_code(1, x))), (1, _symbol(F, x, minus_one)))
+        if not c.is_member(v3, invert_two=True):
             failures.append(f"one-minus identity fails at x={x}")
-    return SweepResult("reduced_quotient_identities", checked, tuple(failures))
+    return SweepResult("reduced_quotient_identities", 3 * len(symbol_generators(F)), tuple(failures))
 
 
 SWEEPS = {

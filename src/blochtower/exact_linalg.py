@@ -69,8 +69,6 @@ class IntMatrix:
     as they are produced) and ``Lattice`` eliminates those rows as they
     are.  ``entries`` is the ``(i, j)``-keyed view, derived on each read;
     ``IntMatrix(rows, cols, {(i, j): v})`` still builds a matrix from one.
-    A matrix is never changed after construction, so stacked matrices may
-    share row dicts.
     """
 
     __slots__ = ("rows", "cols", "_rows")
@@ -139,11 +137,6 @@ class IntMatrix:
             for j, v in row.items():
                 dense[j] = v
         return out
-
-    def stack(self, other: "IntMatrix") -> "IntMatrix":
-        if other.cols != self.cols:
-            raise DimensionMismatchError("column counts differ")
-        return IntMatrix._of(self._rows + other._rows, self.cols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

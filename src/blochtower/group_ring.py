@@ -16,6 +16,11 @@ The two bridges to plain integer linear algebra are:
 * ``z_expand`` - restrict scalars to Z, turning each module generator into
   2^r integer generators (the integral picture).
 
+No command calls either one: ``bloch_core`` writes its specialized and
+z-expanded relation rows, and its refined-module elements, straight from
+integer terms.  They give the reference form that tests and the benchmark
+tracer read.
+
 All values are immutable; nothing here mutates shared state.
 """
 
@@ -162,17 +167,7 @@ class GroupRingElement:
                     e = e1 ^ e2
                     out[e] = out.get(e, 0) + c1 * c2
             return GroupRingElement(self.group, out)
-        return self.scale(other)
-
-    def scale(self, c: Scalar) -> "GroupRingElement":
-        return GroupRingElement(self.group, {e: v * c for e, v in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupRingElement)
-            and self.group == other.group
-            and self.coeffs == other.coeffs
-        )
+        return GroupRingElement(self.group, {e: v * other for e, v in self.coeffs.items()})
 
     # -- inspection --------------------------------------------------------
 
@@ -227,7 +222,7 @@ def idempotent(
     out = GroupRingElement.one(group)
     half = Fraction(1, 2)
     for a in S:
-        factor = (GroupRingElement.one(group) + bracket(group, a).scale(sign * chi(a))).scale(half)
+        factor = (GroupRingElement.one(group) + bracket(group, a) * (sign * chi(a))) * half
         out = out * factor
     return out
 
@@ -309,15 +304,3 @@ def z_expand(M: RModulePresentation) -> tuple[IntMatrix, int]:
         # distinct (generator, group element) terms land in distinct columns
         rows += [{base + (e ^ f): c for base, f, c in terms} for e in M.group.elements()]
     return IntMatrix._of(rows, width), width
-
-
-def z_vector(group: SquareClassGroup, generators: int, coeffs: Mapping[int, GroupRingElement]) -> list[int]:
-    """Integer coordinates of a module element under the z_expand indexing."""
-    g = group.size
-    out = [0] * (generators * g)
-    for j, coeff in coeffs.items():
-        if not coeff.is_integral():
-            raise ValueError("element has dyadic denominators; not integral")
-        for f, c in coeff.coeffs.items():
-            out[j * g + f] += int(c)
-    return out

