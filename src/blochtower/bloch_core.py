@@ -12,13 +12,13 @@ The fields with 2 and 3 elements get their standard ad-hoc replacements (an
 order-3 group with a distinguished generator, and the cyclic module on [-1]
 with the single relation 2([-1] + <-1>[-1]) = 0).
 
-Every command reads the O(q^2) relations from one term table that lists
-each relation row as (generator, integer coefficient, square class) terms:
-a character specialization (the pre-Bloch matrix for the trivial one) adds
-coeff * chi(class) into sparse rows, the z-expanded refined matrix adds each
-coefficient at its (generator, translated class) column, and the lambda
-sweep sums the invariants over the terms.  ``refined_presentation`` wraps
-the same terms in group-ring elements; it is the reference form for tests.
+Every reader of the O(q^2) relations makes each row afresh, as (generator,
+integer coefficient, square class) terms: a character's lattice (the
+pre-Bloch one for the trivial character) adds coeff * chi(class) per
+generator, the z-expanded refined lattice adds each coefficient at its
+(generator, translated class) column, and the lambda sweep sums the
+invariants over the terms.  ``refined_presentation`` wraps the same terms
+in group-ring elements; it is the reference form for tests.
 
 Elements of the refined module (psi_1, psi_2, C(x), b, c and the rows the
 reduced quotients add) are sparse {column: int} dicts in those z-expanded
@@ -35,8 +35,8 @@ constant elements b and c = 2b, the cyclic submodule generated by c, the
 reduced quotient presentations, and the verification sweeps for all the
 identities these objects satisfy.
 
-Presentations and lattices are cached per field; everything observable is a
-pure function of the field.
+Only lattices and the order they insert rows in (4 bytes a row) are cached
+per field, never a relation row; all that is observable is a function of F.
 """
 
 from __future__ import annotations
@@ -143,88 +143,92 @@ def _terms(F: FieldSpec, v: Mapping[int, int]) -> list[tuple[int, int, int]]:
 # presentations
 
 
-@lru_cache(maxsize=None)
-def _five_term_table(F: FieldSpec) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Every relation row as (generator index, integer coefficient, square class) terms.
+def _relation_rows(F: FieldSpec, order: Optional[Iterable[int]] = None) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """Each relation row as (generator index, integer coefficient, square class) terms, made afresh.
 
-    One row per ordered pair x != y of symbol generators, x-major, with the
-    five terms [x], -[y], <x>[y/x], -<x^-1 - 1>[(1-x^-1)/(1-y^-1)] and
-    <1-x>[(1-x)/(1-y)] in that order and the [1] terms dropped; q = 2 has the
-    single row 3<0> on b, and q = 3 the single row 2<0> + 2<-1> on [-1].
-    The values that depend on x alone (1/x, 1 - 1/x, 1 - x and the three
-    twist classes) and on y alone (1/(1 - 1/y), 1/(1 - y)) are computed
-    once, so a pair costs three products.  Terms of a row may repeat a
-    (generator, class) pair; readers add them up.
+    Row i * (n - 1) + k, in table order or in that of the row numbers in
+    ``order``, is x = generator i, y = generator k (k + 1 from k = i on):
+    [x], -[y], <x>[y/x], -<x^-1 - 1>[(1-x^-1)/(1-y^-1)], <1-x>[(1-x)/(1-y)],
+    each quotient's log a difference of per-generator logs (none is 1, as
+    x != y).  q = 2 has the single row 3<0> on b, and q = 3 2<0> + 2<-1> on
+    [-1].  Readers add up repeated (generator, class) terms.
     """
-    if F.q == 2:
-        return (((0, 3, 0),),)
-    if F.q == 3:
-        return (((0, 2, 0), (0, 2, square_class_code(F, 2))),)
-    index = _symbol_index(F)
-    per_y = [
-        (y, index[y], F.inv_code(F.sub_code(1, F.inv_code(y))), F.inv_code(F.sub_code(1, y)))
-        for y in symbol_generators(F)
-    ]
-    rows = []
-    for x in symbol_generators(F):
-        inv_x = F.inv_code(x)
-        n4 = F.sub_code(1, inv_x)
-        n5 = F.sub_code(1, x)
-        ix = index[x]
-        c3 = square_class_code(F, x)
-        c4 = square_class_code(F, F.sub_code(inv_x, 1))
-        c5 = square_class_code(F, n5)
-        for y, iy, r4, r5 in per_y:
-            if y == x:
-                continue
-            args = ((F.mul_code(y, inv_x), 1, c3), (F.mul_code(n4, r4), -1, c4), (F.mul_code(n5, r5), 1, c5))
-            rows.append(((ix, 1, 0), (iy, -1, 0)) + tuple((index[a], sign, cls) for a, sign, cls in args if a != 1))
-    return tuple(rows)
+    if F.q <= 3:
+        yield ((0, 3, 0),) if F.q == 2 else ((0, 2, 0), (0, 2, square_class_code(F, 2)))
+        return
+    gens = symbol_generators(F)
+    of_log = [0] * (F.q - 1)  # generator index of the code with each discrete log (log 0 is the code 1)
+    logs, classes = [], []  # per generator x: logs of x, 1 - x^-1, 1 - x; classes of x, x^-1 - 1, 1 - x
+    for i, x in enumerate(gens):
+        one_minus_inv, one_minus = F.sub_code(1, F.inv_code(x)), F.sub_code(1, x)
+        of_log[F.dlog_code(x)] = i
+        logs.append((F.dlog_code(x), F.dlog_code(one_minus_inv), F.dlog_code(one_minus)))
+        classes.append(tuple(square_class_code(F, c) for c in (x, F.neg_code(one_minus_inv), one_minus)))
+    m = len(gens) - 1  # rows per x
+    for r in range(len(gens) * m) if order is None else order:
+        i, k = divmod(r, m)
+        k += k >= i
+        (lx, l4, l5), (c3, c4, c5), (ly, r4, r5) = logs[i], classes[i], logs[k]
+        yield (i, 1, 0), (k, -1, 0), (of_log[ly - lx], 1, c3), (of_log[l4 - r4], -1, c4), (of_log[l5 - r5], 1, c5)
 
 
-def specialized_relations(F: FieldSpec, chi: Character) -> IntMatrix:
-    """Relation matrix of the chi-specialized refined presentation.
+@lru_cache(maxsize=None)
+def _insertion_order(F: FieldSpec) -> "array[int]":
+    """Row numbers in the order every relation lattice inserts them, an ``array('I')``.
 
-    Equal to ``character_specialize(refined_presentation(F), chi)``, read
-    straight from the term table: each relation row is written as one
-    {generator: value} dict, where each term adds coeff * chi(class), and
-    the matrix adopts it (the table's indices are in range), so no second
-    copy of the matrix is ever alive.  The trivial character gives the
-    pre-Bloch relations.
+    By descending least generator, table order within one: a Hermite basis
+    grows cheapest by descending leading column, and that generator leads a
+    row under every character (unless terms cancel) and in z-coordinates.
+    """
+    from array import array
+
+    buckets = [array("I") for _ in range(generator_count(F))]
+    for r, terms in enumerate(_relation_rows(F)):
+        buckets[min(terms)[0]].append(r)
+    order = array("I")
+    while buckets:
+        order += buckets.pop()
+    return order
+
+
+def character_presentation(F: FieldSpec, chi: Character) -> FpPresentation:
+    """The chi-specialized refined presentation, its rows made afresh on each read.
+
+    Each term adds coeff * chi(class) at its generator, as in
+    ``character_specialize(refined_presentation(F), chi)``; the trivial
+    character gives the pre-Bloch relations.
     """
     if chi.group != square_class_group(F):
         raise ValueError("character of a different square-class group")
     signs = [chi(e) for e in chi.group.elements()]
-    rows = []
-    for terms in _five_term_table(F):
-        row: dict[int, int] = {}
-        for j, coeff, cls in terms:
-            row[j] = row.get(j, 0) + coeff * signs[cls]
-        if 0 in row.values():
-            row = {j: v for j, v in row.items() if v}
-        rows.append(row)
-    return IntMatrix._of(rows, generator_count(F))
+
+    def rows(ordered: bool) -> Iterator[dict[int, int]]:
+        for terms in _relation_rows(F, _insertion_order(F) if ordered else None):
+            row: dict[int, int] = {}
+            for j, coeff, cls in terms:
+                row[j] = row.get(j, 0) + coeff * signs[cls]
+            yield {j: v for j, v in row.items() if v} if 0 in row.values() else row
+
+    return FpPresentation(generator_count(F), rows)
 
 
 @lru_cache(maxsize=None)
 def prebloch_presentation(F: FieldSpec) -> FpPresentation:
     """The pre-Bloch group of F as an integer presentation."""
-    trivial = square_class_group(F).character(0)
-    return FpPresentation(generator_count(F), specialized_relations(F, trivial))
+    return character_presentation(F, square_class_group(F).character(0))
 
 
 @lru_cache(maxsize=None)
 def refined_presentation(F: FieldSpec) -> RModulePresentation:
     """The refined pre-Bloch module over the square-class group ring.
 
-    This is the reference form of the term table, one group-ring element per
+    The reference form of the relation rows, one group-ring element per
     (row, generator), kept for the test oracles and the perfbench tracer; no
-    CLI command reaches it, since every reader of the O(q^2) relations sums
-    the table's ints directly.
+    CLI command reaches it.
     """
     G = square_class_group(F)
     rows: list[dict[int, GroupRingElement]] = []
-    for terms in _five_term_table(F):
+    for terms in _relation_rows(F):
         row: dict[int, GroupRingElement] = {}
         for i, coeff, cls in terms:
             term = GroupRingElement(G, {cls: coeff})
@@ -303,10 +307,9 @@ def _lambda_one_table(F: FieldSpec) -> tuple[GroupRingElement, ...]:
 
 
 @lru_cache(maxsize=None)
-def _lambda_two_of_generator(F: FieldSpec, gen_index: int) -> int:
-    if F.q == 2:
-        return 0
-    return lambda_two(F, symbol_generators(F)[gen_index])
+def _lambda_two_table(F: FieldSpec) -> tuple[int, ...]:
+    """lambda_two of each generator (0 for the ad-hoc q=2 generator)."""
+    return (0,) if F.q == 2 else tuple(lambda_two(F, code) for code in symbol_generators(F))
 
 
 def _lambda_values(F: FieldSpec, rows: Iterable[Iterable[tuple[int, int, int]]]) -> Iterator[tuple[list[int], int]]:
@@ -314,14 +317,14 @@ def _lambda_values(F: FieldSpec, rows: Iterable[Iterable[tuple[int, int, int]]])
 
     lambda_one comes as a coefficient list over G (<e> acting as f -> e ^ f)
     and lambda_two as an int mod ``asym2_modulus``, each summed over the
-    row's terms from the per-generator values.  A row is a term-table row
-    or an element's ``_terms``; rows are taken one at a time, so a sweep
-    over the term table pays no call per row.
+    row's terms from the per-generator values.  A row is a relation row or
+    an element's ``_terms``; rows are taken one at a time, so a sweep over
+    the relation rows pays no call per row.
     """
     g = square_class_group(F).size
     mod = asym2_modulus(F)
     lam1 = [tuple(v.coeffs.items()) for v in _lambda_one_table(F)]
-    lam2 = [_lambda_two_of_generator(F, j) for j in range(generator_count(F))]
+    lam2 = _lambda_two_table(F)
     for terms in rows:
         one = [0] * g
         two = 0
@@ -341,9 +344,7 @@ def asym2_presentation(F: FieldSpec) -> FpPresentation:
 
 
 def _lambda_two_matrix(F: FieldSpec) -> IntMatrix:
-    n = generator_count(F)
-    rows = [[_lambda_two_of_generator(F, i)] for i in range(n)]
-    return IntMatrix.from_rows(rows, cols=1)
+    return IntMatrix.from_rows([[v] for v in _lambda_two_table(F)], cols=1)
 
 
 @lru_cache(maxsize=None)
@@ -361,11 +362,11 @@ def bloch_invariants(F: FieldSpec) -> AbelianInvariants:
 def _refined_lambda_matrix(F: FieldSpec, chi: Character) -> IntMatrix:
     """Per-character matrix of (lambda_one, lambda_two) into Z + asym2."""
     rows = []
-    for i, lam in enumerate(_lambda_one_table(F)):
+    for lam, two in zip(_lambda_one_table(F), _lambda_two_table(F)):
         l1 = lam.apply_character(chi)
         if l1.denominator != 1:  # pragma: no cover - products of integral elements
             raise InternalConsistencyError("lambda_one specialization not integral")
-        rows.append([int(l1), _lambda_two_of_generator(F, i)])
+        rows.append([int(l1), two])
     return IntMatrix.from_rows(rows, cols=2)
 
 
@@ -377,10 +378,9 @@ def refined_bloch(F: FieldSpec) -> dict[Character, AbelianInvariants]:
     the odd part of the kernel of the specialized invariant map.  The trivial
     entry is the odd part of the plain Bloch group, taken from
     ``bloch_invariants``; each nontrivial entry is computed from the
-    specialized relation matrix of the five-term term table.
+    specialized relation rows.
     """
-    mod = asym2_modulus(F)
-    codomain = FpPresentation(2, IntMatrix.from_rows([[0, mod]]))
+    codomain = FpPresentation(2, IntMatrix.from_rows([[0, asym2_modulus(F)]]))
     out: dict[Character, AbelianInvariants] = {}
     for chi in square_class_group(F).characters():
         if chi.is_trivial:
@@ -390,8 +390,7 @@ def refined_bloch(F: FieldSpec) -> dict[Character, AbelianInvariants]:
             # whose kernel on the pre-Bloch group is the Bloch group.
             out[chi] = bloch_invariants(F).odd_part()
             continue
-        domain = FpPresentation(generator_count(F), specialized_relations(F, chi))
-        kernel, _ = kernel_with_embedding(domain, codomain, _refined_lambda_matrix(F, chi))
+        kernel, _ = kernel_with_embedding(character_presentation(F, chi), codomain, _refined_lambda_matrix(F, chi))
         out[chi] = kernel.invariants().odd_part()
     return out
 
@@ -470,19 +469,16 @@ def constant_b(F: FieldSpec) -> BlochConstants:
     would indicate a bug rather than interesting mathematics.
     """
     lat = rp_lattice(F)
+    base: Optional[int] = None
+    checked = 0
     if F.q == 2:
         b = {0: 1}
-        base: Optional[int] = None
-        checked = 0
     elif F.q == 3:
         b = suslin_element(F, 1, 2)
-        base = None
-        checked = 0
     else:
         candidates = symbol_generators(F)
         base = candidates[0]
         b = constant_element(F, base)
-        checked = 0
         for code in candidates[1:]:
             if not lat.is_member(_combine((1, constant_element(F, code)), (-1, b))):
                 raise InternalConsistencyError(f"C({code}) differs from C({base}) in F_{F.spec_string()}")
@@ -499,25 +495,20 @@ def constant_b(F: FieldSpec) -> BlochConstants:
 # lattices for zero-testing inside the presented modules
 
 
-def _rp_zmatrix(F: FieldSpec) -> IntMatrix:
-    """The z-expanded refined relations, read straight from the term table.
+def _zexpanded_rows(F: FieldSpec, order: Optional[Iterable[int]] = None) -> Iterator[dict[int, int]]:
+    """The z-expanded refined relations, made afresh from the relation rows.
 
-    Equal to ``z_expand(refined_presentation(F))`` row for row: translate e
-    of a relation row puts each nonzero (generator, class) sum at column
-    generator * |G| + (e xor class).  Not cached: only the cached
-    ``rp_lattice`` reads it, and the lattice keeps its own basis rows.
+    In table order they are ``z_expand(refined_presentation(F))`` row for
+    row: translate e of a relation row puts each nonzero (generator, class)
+    sum at column generator * |G| + (e xor class).
     """
     g = square_class_group(F).size
-    rows = []
-    for terms in _five_term_table(F):
+    for terms in _relation_rows(F, order):
         sums: dict[int, int] = {}
         for j, coeff, cls in terms:
-            k = j * g + cls
-            sums[k] = sums.get(k, 0) + coeff
-        nonzero = [(k, v) for k, v in sums.items() if v]
+            sums[j * g + cls] = sums.get(j * g + cls, 0) + coeff
         # class < g and g is a power of 2, so k ^ e = j * g + (class ^ e)
-        rows += [{k ^ e: v for k, v in nonzero} for e in range(g)]
-    return IntMatrix._of(rows, generator_count(F) * g)
+        yield from ({k ^ e: v for k, v in sums.items() if v} for e in range(g))
 
 
 @lru_cache(maxsize=None)
@@ -529,7 +520,7 @@ def rp_lattice(F: FieldSpec) -> Lattice:
     """
     if square_class_group(F).size == 1:
         return prebloch_presentation(F).lattice
-    return Lattice(_rp_zmatrix(F))
+    return Lattice.streamed(_zexpanded_rows(F, _insertion_order(F)), generator_count(F) * square_class_group(F).size)
 
 
 def prebloch_lattice(F: FieldSpec) -> Lattice:
@@ -663,17 +654,16 @@ class SweepResult(Record):
 def verify_lambda_well_defined(F: FieldSpec) -> SweepResult:
     """Both invariant maps must kill every relation row, exactly.
 
-    Each row of the five-term table is read in ints through
-    ``_lambda_values``.
+    Each relation row is made in table order and read in ints through
+    ``_lambda_values``, so a failure names the row's table index.
     """
-    table = _five_term_table(F)
     failures = []
-    for ridx, (one, two) in enumerate(_lambda_values(F, table)):
+    for ridx, (one, two) in enumerate(_lambda_values(F, _relation_rows(F))):
         if any(one):
             failures.append(f"lambda_one nonzero on relation {ridx}")
         if two:
             failures.append(f"lambda_two nonzero on relation {ridx}")
-    return SweepResult("lambda_well_defined", len(table), tuple(failures))
+    return SweepResult("lambda_well_defined", ridx + 1, tuple(failures))
 
 
 def verify_suslin_identities(F: FieldSpec) -> SweepResult:
@@ -748,19 +738,14 @@ def verify_suslin_image_lattice(F: FieldSpec) -> SweepResult:
             val = bracket(G, e) * (p_minus * double_bracket(G, a))
             if not val.is_zero():
                 right_rows.append(val.to_int_vector())
-    checked = len(left_rows) + len(right_rows)
-    if left_rows or right_rows:
-        left = Lattice(IntMatrix.from_rows(left_rows, cols=size)) if left_rows else None
-        right = Lattice(IntMatrix.from_rows(right_rows, cols=size)) if right_rows else None
-        for row in left_rows:
-            if right is None or not right.is_member(row):
-                failures.append("inversion image not inside (1+<-1>)*I")
-                break
-        for row in right_rows:
-            if left is None or not left.is_member(row):
-                failures.append("(1+<-1>)*I not inside inversion image")
-                break
-    return SweepResult("suslin_lambda_one_image", checked, tuple(failures))
+    # every row is nonzero, so none lies in the lattice of no rows
+    left = Lattice(IntMatrix.from_rows(left_rows, cols=size))
+    right = Lattice(IntMatrix.from_rows(right_rows, cols=size))
+    if not all(right.is_member(row) for row in left_rows):
+        failures.append("inversion image not inside (1+<-1>)*I")
+    if not all(left.is_member(row) for row in right_rows):
+        failures.append("(1+<-1>)*I not inside inversion image")
+    return SweepResult("suslin_lambda_one_image", len(left_rows) + len(right_rows), tuple(failures))
 
 
 def verify_constants(F: FieldSpec) -> SweepResult:

@@ -8,9 +8,8 @@ of maps between presented groups.
 All arithmetic uses Python's arbitrary-precision integers.  Every choice is
 deterministic (rows are inserted in a fixed order), so every result is
 reproducible bit for bit.  A matrix is stored as one sparse ``{col: value}``
-dict per row, the form elimination works on: a relation matrix is written
-row by row and a lattice reads those rows as they are stored, so the
-relations are never held twice.
+dict per row, the form elimination works on; a lattice may also insert rows
+as a generator makes them, so that relations are never held at all.
 
 There is one elimination engine: a row Hermite basis built by inserting
 every row into a basis kept reduced above its pivots (``_hermite_basis``):
@@ -37,7 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .record import Record
 
@@ -203,23 +202,31 @@ class AbelianInvariants(Record):
 class FpPresentation:
     """A finitely presented abelian group: generator count plus relation rows.
 
-    ``lattice`` is the relation lattice, built on first use and kept (in the
-    instance ``__dict__``): the invariants, kernels of maps out of or into
-    this group and membership tests all read it, so the relations are
-    eliminated once.
+    The relations are an ``IntMatrix``, or a function of one flag that makes
+    the rows afresh on each call, in table order or (flag set) in the order
+    cheapest to insert: then ``relations`` writes the matrix anew on each
+    read and ``lattice`` inserts the rows as they are made.  The lattice is
+    built on first use and kept (in the instance ``__dict__``): invariants,
+    kernels and membership tests all read it, so relations are eliminated once.
     """
 
-    __slots__ = ("generators", "relations", "__dict__")
+    __slots__ = ("generators", "_relations", "__dict__")
 
-    def __init__(self, generators: int, relations: IntMatrix):
-        if relations.cols != generators:
+    def __init__(self, generators: int, relations: Union[IntMatrix, Callable[[bool], Iterable[dict[int, int]]]]):
+        if isinstance(relations, IntMatrix) and relations.cols != generators:
             raise DimensionMismatchError("relation width must equal generator count")
-        self.generators = generators
-        self.relations = relations
+        self.generators, self._relations = generators, relations
+
+    @property
+    def relations(self) -> IntMatrix:
+        rel = self._relations
+        return rel if isinstance(rel, IntMatrix) else IntMatrix.from_sparse_rows(rel(False), self.generators)
 
     @cached_property
     def lattice(self) -> "Lattice":
-        return Lattice(self.relations)
+        if isinstance(self._relations, IntMatrix):
+            return Lattice(self.relations)
+        return Lattice.streamed(self._relations(True), self.generators)
 
     def invariants(self) -> AbelianInvariants:
         return self.lattice.invariants()
@@ -243,14 +250,13 @@ def _row_addmul(target: dict[int, int], source: dict[int, int], q: int) -> None:
 def _hermite_basis(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
     """Reduced row Hermite basis of the lattice the rows span, in echelon order.
 
-    Every nonzero row is inserted into a ``_ReducedBasis``, in order of
-    descending leading column.  The reduced Hermite basis of a lattice is
-    unique, so the result does not depend on that order; the order only
-    keeps the work small.  The input rows are read, not changed, and copied
-    one at a time.
+    Every row is inserted into a ``_ReducedBasis`` as it comes (``rows`` may
+    be a generator), copied and not changed.  The reduced Hermite basis is
+    unique, so the order sets the work, never the result; held rows go in
+    by descending leading column, which keeps the work small.
     """
     basis = _ReducedBasis()
-    basis.extend(sorted(filter(None, rows), key=min, reverse=True))
+    basis.extend(rows)
     return [basis.rows[c] for c in basis.pivots]
 
 
@@ -424,7 +430,8 @@ def _smith_core(basis: list[dict[int, int]], cols: int):
     sides = [[{cols + j: 1} for j in range(cols)], [{j: x for j, x in row.items() if j >= cols} for row in basis]]
     turn = 0
     while True:
-        rows = _hermite_basis([{**h, **t} for h, t in zip(heads, sides[turn])])
+        rows = [{**h, **t} for h, t in zip(heads, sides[turn])]
+        rows = _hermite_basis(sorted(filter(None, rows), key=min, reverse=True))
         heads = [{j: x for j, x in row.items() if j < k} for row in rows[:k]]
         # only the first turn has rows past k: the V^T rows of the free coordinates
         sides[turn][:len(rows)] = [{j: x for j, x in row.items() if j >= k} for row in rows]
@@ -555,12 +562,20 @@ class Lattice:
     of Z^n/L are read from them.  A lattice that extends a known one may be
     built from that one's ``basis_rows`` plus the new rows: the basis and
     moduli are the same.  The matrix's row dicts are read in place, not
-    copied, and only its width is kept.
+    copied, and only its width is kept; ``streamed`` takes rows from a
+    generator instead, and only the basis outlives them.
     """
 
     def __init__(self, matrix: IntMatrix):
         self.cols = matrix.cols
-        self._basis = _hermite_basis(matrix._rows)
+        self._basis = _hermite_basis(sorted(filter(None, matrix._rows), key=min, reverse=True))
+
+    @classmethod
+    def streamed(cls, rows: Iterable[dict[int, int]], cols: int) -> "Lattice":
+        """The lattice of rows inserted in the order they come."""
+        lattice = cls.__new__(cls)
+        lattice.cols, lattice._basis = cols, _hermite_basis(rows)
+        return lattice
 
     @cached_property
     def _quotient(self) -> QuotientMap:
@@ -635,7 +650,7 @@ def kernel_with_embedding(
     ``domain.generators`` relation rows.  A basis row outside the preimage
     of the codomain relation lattice means the map is not well defined; the
     InconsistentMapError then names the first domain relation whose image
-    leaves that lattice.
+    leaves that lattice, reading the relations anew.
     """
     if map_matrix.rows != domain.generators or map_matrix.cols != codomain.generators:
         raise DimensionMismatchError("map matrix shape must be domain gens x codomain gens")

@@ -16,21 +16,25 @@ fields, with ``check_difference_of_squares`` as the witness search.  The
 kernel oracle reads the left kernel of the stacked map from the textbook
 Smith transform, and gives the kernel one relation per domain relation row
 instead of one per row of the domain's Hermite basis.  The five-term oracle
-forms each relation's arguments pair by pair.  The element oracles build
-psi_1, psi_2, C(x), b, c, the reduced-quotient rows and lambda of a vector
-as group-ring elements from the paper's formulas, where the package writes
-z-coordinate ints with twists (``z_flatten`` maps between the two).  The
-sweep oracles check one pair or relation row at a time with these and a
-fresh membership query, and take a mutated element or relation row from the
-test that mutates the package.  The matrix and quotient oracles z-expand
-group-ring relations, where the package writes ints from the five-term
-table and adds translates to the refined basis.  The norm oracle counts the
-norms x^(q+1) of F_{q^2} by walking its whole unit group.  The eigenspace
-reconstruction check compares the scalar-restricted module with the direct
-sum of its character specializations, through canonical invariants built
-from elementary divisors here.  The matrix readers (``sparse_rows``,
-``diagonal_entries``) read an IntMatrix through its ``entries`` alone, so
-the package keeps no accessor that only tests call.
+forms each relation's arguments pair by pair; ``five_term_table`` holds
+every row from products of field codes, and ``specialized_relations`` and
+``rp_zmatrix`` hold the relation matrices built from it, where the package
+makes each row from discrete logs as a lattice inserts it.  The element
+oracles build psi_1, psi_2, C(x), b, c, the reduced-quotient rows and
+lambda of a vector as group-ring elements from the paper's formulas, where
+the package writes z-coordinate ints with twists (``z_flatten`` maps
+between the two).  The sweep oracles check one pair or relation row at a
+time with these and a fresh membership query, and take a mutated element
+or relation row from the test that mutates the package.  The matrix and
+quotient oracles z-expand group-ring relations, where the package writes
+ints from the relation rows and adds translates to the refined basis.  The
+norm oracle counts the norms x^(q+1) of F_{q^2} by walking its whole unit
+group.  The eigenspace reconstruction check compares the scalar-restricted
+module with the direct sum of its character specializations, through
+canonical invariants built from elementary divisors here.  The matrix
+readers (``sparse_rows``, ``diagonal_entries``) read an IntMatrix through
+its ``entries`` alone, so the package keeps no accessor that only tests
+call.
 """
 
 import itertools
@@ -718,6 +722,75 @@ def five_term_rows(F):
     )
 
 
+def five_term_table(F):
+    """Every relation row as (generator index, integer coefficient, square class) terms, held.
+
+    The cached table the package read before it made each row on demand:
+    one row per ordered pair x != y of symbol generators, x-major, with the
+    five terms [x], -[y], <x>[y/x], -<x^-1 - 1>[(1-x^-1)/(1-y^-1)] and
+    <1-x>[(1-x)/(1-y)] in that order and the [1] terms dropped; q = 2 has the
+    single row 3<0> on b, and q = 3 the single row 2<0> + 2<-1> on [-1].
+    The quotients are products of field codes, where the package subtracts
+    discrete logs.
+    """
+    if F.q == 2:
+        return (((0, 3, 0),),)
+    if F.q == 3:
+        return (((0, 2, 0), (0, 2, square_class_code(F, 2))),)
+    index = bc._symbol_index(F)
+    per_y = [
+        (y, index[y], F.inv_code(F.sub_code(1, F.inv_code(y))), F.inv_code(F.sub_code(1, y)))
+        for y in bc.symbol_generators(F)
+    ]
+    rows = []
+    for x in bc.symbol_generators(F):
+        inv_x = F.inv_code(x)
+        n4 = F.sub_code(1, inv_x)
+        n5 = F.sub_code(1, x)
+        ix = index[x]
+        c3 = square_class_code(F, x)
+        c4 = square_class_code(F, F.sub_code(inv_x, 1))
+        c5 = square_class_code(F, n5)
+        for y, iy, r4, r5 in per_y:
+            if y == x:
+                continue
+            args = ((F.mul_code(y, inv_x), 1, c3), (F.mul_code(n4, r4), -1, c4), (F.mul_code(n5, r5), 1, c5))
+            rows.append(((ix, 1, 0), (iy, -1, 0)) + tuple((index[a], sign, cls) for a, sign, cls in args if a != 1))
+    return tuple(rows)
+
+
+def specialized_relations(F, chi):
+    """The relation matrix of the chi-specialized refined presentation, from the held table.
+
+    Each term adds coeff * chi(class) at its generator; the trivial
+    character gives the pre-Bloch relations.
+    """
+    signs = [chi(e) for e in chi.group.elements()]
+    rows = []
+    for terms in five_term_table(F):
+        row = {}
+        for j, coeff, cls in terms:
+            row[j] = row.get(j, 0) + coeff * signs[cls]
+        rows.append(row)
+    return IntMatrix.from_sparse_rows(rows, bc.generator_count(F))
+
+
+def rp_zmatrix(F):
+    """The z-expanded refined relations from the held table.
+
+    Translate e of a relation row puts each (generator, class) sum at column
+    generator * |G| + (e xor class).
+    """
+    g = bc.square_class_group(F).size
+    rows = []
+    for terms in five_term_table(F):
+        sums = {}
+        for j, coeff, cls in terms:
+            sums[j * g + cls] = sums.get(j * g + cls, 0) + coeff
+        rows += [{k ^ e: v for k, v in sums.items()} for e in range(g)]
+    return IntMatrix.from_sparse_rows(rows, bc.generator_count(F) * g)
+
+
 def norm_count(F):
     """Number of distinct norms x^(q+1) of the units x of E = F_{q^2}, counted in E."""
     E = FieldSpec(F.p, 2 * F.m)  # uncached: the tables go when the count is done
@@ -842,11 +915,11 @@ def lambda_of_vector(F, v):
 def refined_relations(F, rows=None):
     """The refined relations as group-ring vectors, from the given term rows or pair by pair.
 
-    The ad-hoc single rows of q = 2 and 3 are read from the package's table.
+    The ad-hoc single rows of q = 2 and 3 are read from ``five_term_table``.
     """
     G = bc.square_class_group(F)
     if rows is None:
-        rows = five_term_rows(F) if F.q > 3 else bc._five_term_table(F)
+        rows = five_term_rows(F) if F.q > 3 else five_term_table(F)
     return tuple(add_vectors(*({j: GroupRingElement(G, {cls: coeff})} for j, coeff, cls in terms)) for terms in rows)
 
 

@@ -1,11 +1,15 @@
 import itertools
-import tracemalloc
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from blochtower import bloch_core as bc
 from blochtower import cli, exact_linalg, laurent
-from blochtower.exact_linalg import AbelianInvariants, FpPresentation, IntMatrix
+from blochtower.exact_linalg import AbelianInvariants, FpPresentation, IntMatrix, Lattice
 from blochtower.finite_field import field, field_from_q, square_class_code
 from blochtower.group_ring import (
     GroupRingElement,
@@ -59,7 +63,7 @@ class TestPresentations:
     @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 13, 16, 25, 27, 49])
     def test_five_term_table_matches_pairwise_oracle(self, q):
         F = field_from_q(q)
-        assert bc._five_term_table(F) == oracle.five_term_rows(F)
+        assert tuple(bc._relation_rows(F)) == oracle.five_term_rows(F)
 
 
 ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 25, 27]
@@ -73,7 +77,7 @@ class TestSpecializedRelations:
         for chi in rp.group.characters():
             mat, n = character_specialize(rp, chi)
             assert n == bc.generator_count(F)
-            assert bc.specialized_relations(F, chi) == mat, chi.name
+            assert bc.character_presentation(F, chi).relations == mat, chi.name
 
     @pytest.mark.parametrize("q", ORACLE_FIELDS)
     def test_refined_bloch_matches_specialized_kernels(self, q):
@@ -93,7 +97,7 @@ class TestSpecializedRelations:
 
     def test_character_of_another_group_rejected(self):
         with pytest.raises(ValueError):
-            bc.specialized_relations(field(5), bc.square_class_group(field(4)).character(0))
+            bc.character_presentation(field(5), bc.square_class_group(field(4)).character(0))
 
 
 class TestLambdaMaps:
@@ -290,14 +294,14 @@ class TestSweepOracles:
 
     @pytest.mark.parametrize("q", [5, 7, 9, 13])
     def test_perturbed_relation_row_fails_alike(self, q, monkeypatch):
-        # the sweep reads the term table, and the oracle builds group-ring
+        # the sweep reads the relation rows, and the oracle builds group-ring
         # rows from the same perturbed terms
         F = field_from_q(q)
         values = [oracle.lambda_of_vector(F, oracle.symbol_vector(F, x)) for x in bc.symbol_generators(F)]
         j = next(j for j, (one, two) in enumerate(values) if two or not one.is_zero())
-        table = bc._five_term_table(F)
+        table = oracle.five_term_table(F)
         perturbed = table[:3] + (table[3] + ((j, 1, 0),),) + table[4:]
-        monkeypatch.setattr(bc, "_five_term_table", lambda _F: perturbed)
+        monkeypatch.setattr(bc, "_relation_rows", lambda _F, order=None: iter(perturbed))
         mine, expected = bc.verify_lambda_well_defined(F), oracle.lambda_well_defined_sweep(F, perturbed)
         assert mine == expected
         assert mine.failures and all(f.endswith(" on relation 3") for f in mine.failures)
@@ -436,8 +440,7 @@ class TestEigenspaceReconstruction:
         mod = bc.asym2_modulus(F)
         codomain = FpPresentation(G.size + 1, IntMatrix.from_rows([[0] * G.size + [mod]]))
         rows = []
-        for j, lam1 in enumerate(bc._lambda_one_table(F)):
-            lam2 = bc._lambda_two_of_generator(F, j)
+        for lam1, lam2 in zip(bc._lambda_one_table(F), bc._lambda_two_table(F)):
             for e in G.elements():
                 rows.append((bracket(G, e) * lam1).to_int_vector() + [lam2])
         kernel = map_kernel(domain, codomain, IntMatrix.from_rows(rows, cols=G.size + 1))
@@ -453,7 +456,7 @@ class TestCertifiedLattices:
         # eliminates the full z-expanded quotient matrices instead
         F = field_from_q(q)
         lattices = {
-            "rp": (bc.rp_lattice(F), bc._rp_zmatrix(F)),
+            "rp": (bc.rp_lattice(F), oracle.rp_zmatrix(F)),
             "pb": (bc.prebloch_lattice(F), bc.prebloch_presentation(F).relations),
             "ic": (bc.reduced_lattice(F, "ic"), z_expand(oracle.reduced_quotient(F, "ic"))[0]),
             "c": (bc.reduced_lattice(F, "c"), z_expand(oracle.reduced_quotient(F, "c"))[0]),
@@ -465,11 +468,11 @@ class TestCertifiedLattices:
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27, 32, 49, 61, 64])
     def test_zmatrix_matches_group_ring_form(self, q):
-        # the rows are written from the term table's ints; the oracle
-        # z-expands the group-ring elements built from the same table
+        # the rows are written from the relation rows' ints; the oracle
+        # z-expands the group-ring elements built from the same rows
         F = field_from_q(q)
         expected = oracle.refined_zmatrix(F)
-        mine = bc._rp_zmatrix(F)
+        mine = IntMatrix.from_sparse_rows(bc._zexpanded_rows(F), bc.generator_count(F) * bc.square_class_group(F).size)
         assert (mine.rows, mine.cols) == (expected.rows, expected.cols)
         assert oracle.sparse_rows(mine) == oracle.sparse_rows(expected)
 
@@ -479,7 +482,7 @@ class TestCertifiedLattices:
         # relations are the pre-Bloch relations, eliminated once
         F = field_from_q(q)
         P = bc.prebloch_presentation(F)
-        assert oracle.sparse_rows(bc._rp_zmatrix(F)) == oracle.sparse_rows(P.relations)
+        assert list(bc._zexpanded_rows(F)) == oracle.sparse_rows(P.relations)
         assert bc.rp_lattice(F) is P.lattice
 
     @pytest.mark.parametrize("q", [7, 9, 13])
@@ -496,6 +499,31 @@ class TestCertifiedLattices:
             bc.reduced_lattice(F, "icc")
 
 
+ALL_FIELDS_TO_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
+
+
+class TestStreamedRows:
+    @pytest.mark.parametrize("q", ALL_FIELDS_TO_64)
+    def test_streamed_lattices_match_held_matrices(self, q):
+        # the rows made on demand, read in table order, are the held table's,
+        # and every lattice built from them as they are made has the basis
+        # and moduli of the lattice of the held matrix
+        F = field_from_q(q)
+        assert tuple(bc._relation_rows(F)) == oracle.five_term_table(F)
+        lattices = {"rp": (bc.rp_lattice(F), oracle.rp_zmatrix(F))}
+        for chi in bc.square_class_group(F).characters():
+            lattices[chi.name] = (bc.character_presentation(F, chi).lattice, oracle.specialized_relations(F, chi))
+        trivial = bc.square_class_group(F).character(0)
+        lattices["pb"] = (bc.prebloch_presentation(F).lattice, oracle.specialized_relations(F, trivial))
+        for which in ("ic", "c"):
+            lattices[which] = (bc.reduced_lattice(F, which), z_expand(oracle.reduced_quotient(F, which))[0])
+        for name, (lat, M) in lattices.items():
+            held = Lattice(M)
+            assert lat.cols == held.cols, name
+            assert lat.basis_rows() == held.basis_rows(), name
+            assert lat.moduli == held.moduli, name
+
+
 class TestOneEliminationPerMatrix:
     @pytest.fixture
     def eliminated(self, monkeypatch):
@@ -507,7 +535,8 @@ class TestOneEliminationPerMatrix:
         hermite_basis = exact_linalg._hermite_basis
 
         def recording(rows):
-            seen.append([dict(row) for row in rows])
+            rows = [dict(row) for row in rows]  # a streamed lattice passes a generator
+            seen.append(rows)
             return hermite_basis(rows)
 
         monkeypatch.setattr(exact_linalg, "_hermite_basis", recording)
@@ -515,8 +544,12 @@ class TestOneEliminationPerMatrix:
 
     def test_prebloch_matrix_eliminated_once(self, eliminated, tmp_path):
         assert cli.main(["prebloch", "--q", "13", "--out", str(tmp_path / "report.json")]) == 0
-        relations = oracle.sparse_rows(bc.prebloch_presentation(field_from_q(13)).relations)
-        assert sum(rows == relations for rows in eliminated) == 1
+        # the rows are made in insertion order, so they are compared as multisets
+        def multiset(rows):
+            return sorted(sorted(row.items()) for row in rows)
+
+        relations = multiset(oracle.sparse_rows(bc.prebloch_presentation(field_from_q(13)).relations))
+        assert sum(multiset(rows) == relations for rows in eliminated) == 1
 
     def test_reduced_lattices_start_from_refined_basis(self, eliminated, tmp_path):
         assert cli.main(["verify", "--q", "13", "--suite", "pb", "--out", str(tmp_path / "report.json")]) == 0
@@ -557,21 +590,31 @@ class TestGroupRingRelationsUnreached:
 
 
 class TestRelationMatrixMemory:
-    def test_specialized_relations_never_holds_two_copies(self):
-        # each relation row goes straight into the matrix, so the peak of the
-        # call stays close to its result (1.83 times it with a tuple-keyed
-        # dict copied into the matrix)
-        F = field_from_q(61)
-        chi = bc.square_class_group(F).character(1)
-        table = bc._five_term_table(F)
-        tracemalloc.start()
-        try:
-            matrix = bc.specialized_relations(F, chi)
-            result, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert matrix.rows == len(table)
-        assert peak < 1.5 * result
+    @pytest.mark.parametrize(
+        "argv", [["prebloch", "--q", "125"], ["verify", "--q", "125", "--suite", "all"]], ids=["prebloch", "verify"]
+    )
+    def test_commands_retain_no_relation_rows(self, argv, tmp_path):
+        # In a fresh interpreter, so that no cache of another test counts.
+        # Each of the 15 006 relation rows is made as a lattice inserts it,
+        # so what stays is the lattices, the 4-byte-a-row insertion order and
+        # small per-field tables; a cached row table and matrix held ~10 MB.
+        script = (
+            "import gc, json, sys, tracemalloc\n"
+            "from blochtower import cli\n"
+            "tracemalloc.start()\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "gc.collect()\n"
+            "print(json.dumps([code, *tracemalloc.get_traced_memory()]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bc.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "report.json")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, retained, peak = json.loads(proc.stdout)
+        assert code == 0
+        assert retained < 2e6 and peak < 4e6, (retained, peak)
 
     def test_lattice_reads_relation_rows_without_copying(self, monkeypatch):
         F = field_from_q(13)
