@@ -619,12 +619,17 @@ class TestRelationMatrixMemory:
     def test_lattice_reads_relation_rows_without_copying(self, monkeypatch):
         F = field_from_q(13)
         pres = bc.prebloch_presentation.__wrapped__(F)  # a fresh presentation, lattice not built
+        count = pres.relations.rows
         calls = []  # matrices read through a reader that copies them whole
-        entries, to_rows = IntMatrix.entries.fget, IntMatrix.to_rows
+        built = []  # row counts of the matrices written
+        entries, to_rows, of = IntMatrix.entries.fget, IntMatrix.to_rows, IntMatrix._of
         monkeypatch.setattr(IntMatrix, "entries", property(lambda self: calls.append(self) or entries(self)))
         monkeypatch.setattr(IntMatrix, "to_rows", lambda self: calls.append(self) or to_rows(self))
+        monkeypatch.setattr(IntMatrix, "_of", classmethod(lambda cls, data, cols: built.append(len(data)) or of(data, cols)))
         assert pres.lattice.invariants() == bc.prebloch_presentation(F).invariants()
-        assert [M for M in calls if M is pres.relations] == []
+        # the rows go into the lattice as they are made: no relation matrix is written or read
+        assert [M for M in calls if M.rows == count] == []
+        assert built and count not in built
 
 
 class TestSuites:
