@@ -79,8 +79,8 @@ class InternalConsistencyError(AssertionError):
 @lru_cache(maxsize=None)
 def square_class_group(F: FieldSpec) -> SquareClassGroup:
     if F.q % 2 == 0:
-        return SquareClassGroup(0, ())
-    return SquareClassGroup(1, ("nonsquare unit",))
+        return SquareClassGroup(0)
+    return SquareClassGroup(1)
 
 
 @lru_cache(maxsize=None)
@@ -263,39 +263,16 @@ def lambda_two(F: FieldSpec, code: int) -> int:
     return asym2_pairing(F, F.sub_code(1, code), code)
 
 
-@lru_cache(maxsize=None)
-def _aug_square_lattice(G: SquareClassGroup) -> Lattice:
-    """Integer lattice spanned by the products <<a>><<b>> inside the group ring."""
-    rows = []
-    for a in G.elements():
-        for b in G.elements():
-            prod = double_bracket(G, a) * double_bracket(G, b)
-            if not prod.is_zero():
-                rows.append(prod.to_int_vector())
-    return Lattice(IntMatrix.from_rows(rows, cols=G.size))
+def lambda_one(F: FieldSpec, code: int) -> GroupRingElement:
+    """<<1-x>><<x>> for the field code of x: the augmentation-square invariant of [x].
 
-
-class AugSquareElement:
-    """A group-ring element verified to lie in the square of the augmentation ideal."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: GroupRingElement):
-        if value.augmentation() != 0:
-            raise ValueError("element has nonzero augmentation")
-        lat = _aug_square_lattice(value.group)
-        if not lat.is_member(value.to_int_vector()):
-            raise ValueError("element is not in the square of the augmentation ideal")
-        self.value = value
-
-
-def lambda_one(F: FieldSpec, code: int) -> AugSquareElement:
-    """<<1-x>><<x>> for the field code of x: the augmentation-square invariant of [x]."""
+    A product of two augmentation-ideal elements, so it lies in I^2 by definition.
+    """
     if code in (0, 1):
         raise ValueError("lambda_one needs x outside {0, 1}")
     G = square_class_group(F)
     cls_1mx = square_class_code(F, F.sub_code(1, code))
-    return AugSquareElement(double_bracket(G, cls_1mx) * double_bracket(G, square_class_code(F, code)))
+    return double_bracket(G, cls_1mx) * double_bracket(G, square_class_code(F, code))
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +280,7 @@ def _lambda_one_table(F: FieldSpec) -> tuple[GroupRingElement, ...]:
     """lambda_one of each generator (0 for the ad-hoc q=2 generator)."""
     if F.q == 2:
         return (GroupRingElement.zero(square_class_group(F)),)
-    return tuple(lambda_one(F, code).value for code in symbol_generators(F))
+    return tuple(lambda_one(F, code) for code in symbol_generators(F))
 
 
 @lru_cache(maxsize=None)
@@ -361,12 +338,7 @@ def bloch_invariants(F: FieldSpec) -> AbelianInvariants:
 
 def _refined_lambda_matrix(F: FieldSpec, chi: Character) -> IntMatrix:
     """Per-character matrix of (lambda_one, lambda_two) into Z + asym2."""
-    rows = []
-    for lam, two in zip(_lambda_one_table(F), _lambda_two_table(F)):
-        l1 = lam.apply_character(chi)
-        if l1.denominator != 1:  # pragma: no cover - products of integral elements
-            raise InternalConsistencyError("lambda_one specialization not integral")
-        rows.append([int(l1), two])
+    rows = [[lam.apply_character(chi), two] for lam, two in zip(_lambda_one_table(F), _lambda_two_table(F))]
     return IntMatrix.from_rows(rows, cols=2)
 
 
@@ -443,16 +415,13 @@ def constant_element(F: FieldSpec, code: int) -> dict[int, int]:
 class BlochConstants:
     """The constant b (common value of C(x)), c = 2b, and their exact orders."""
 
-    __slots__ = ("b", "c", "b_order", "c_order", "base_point", "constancy_checked")
+    __slots__ = ("b", "c", "b_order", "c_order", "constancy_checked")
 
-    def __init__(
-        self, b: dict[int, int], c: dict[int, int], b_order: int, c_order: int, base_point: Optional[int], constancy_checked: int
-    ):
+    def __init__(self, b: dict[int, int], c: dict[int, int], b_order: int, c_order: int, constancy_checked: int):
         self.b = b
         self.c = c
         self.b_order = b_order
         self.c_order = c_order
-        self.base_point = base_point
         self.constancy_checked = constancy_checked
 
 
@@ -469,7 +438,6 @@ def constant_b(F: FieldSpec) -> BlochConstants:
     would indicate a bug rather than interesting mathematics.
     """
     lat = rp_lattice(F)
-    base: Optional[int] = None
     checked = 0
     if F.q == 2:
         b = {0: 1}
@@ -488,7 +456,7 @@ def constant_b(F: FieldSpec) -> BlochConstants:
     c_order = lat.order(c)
     if not isinstance(b_order, int) or 6 % b_order:
         raise InternalConsistencyError(f"constant element must have order dividing 6, got {b_order}")
-    return BlochConstants(b, c, b_order, int(c_order), base, checked)
+    return BlochConstants(b, c, b_order, int(c_order), checked)
 
 
 # ---------------------------------------------------------------------------

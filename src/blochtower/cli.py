@@ -164,10 +164,10 @@ def _cmd_laurent_fuzz(args) -> tuple[dict, int]:
 
 def _cmd_tower(args) -> tuple[dict, int]:
     # imported here: no other command reads the tower module
-    from .tower import TowerSpec, census_matches_exponents, eigenspace_ledger, predict
+    from .tower import SYMBOLIC_BASES, TowerSpec, census_matches_exponents, eigenspace_ledger, predict
 
     started = time.monotonic()
-    if args.base in ("real-closed", "quadratically-closed"):
+    if args.base in SYMBOLIC_BASES:
         base = args.base
     else:
         base = _parse_field(args.base)

@@ -169,7 +169,7 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
 class FieldSpec:
     """A small finite field F_q with canonical modulus and cached tables."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_dlog", "_sqrt", "_generator")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_dlog", "_generator")
 
     def __init__(self, p: int, m: int = 1):
         if p >= 2:
@@ -185,7 +185,6 @@ class FieldSpec:
         self.modulus = _canonical_modulus(p, m)
         self._exp: Optional[list[int]] = None
         self._dlog: Optional[list[int]] = None
-        self._sqrt: Optional[list[Optional[int]]] = None
         self._generator: Optional[int] = None
 
     # -- identity ----------------------------------------------------------
@@ -217,9 +216,6 @@ class FieldSpec:
         for c in reversed(list(coeffs)):
             code = code * self.p + (c % self.p)
         return code
-
-    def elements(self):
-        return range(self.q)
 
     def units(self):
         return range(1, self.q)
@@ -325,17 +321,6 @@ class FieldSpec:
             e >>= 1
         return result
 
-    def sqrt_code(self, a: int) -> Optional[int]:
-        """Least code r with r*r == a, or None when a is not a square."""
-        if self._sqrt is None:
-            table: list[Optional[int]] = [None] * self.q
-            for r in range(self.q):
-                sq = self.mul_code(r, r)
-                if table[sq] is None:
-                    table[sq] = r
-            self._sqrt = table
-        return self._sqrt[a]
-
 
 def _check_bound(p: int, m: int = 1) -> None:
     """Refuse q = p^m past the bound before computing p**m: p >= 2, so p^m >= 2^m."""
@@ -395,19 +380,23 @@ def square_class_code(F: FieldSpec, code: int) -> int:
 
 
 def has_root_x2_minus_x_plus_1(F: FieldSpec) -> bool:
-    """Does X^2 - X + 1 have a root in F?  (Always true in characteristic 3.)"""
-    one = 1
-    for code in F.elements():
-        sq = F.mul_code(code, code)
-        val = F.add_code(F.sub_code(sq, code), one)
-        if val == 0:
-            return True
-    return False
+    """Does X^2 - X + 1 have a root in F?
+
+    In characteristic 3 it is (X + 1)^2.  Otherwise its roots are the
+    primitive 6th roots of unity (cube roots for p = 2), which lie in the
+    cyclic group F^x exactly when 3 divides q - 1.
+    """
+    return F.p == 3 or (F.q - 1) % 3 == 0
 
 
 def has_sqrt_minus3(F: FieldSpec) -> bool:
-    """Does X^2 + 3 have a root in F?"""
-    return F.sqrt_code(F.neg_code(3 % F.p)) is not None
+    """Does X^2 + 3 have a root in F?
+
+    For p <= 3 every element of F_p is a square (-3 = 0 when p = 3).
+    Otherwise sqrt(-3) = 2 zeta + 1 for a primitive cube root of unity zeta,
+    which lies in F exactly when 3 divides q - 1.
+    """
+    return F.p <= 3 or (F.q - 1) % 3 == 0
 
 
 def plus_minus_norm_codes(F: FieldSpec) -> frozenset[int]:

@@ -19,7 +19,10 @@ The two bridges to plain integer linear algebra are:
 No command calls either one: ``bloch_core`` writes its specialized and
 z-expanded relation rows, and its refined-module elements, straight from
 integer terms.  They give the reference form that tests and the benchmark
-tracer read.
+tracer read.  Commands still build group-ring elements for lambda_one and
+the two sweeps of its Suslin identities; the values <<1-x>><<x>> of
+lambda_one lie in the square of the augmentation ideal by definition, so
+nothing tests membership in that ideal.
 
 All values are immutable; nothing here mutates shared state.
 """
@@ -40,17 +43,14 @@ Scalar = Union[int, "Fraction"]
 
 
 class SquareClassGroup(Record):
-    """(Z/2)^rank with labelled basis; elements are bitmasks in [0, 2^rank)."""
+    """(Z/2)^rank; elements are bitmasks in [0, 2^rank)."""
 
-    __slots__ = ("rank", "labels")
+    __slots__ = ("rank",)
 
-    def __init__(self, rank: int, labels: tuple[str, ...] = ()):
+    def __init__(self, rank: int):
         if rank < 0:
             raise ValueError("rank must be nonnegative")
-        if labels and len(labels) != rank:
-            raise ValueError("one label per basis generator")
         self.rank = rank
-        self.labels = labels
 
     @property
     def size(self) -> int:
@@ -176,9 +176,6 @@ class GroupRingElement:
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs.values())
-
-    def augmentation(self) -> Scalar:
-        return sum(self.coeffs.values(), 0)
 
     def apply_character(self, chi: Character) -> Scalar:
         """The ring map <a> -> chi(a) applied to this element."""

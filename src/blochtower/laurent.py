@@ -2,11 +2,11 @@
 
 A series is a unit times a power of t, known up to a tracked exponent.
 ``coeffs[k]`` is the coefficient of t^(valuation + k); the leading
-coefficient is nonzero.  ``exact`` marks series that are genuinely finite
-sums (constants, powers of t): those have no precision horizon.  The fuzz
-harness draws series, checks that the twisted five-term relation at each
-pair specializes to zero in the induced fully-reduced residue presentation,
-and counts draws it cannot decide.
+coefficient is nonzero, and every coefficient past the window is unknown,
+so no series is exactly 0 or 1.  The fuzz harness draws series, checks
+that the twisted five-term relation at each pair specializes to zero in
+the induced fully-reduced residue presentation, and counts draws it
+cannot decide.
 
 Specialization and square classes read only the head of a series, its
 valuation and leading coefficient, so the relation check carries heads
@@ -18,7 +18,8 @@ under either residue twist, has its quotient image computed once per
 specialization target, so a relation is checked as a sum of five
 precomputed images, and a fuzz draw costs about as much as sampling its two
 series.  Full truncated-series arithmetic and the dense-vector
-specialization live in the test oracle, which checks this path against them.
+specialization, with exact series (constants, powers of t) on a record of
+their own, live in the test oracle, which checks this path against them.
 
 The residue characteristic must be odd: over char-2 residue fields 1-units
 are not squares at finite precision and the whole dictionary breaks down.
@@ -62,42 +63,25 @@ def _require_odd(base: FieldSpec) -> None:
 
 
 class TruncatedLaurentSeries(Record):
-    """A t-adic element over F_q with finite tracked precision.
+    """A nonzero t-adic element over F_q, known to its tracked precision."""
 
-    Exact series are canonical: trailing zero coefficients are dropped at
-    construction, so two exact series with the same value compare and hash
-    equal.
-    """
+    __slots__ = ("base", "valuation", "coeffs")
 
-    __slots__ = ("base", "valuation", "coeffs", "exact")
-
-    def __init__(self, base: FieldSpec, valuation: int, coeffs: tuple[int, ...], exact: bool = False):
+    def __init__(self, base: FieldSpec, valuation: int, coeffs: tuple[int, ...]):
         _require_odd(base)
-        if coeffs:
-            if coeffs[0] == 0:
-                raise ValueError("leading coefficient must be nonzero")
-            if min(coeffs) < 0 or max(coeffs) >= base.q:
-                raise ValueError("coefficient code out of range")
-            if exact and coeffs[-1] == 0:
-                end = len(coeffs) - 1
-                while coeffs[end - 1] == 0:
-                    end -= 1
-                coeffs = tuple(coeffs[:end])
-        elif not exact:
-            raise ValueError("a non-exact series must carry at least one coefficient")
+        if not coeffs:
+            raise ValueError("a series must carry at least one coefficient")
+        if coeffs[0] == 0:
+            raise ValueError("leading coefficient must be nonzero")
+        if min(coeffs) < 0 or max(coeffs) >= base.q:
+            raise ValueError("coefficient code out of range")
         self.base = base
         self.valuation = valuation
         self.coeffs = coeffs
-        self.exact = exact
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return f"<0 over F_{self.base.spec_string()}>"
-        tail = "" if self.exact else f" + O(t^{self.valuation + len(self.coeffs)})"
-        return f"<t^{self.valuation}*({self.coeffs[0]}, ...){tail} over F_{self.base.spec_string()}>"
+        end = self.valuation + len(self.coeffs)
+        return f"<t^{self.valuation}*({self.coeffs[0]}, ...) + O(t^{end}) over F_{self.base.spec_string()}>"
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +240,12 @@ def relation_specialization_check(
     The relation's terms (``five_term_heads``) must vanish in the induced
     fully-reduced residue module, up to odd torsion (``terms_vanish``).  A
     1-unit with no term past its lead in the tracked window is reported as
-    inconclusive, never as failure; an argument that is exactly 0 or 1 is a
-    ValueError.
+    inconclusive, never as failure.
     """
     F = target.field
     for name, a in (("x", x), ("y", y)):
         if a.base != F:
             raise ValueError(f"{name} is a series over a different residue field")
-        if a.is_zero() or (a.exact and a.valuation == 0 and a.coeffs == (1,)):
-            value = 0 if a.is_zero() else 1
-            raise ValueError(f"{name} is exactly {value}; the five-term relation needs x, y outside {{0, 1}}")
     try:
         terms = five_term_heads(x, y)
     except PrecisionExhaustedError as exc:
@@ -335,7 +315,7 @@ def _sample_series(F: FieldSpec, rng: random.Random, precision: int) -> Truncate
         while r >= q:
             r = bits(k)
         coeffs.append(r)
-    return TruncatedLaurentSeries(F, valuation, tuple(coeffs), exact=False)
+    return TruncatedLaurentSeries(F, valuation, tuple(coeffs))
 
 
 def fuzz_specialization(

@@ -6,8 +6,9 @@ of sparse rows and minimal-absolute-value pivoting.  The Hermite-basis
 oracle ``eliminate`` sweeps the sparse rows column by column, where the
 package inserts them one at a time into a reduced basis.  The relation oracle
 forms the five Laurent arguments in full with the truncated-series arithmetic
-kept here, over the package's series record, where the package itself reads
-only their heads; the dense head oracle sums each head's symbol as a dense
+kept here, over a series record of its own that also holds exact series
+(constants, powers of t), where the package itself reads only the heads of
+tracked series; the dense head oracle sums each head's symbol as a dense
 vector over both cosets, where the package adds up quotient images built
 once per target, and the fuzz sampler oracle draws through ``randrange``
 where the package reads ``getrandbits``.  The same arithmetic checks the two
@@ -34,14 +35,18 @@ module with the direct sum of its character specializations, through
 canonical invariants built from elementary divisors here.  The matrix
 readers (``sparse_rows``, ``diagonal_entries``) read an IntMatrix through
 its ``entries`` alone, so the package keeps no accessor that only tests
-call.
+call.  ``determinant`` and ``apply_map`` check transforms and kernels that
+the package builds and never re-checks, and ``sqrt_code`` and the scans
+``has_root_x2_minus_x_plus_1`` and ``has_sqrt_minus3`` are the element-by-
+element searches behind the package's closed forms.
 """
 
 import itertools
 import math
+from functools import lru_cache
 
 from blochtower import bloch_core as bc
-from blochtower.exact_linalg import AbelianInvariants, FpPresentation, IntMatrix, Lattice, _apply_map, _reduce
+from blochtower.exact_linalg import AbelianInvariants, DimensionMismatchError, FpPresentation, IntMatrix, Lattice, _reduce
 from blochtower.finite_field import FieldSpec, factorize, square_class_code
 from blochtower.group_ring import (
     GroupRingElement,
@@ -52,6 +57,7 @@ from blochtower.group_ring import (
     z_expand,
 )
 from blochtower.laurent import PrecisionExhaustedError, RelationCheckOutcome, TruncatedLaurentSeries as TLS
+from blochtower.record import Record
 
 
 def _ext_gcd(a, b):
@@ -343,19 +349,87 @@ def echelon_basis(rows, cols):
     return [work[r] for r, _ in pivots]
 
 
-# Truncated Laurent-series arithmetic over the package's series record.  Each
-# operation computes the exact worst-case window of its result, and one whose
-# result cannot be told from zero inside that window raises
-# PrecisionExhaustedError.  A square class is a (valuation parity, residue
-# square class) pair, which is the class exactly when 1-units are squares.
+def determinant(M):
+    """Determinant of a square IntMatrix via fraction-free (Bareiss) elimination."""
+    n = M.rows
+    if n != M.cols:
+        raise DimensionMismatchError("determinant of a non-square matrix")
+    a = M.to_rows()
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
+
+
+# Truncated Laurent-series arithmetic.  Each operation takes package series
+# (always tracked) or the oracle's own, and computes the exact worst-case
+# window of its result; one whose result cannot be told from zero inside that
+# window raises PrecisionExhaustedError.  A square class is a (valuation
+# parity, residue square class) pair, which is the class exactly when 1-units
+# are squares.
+
+
+class Series(Record):
+    """A t-adic element over an odd F_q, known to a tracked precision or exactly.
+
+    ``exact`` marks series that are genuinely finite sums (0, constants,
+    powers of t): those have no precision horizon, and are canonical, since
+    trailing zero coefficients are dropped at construction, so two exact
+    series with the same value compare and hash equal.
+    """
+
+    __slots__ = ("base", "valuation", "coeffs", "exact")
+
+    def __init__(self, base, valuation, coeffs, exact=False):
+        if base.q % 2 == 0:
+            raise ValueError("Laurent-series machinery requires an odd residue field")
+        if coeffs:
+            if coeffs[0] == 0:
+                raise ValueError("leading coefficient must be nonzero")
+            if min(coeffs) < 0 or max(coeffs) >= base.q:
+                raise ValueError("coefficient code out of range")
+            if exact and coeffs[-1] == 0:
+                end = len(coeffs) - 1
+                while coeffs[end - 1] == 0:
+                    end -= 1
+                coeffs = tuple(coeffs[:end])
+        elif not exact:
+            raise ValueError("a non-exact series must carry at least one coefficient")
+        self.base = base
+        self.valuation = valuation
+        self.coeffs = coeffs
+        self.exact = exact
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __repr__(self):
+        if self.is_zero():
+            return f"<0 over F_{self.base.spec_string()}>"
+        tail = "" if self.exact else f" + O(t^{self.valuation + len(self.coeffs)})"
+        return f"<t^{self.valuation}*({self.coeffs[0]}, ...){tail} over F_{self.base.spec_string()}>"
+
+
+def series(a):
+    """``a`` as an oracle series: a package series is a tracked one."""
+    return a if isinstance(a, Series) else Series(a.base, a.valuation, a.coeffs)
 
 
 def zero(F):
-    return TLS(F, 0, (), exact=True)
+    return Series(F, 0, (), exact=True)
 
 
 def constant(F, code):
-    return zero(F) if code == 0 else TLS(F, 0, (code,), exact=True)
+    return zero(F) if code == 0 else Series(F, 0, (code,), exact=True)
 
 
 def one(F):
@@ -363,16 +437,18 @@ def one(F):
 
 
 def uniformizer(F, power=1):
-    return TLS(F, power, (1,), exact=True)
+    return Series(F, power, (1,), exact=True)
 
 
 def prec_exp(a):
     """First unknown exponent; None means exact (everything known)."""
+    a = series(a)
     return None if a.exact else a.valuation + len(a.coeffs)
 
 
 def truncate(a, prec):
     """Forget everything from t^prec on (turns exact into tracked)."""
+    a = series(a)
     if a.is_zero():
         raise ValueError("cannot truncate the zero series")
     length = prec - a.valuation
@@ -380,7 +456,7 @@ def truncate(a, prec):
         raise PrecisionExhaustedError("truncation window is empty")
     window = list(a.coeffs[:length])
     window += [0] * (length - len(window))
-    return TLS(a.base, a.valuation, tuple(window), exact=False)
+    return Series(a.base, a.valuation, tuple(window))
 
 
 def _same_field(a, b):
@@ -389,11 +465,13 @@ def _same_field(a, b):
 
 
 def neg(a):
+    a = series(a)
     F = a.base
-    return TLS(F, a.valuation, tuple(F.neg_code(c) for c in a.coeffs), a.exact)
+    return Series(F, a.valuation, tuple(F.neg_code(c) for c in a.coeffs), a.exact)
 
 
 def add(a, b):
+    a, b = series(a), series(b)
     _same_field(a, b)
     if a.is_zero():
         return b
@@ -418,7 +496,7 @@ def add(a, b):
         if a.exact and b.exact:
             return zero(F)
         raise PrecisionExhaustedError("cancellation consumed the tracked window")
-    return TLS(F, lo, tuple(window), exact=a.exact and b.exact)
+    return Series(F, lo, tuple(window), exact=a.exact and b.exact)
 
 
 def sub(a, b):
@@ -426,6 +504,7 @@ def sub(a, b):
 
 
 def mul(a, b):
+    a, b = series(a), series(b)
     _same_field(a, b)
     F = a.base
     if a.is_zero() or b.is_zero():
@@ -439,7 +518,7 @@ def mul(a, b):
             for j, y in enumerate(b.coeffs[: length - i]):
                 if y:
                     out[i + j] = F.add_code(out[i + j], F.mul_code(x, y))
-    return TLS(F, a.valuation + b.valuation, tuple(out), exact=not tracked)
+    return Series(F, a.valuation + b.valuation, tuple(out), exact=not tracked)
 
 
 def inv(a, precision=None):
@@ -449,11 +528,12 @@ def inv(a, precision=None):
     same number of correct coefficients as the input (``precision`` sets
     that count for exact multi-term inputs).
     """
+    a = series(a)
     if a.is_zero():
         raise ZeroDivisionError("inverse of the zero series")
     F = a.base
     if a.exact and len(a.coeffs) == 1:
-        return TLS(F, -a.valuation, (F.inv_code(a.coeffs[0]),), exact=True)
+        return Series(F, -a.valuation, (F.inv_code(a.coeffs[0]),), exact=True)
     if a.exact:
         if precision is None:
             raise ValueError("inverting an exact multi-term series needs an explicit precision")
@@ -467,7 +547,7 @@ def inv(a, precision=None):
             if a.coeffs[j] and out[k - j]:
                 acc = F.add_code(acc, F.mul_code(a.coeffs[j], out[k - j]))
         out[k] = F.neg_code(F.mul_code(a0_inv, acc))
-    return TLS(F, -a.valuation, tuple(out), exact=False)
+    return Series(F, -a.valuation, tuple(out))
 
 
 def one_minus(a):
@@ -477,6 +557,7 @@ def one_minus(a):
 
 def agrees_with(a, b):
     """Do the two series agree on the overlap of their known windows?"""
+    a, b = series(a), series(b)
     _same_field(a, b)
     if a.is_zero() and b.is_zero():
         return True
@@ -497,6 +578,7 @@ def agrees_with(a, b):
 
 def square_class(a):
     """(valuation parity, residue square class) of a nonzero series."""
+    a = series(a)
     if a.is_zero():
         raise ValueError("square class of zero is undefined")
     return a.valuation & 1, square_class_code(a.base, a.coeffs[0])
@@ -508,10 +590,11 @@ def sqrt_unit(a, precision=None):
     Coefficients come from the recurrence for the square root of a 1-unit
     (2 is invertible); the result has the same tracked window as the input.
     """
+    a = series(a)
     if a.is_zero() or a.valuation != 0:
         raise ValueError("square root needs a unit series")
     F = a.base
-    lead_root = F.sqrt_code(a.coeffs[0])
+    lead_root = sqrt_code(F, a.coeffs[0])
     if lead_root is None:
         raise ValueError("leading coefficient is not a square")
     if a.exact:
@@ -528,7 +611,7 @@ def sqrt_unit(a, precision=None):
             if y[i] and y[k - i]:
                 acc = F.sub_code(acc, F.mul_code(y[i], y[k - i]))
         y[k] = F.mul_code(acc, half)
-    return mul(TLS(F, 0, tuple(y), exact=False), constant(F, lead_root))
+    return mul(Series(F, 0, tuple(y)), constant(F, lead_root))
 
 
 def check_difference_of_squares(F, u):
@@ -543,7 +626,7 @@ def check_difference_of_squares(F, u):
         raise ValueError(f"u must be a nonzero code below q={F.q}, got {u}")
     for r in F.units():
         s_sq = F.sub_code(F.mul_code(r, r), u)
-        s = F.sqrt_code(s_sq) if s_sq else None
+        s = sqrt_code(F, s_sq) if s_sq else None
         if s:
             return r, s
     return None
@@ -592,6 +675,7 @@ def symbol(target, valuation, leading):
 
 def specialize(target, a):
     """The specialization of the symbol [a] of a nonzero series (see ``symbol``)."""
+    a = series(a)
     if a.is_zero():
         raise ValueError("[0] does not specialize")
     if a.base != target.field:
@@ -657,7 +741,16 @@ def sample_series_by_randrange(F, rng, precision):
     valuation = rng.randint(-3, 3)
     lead = rng.randrange(1, F.q)
     rest = [rng.randrange(F.q) for _ in range(precision - 1)]
-    return TLS(F, valuation, tuple([lead] + rest), exact=False)
+    return TLS(F, valuation, tuple([lead] + rest))
+
+
+def apply_map(row, map_rows, width):
+    """The dense image of a sparse domain row under the map with sparse rows ``map_rows``."""
+    out = [0] * width
+    for j, coef in row.items():
+        for c, v in map_rows[j].items():
+            out[c] += coef * v
+    return out
 
 
 def kernel_with_all_relation_rows(domain, codomain, map_matrix):
@@ -672,7 +765,7 @@ def kernel_with_all_relation_rows(domain, codomain, map_matrix):
     map_rows = sparse_rows(map_matrix)
     dom_rows = sparse_rows(domain.relations)
     for row in dom_rows:
-        if not cod_lat.is_member(_apply_map(row, map_rows, codomain.generators)):
+        if not cod_lat.is_member(apply_map(row, map_rows, codomain.generators)):
             raise ValueError("a domain relation does not map into the relation lattice")
     stacked = stack(map_matrix, codomain.relations)
     diag, U, _V = smith_with_transforms(stacked.to_rows())
@@ -813,6 +906,31 @@ def refined_zmatrix(F):
     return z_expand(bc.refined_presentation(F))[0]
 
 
+@lru_cache(maxsize=None)
+def _square_roots(F):
+    table = [None] * F.q
+    for r in range(F.q):
+        sq = F.mul_code(r, r)
+        if table[sq] is None:
+            table[sq] = r
+    return table
+
+
+def sqrt_code(F, a):
+    """Least code r with r*r == a, or None when a is not a square."""
+    return _square_roots(F)[a]
+
+
+def has_root_x2_minus_x_plus_1(F):
+    """Does X^2 - X + 1 vanish at some element of F?  A scan of every code."""
+    return any(F.add_code(F.sub_code(F.mul_code(x, x), x), 1) == 0 for x in range(F.q))
+
+
+def has_sqrt_minus3(F):
+    """Is -3 a square in F?  Read from the table of every code's square."""
+    return sqrt_code(F, F.neg_code(3 % F.p)) is not None
+
+
 # The refined module in its group-ring form: an element is a {generator
 # index: GroupRingElement} dict, computed with group-ring products.
 
@@ -820,6 +938,18 @@ def refined_zmatrix(F):
 def equal(a, b):
     """Are two group-ring elements the same: one group, the same coefficients?"""
     return a.group == b.group and a.coeffs == b.coeffs
+
+
+def augmentation(a):
+    """The sum of a group-ring element's coefficients."""
+    return sum(a.coeffs.values(), 0)
+
+
+def in_aug_square(a):
+    """Is a group-ring element in I^2, the span of the products <<g>><<h>>?  Decided by ``member``."""
+    G = a.group
+    rows = [(double_bracket(G, g) * double_bracket(G, h)).to_int_vector() for g in G.elements() for h in G.elements()]
+    return member(rows, a.to_int_vector())
 
 
 def add_vectors(*vectors):
@@ -908,7 +1038,7 @@ def lambda_of_vector(F, v):
         x = bc.symbol_generators(F)[j]
         y = F.sub_code(1, x)
         one = one + coeff * double_bracket(G, square_class_code(F, y)) * double_bracket(G, square_class_code(F, x))
-        two += int(coeff.augmentation()) * F.dlog_code(y) * F.dlog_code(x)
+        two += augmentation(coeff) * F.dlog_code(y) * F.dlog_code(x)
     return one, two % (2 if F.q % 2 else 1)
 
 

@@ -22,6 +22,7 @@ from blochtower.group_ring import (
 import oracle
 
 UNIT_TEST_FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 13]
+ALL_FIELDS_TO_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
 
 
 def inv(*factors, rank=0):
@@ -124,7 +125,7 @@ class TestLambdaMaps:
     def test_lambda_one_f7_both_nonsquare(self):
         F = field(7)
         G = bc.square_class_group(F)
-        val = bc.lambda_one(F, 3).value
+        val = bc.lambda_one(F, 3)
         assert oracle.equal(val, double_bracket(G, 1) * double_bracket(G, 1))
         assert oracle.equal(val, double_bracket(G, 1) * -2)
 
@@ -132,12 +133,19 @@ class TestLambdaMaps:
         F = field(7)
         for x in bc.symbol_generators(F):
             if square_class_code(F, x) == 0 and square_class_code(F, F.sub_code(1, x)) == 0:
-                assert bc.lambda_one(F, x).value.is_zero()
+                assert bc.lambda_one(F, x).is_zero()
 
     def test_lambda_one_even_q_vanishes(self):
         F = field(2, 2)
         for x in bc.symbol_generators(F):
-            assert bc.lambda_one(F, x).value.is_zero()
+            assert bc.lambda_one(F, x).is_zero()
+
+    @pytest.mark.parametrize("q", ALL_FIELDS_TO_64)
+    def test_lambda_one_lies_in_the_augmentation_square(self, q):
+        # lambda_one is built as <<1-x>><<x>> and never tested for I^2 membership
+        F = field_from_q(q)
+        for x in bc.symbol_generators(F):
+            assert oracle.in_aug_square(bc.lambda_one(F, x)), x
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -151,7 +159,7 @@ class TestIntegralCoefficients:
     def test_relations_and_lambda_one_are_int(self, q):
         F = field_from_q(q)
         values = [c for rel in bc.refined_presentation(F).relations for c in rel.values()]
-        values += [bc.lambda_one(F, x).value for x in bc.symbol_generators(F)]
+        values += [bc.lambda_one(F, x) for x in bc.symbol_generators(F)]
         assert any(not v.is_zero() for v in values)
         assert all(type(c) is int for v in values for c in v.coeffs.values())
         psi_two = [c for x in F.units() for c in bc.suslin_element(F, 2, x).values()]
@@ -499,9 +507,6 @@ class TestCertifiedLattices:
             bc.reduced_lattice(F, "icc")
 
 
-ALL_FIELDS_TO_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
-
-
 class TestStreamedRows:
     @pytest.mark.parametrize("q", ALL_FIELDS_TO_64)
     def test_streamed_lattices_match_held_matrices(self, q):
@@ -626,10 +631,12 @@ class TestRelationMatrixMemory:
         monkeypatch.setattr(IntMatrix, "entries", property(lambda self: calls.append(self) or entries(self)))
         monkeypatch.setattr(IntMatrix, "to_rows", lambda self: calls.append(self) or to_rows(self))
         monkeypatch.setattr(IntMatrix, "_of", classmethod(lambda cls, data, cols: built.append(len(data)) or of(data, cols)))
+        # precondition: the hook sees a relation matrix written, here by reading ``relations``
+        assert pres.relations.rows == count and built == [count]
         assert pres.lattice.invariants() == bc.prebloch_presentation(F).invariants()
         # the rows go into the lattice as they are made: no relation matrix is written or read
         assert [M for M in calls if M.rows == count] == []
-        assert built and count not in built
+        assert built and count not in built[1:]
 
 
 class TestSuites:

@@ -19,7 +19,6 @@ from blochtower.exact_linalg import (
     kernel_with_embedding,
     map_kernel,
     smith_normal_form,
-    _det_unimodular,
     _hermite_basis,
     _reduce,
     _smith_quotient,
@@ -269,7 +268,7 @@ class TestHermite:
     def test_unimodular_transform_and_lattice_basis(self, rows):
         M = mat(rows)
         H, U = hermite_normal_form(M)
-        assert abs(_det_unimodular(U)) == 1
+        assert abs(oracle.determinant(U)) == 1
         assert [row for row in oracle.sparse_rows(H) if row] == Lattice(M).basis_rows()
 
 
@@ -301,7 +300,7 @@ class TestCertifiedHermite:
 
     @pytest.mark.parametrize("kind", ["duplicates", "zeros", "free", "blocks"])
     def test_tall_sparse_matrices_match_full_elimination(self, kind):
-        assert exact_linalg.VERIFY_TRANSFORMS  # every quotient map is checked too
+        assert exact_linalg._smith_quotient.__wrapped__  # every quotient map is checked too (conftest.py)
         for seed in range(12):
             rows, cols = _tall_sparse(random.Random(seed), kind)
             full = oracle.echelon_basis(rows, cols)
@@ -340,7 +339,7 @@ class TestHermiteInsertion:
     @settings(max_examples=100)
     @given(st.one_of(small_matrices, tall_matrices()), st.randoms(use_true_random=False))
     def test_shuffled_and_duplicated_rows_give_the_same_lattice(self, rows, rng):
-        assert exact_linalg.VERIFY_TRANSFORMS  # every quotient map is checked too
+        assert exact_linalg._smith_quotient.__wrapped__  # every quotient map is checked too (conftest.py)
         lat = Lattice(mat(rows))
         shuffled = rows + rng.choices(rows, k=rng.randint(1, len(rows)))
         rng.shuffle(shuffled)
@@ -457,15 +456,42 @@ class TestDeterminant:
     @settings(max_examples=300)
     @given(square_matrices())
     def test_matches_permutation_expansion(self, rows):
-        assert _det_unimodular(mat(rows, cols=len(rows))) == _det_by_permutations(rows)
+        assert oracle.determinant(mat(rows, cols=len(rows))) == _det_by_permutations(rows)
 
     def test_examples(self):
-        assert _det_unimodular(IntMatrix(0, 0)) == 1
-        assert _det_unimodular(mat([[0, 2], [3, 0]])) == -6
-        assert _det_unimodular(mat([[2, 4], [1, 2]])) == 0
-        assert _det_unimodular(mat([[0, 0, 1], [0, 5, 0], [7, 0, 0]])) == -35
+        assert oracle.determinant(IntMatrix(0, 0)) == 1
+        assert oracle.determinant(mat([[0, 2], [3, 0]])) == -6
+        assert oracle.determinant(mat([[2, 4], [1, 2]])) == 0
+        assert oracle.determinant(mat([[0, 0, 1], [0, 5, 0], [7, 0, 0]])) == -35
         with pytest.raises(DimensionMismatchError):
-            _det_unimodular(mat([[1, 2]]))
+            oracle.determinant(mat([[1, 2]]))
+
+
+class TestSessionTransformChecks:
+    """conftest.py checks every quotient map the test run builds."""
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            # row 1 doubled: det V = 2, though the basis row (3, 0) still maps to zero
+            (lambda v: [v[0], {1: 2 * v[1][1]}], "not unimodular"),
+            # row 1 added to row 0: still unimodular, but (3, 0) maps to (0, 3)
+            (lambda v: [{0: v[0][0], 1: v[1][1]}, v[1]], "nonzero quotient image"),
+        ],
+        ids=["doubled", "sheared"],
+    )
+    def test_corrupted_transform_row_is_caught(self, monkeypatch, corrupt, message):
+        smith_core = exact_linalg._smith_core
+
+        def corrupted(basis, cols):
+            diag, u, v = smith_core(basis, cols)
+            assert v == [{0: 1}, {1: 1}]
+            return diag, u, corrupt(v)
+
+        assert Lattice(mat([[3, 0]])).moduli == (3, 0)
+        monkeypatch.setattr(exact_linalg, "_smith_core", corrupted)
+        with pytest.raises(AssertionError, match=message):
+            Lattice(mat([[3, 0]])).moduli
 
 
 class TestAbelianInvariants:
@@ -654,6 +680,10 @@ class TestKernelOverHermiteBasis:
         assert embedding == expected_embedding
         assert kernel.invariants() == expected.invariants()
         assert kernel.relations.rows <= domain.generators
+        # every kernel generator maps into the codomain relation lattice
+        map_rows, cod_rows = oracle.sparse_rows(map_matrix), codomain.relations.to_rows()
+        for row in oracle.sparse_rows(embedding):
+            assert oracle.member(cod_rows, oracle.apply_map(row, map_rows, codomain.generators))
 
     def test_prebloch_kernel_has_at_most_n_relations(self):
         pres = prebloch_presentation(field_from_q(13))
@@ -703,3 +733,21 @@ class TestKernelOverHermiteBasis:
         domain = FpPresentation(1, mat([[0], [6], [2]]))
         with pytest.raises(InconsistentMapError, match="domain relation 2 "):
             kernel_with_embedding(domain, z3, mat([[1]]))
+
+    @settings(max_examples=200)
+    @given(consistent_maps(), st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), min_size=1, max_size=3))
+    def test_named_row_is_the_first_whose_image_leaves_the_lattice(self, case, extra):
+        # extra relations appended to a consistent map, most of them leaving the preimage
+        domain, codomain, map_matrix = case
+        n = domain.generators
+        domain = FpPresentation(n, mat(domain.relations.to_rows() + [row[:n] for row in extra], cols=n))
+        map_rows, cod_rows = oracle.sparse_rows(map_matrix), codomain.relations.to_rows()
+        bad = [
+            i for i, row in enumerate(oracle.sparse_rows(domain.relations))
+            if not oracle.member(cod_rows, oracle.apply_map(row, map_rows, codomain.generators))
+        ]
+        if not bad:
+            kernel_with_embedding(domain, codomain, map_matrix)  # consistent after all: no error
+            return
+        with pytest.raises(InconsistentMapError, match=f"domain relation {bad[0]} "):
+            kernel_with_embedding(domain, codomain, map_matrix)

@@ -86,7 +86,7 @@ class TestArithmetic:
     def test_field_axioms_small(self):
         for q in (4, 5, 8, 9):
             F = field_from_q(q)
-            for a, b in itertools.product(F.elements(), repeat=2):
+            for a, b in itertools.product(range(F.q), repeat=2):
                 assert F.mul_code(a, b) == F.mul_code(b, a)
                 assert F.add_code(a, b) == F.add_code(b, a)
             for a in F.units():
@@ -193,6 +193,14 @@ class TestNormGroups:
     def test_sqrt_minus3(self):
         assert has_sqrt_minus3(field(7))  # -3 = 4 = 2^2
         assert not has_sqrt_minus3(field(5))
+
+    def test_closed_forms_match_scans(self):
+        for q in range(2, 1025):
+            if len(set(_factor(q))) != 1:
+                continue
+            F = field_from_q(q)
+            assert has_root_x2_minus_x_plus_1(F) == oracle.has_root_x2_minus_x_plus_1(F), q
+            assert has_sqrt_minus3(F) == oracle.has_sqrt_minus3(F), q
 
 
 class TestDifferenceOfSquares:

@@ -9,8 +9,10 @@ it is on the allow-list below.  Input refusals are branches inside entered
 functions and are not counted.
 
 The run is a subprocess because the package's ``lru_cache``s would hide
-entries already made by other tests, and because the test session turns on
-``VERIFY_TRANSFORMS``, which the CLI never does.
+entries already made by other tests, and because the test session wraps
+``_smith_quotient`` and ``smith_normal_form`` with checks (``conftest.py``)
+that would enter functions, such as ``IntMatrix.__matmul__``, that no
+command does.
 """
 
 import json
@@ -33,14 +35,12 @@ NOT_ENTERED = {
     "exact_linalg.map_kernel",
     "exact_linalg.IntMatrix.__init__",
     "exact_linalg.IntMatrix.diagonal",
-    "group_ring.idempotent",
-    "group_ring.group_idempotent",
-    "bloch_core.df_module",
-    # reached only under VERIFY_TRANSFORMS
-    "exact_linalg._det_unimodular",
     "exact_linalg.IntMatrix.to_rows",
     "exact_linalg.IntMatrix.__matmul__",
     "exact_linalg.IntMatrix.__eq__",
+    "group_ring.idempotent",
+    "group_ring.group_idempotent",
+    "bloch_core.df_module",
     # read by name by perfbench/traced_cli.py
     "bloch_core.refined_presentation",
     "group_ring.character_specialize",

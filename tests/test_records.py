@@ -1,10 +1,10 @@
 """Value semantics of the records that are compared or used as keys.
 
-``SquareClassGroup`` and ``Character`` key the refined Bloch results and the
-augmentation-square lattice cache; the others are compared in the package
-or its tests.  Equal fields give equal records with equal hashes, and one
-differing field gives unequal records.  That exact series with trailing
-zeros equal and hash like the stripped series is checked in test_laurent.py.
+``SquareClassGroup`` and ``Character`` key the refined Bloch results; the
+others are compared in the package or its tests.  Equal fields give equal
+records with equal hashes, and one differing field gives unequal records.
+That the oracle's exact series with trailing zeros equal and hash like the
+stripped series is checked in test_laurent.py.
 """
 
 import pytest
@@ -18,20 +18,20 @@ from blochtower.laurent import FuzzReport, RelationCheckOutcome, TruncatedLauren
 F5 = field_from_q(5)
 
 
-def group(rank=2, labels=()):
-    return SquareClassGroup(rank, labels)
+def group(rank=2):
+    return SquareClassGroup(rank)
 
 
 # (build from fields, base fields, one variant per field)
 CASES = {
-    "SquareClassGroup": (group, (2, ()), [(3, ()), (2, ("a", "b"))]),
+    "SquareClassGroup": (group, (2,), [(3,)]),
     "Character": (Character, (group(), 1), [(group(3), 1), (group(), 2)]),
     "AbelianInvariants": (AbelianInvariants, ((2, 6), 1), [((3,), 1), ((2, 6), 0)]),
     "SweepResult": (SweepResult, ("constants", 4, ()), [("cocycle", 4, ()), ("constants", 5, ()), ("constants", 4, ("x",))]),
     "TruncatedLaurentSeries": (
-        lambda v, c, e: TruncatedLaurentSeries(F5, v, c, exact=e),
-        (1, (2, 3), True),
-        [(0, (2, 3), True), (1, (2, 4), True), (1, (2, 3), False)],
+        lambda v, c: TruncatedLaurentSeries(F5, v, c),
+        (1, (2, 3)),
+        [(0, (2, 3)), (1, (2, 4))],
     ),
     "RelationCheckOutcome": (RelationCheckOutcome, ("fail", "x"), [("pass", "x"), ("fail", "y")]),
     "FuzzReport": (
@@ -71,5 +71,5 @@ def test_one_differing_field_unequal(name):
 
 
 def test_records_of_different_classes_unequal():
-    assert SquareClassGroup(1, 0) != RelationCheckOutcome(1, 0)
+    assert SquareClassGroup(1) != RelationCheckOutcome(1)
     assert Character(group(), 1) != (group(), 1)
