@@ -43,6 +43,14 @@ CASES = (
         ("tower", "--base", "5", "--levels", "3"),
         ("tower", "--base", "9", "--levels", "2"),
         ("tower", "--base", "real-closed", "--levels", "2"),
+        ("tower", "--base", "2", "--levels", "1"),
+        ("tower", "--base", "4", "--levels", "2"),
+        ("tower", "--base", "3", "--levels", "1"),
+        ("tower", "--base", "7", "--levels", "2"),
+        ("tower", "--base", "5", "--levels", "0"),
+        ("tower", "--base", "9", "--levels", "4"),
+        ("tower", "--base", "real-closed", "--levels", "0"),
+        ("tower", "--base", "quadratically-closed", "--levels", "1"),
         ("prebloch", "--q", "6"),
         ("laurent-fuzz", "--q", "4"),
     ]
