@@ -348,6 +348,11 @@ def field_from_q(q: int) -> FieldSpec:
     return field(p, m)
 
 
+#: Base fields ``tower --base`` accepts besides the finite ones, each with the
+#: rank of its square-class group (the sign class for real-closed).
+SYMBOLIC_BASES = {"real-closed": 1, "quadratically-closed": 0}
+
+
 def parse_field_spec(text: str) -> FieldSpec:
     """Parse the "p^m" serialization ("5", "3^2", also plain "9")."""
     text = text.strip()

@@ -7,6 +7,7 @@ from pathlib import Path
 import blochtower
 from blochtower import cli
 from blochtower.cli import MAX_LEVELS, main
+from blochtower.finite_field import SYMBOLIC_BASES
 from blochtower.laurent import MAX_PRECISION, MAX_SAMPLES
 
 
@@ -150,6 +151,15 @@ class TestTower:
         monkeypatch.setattr("blochtower.tower.eigenspace_ledger", no_ledger)
         assert main(["tower", "--base", "5", "--levels", str(MAX_LEVELS + 1)]) == 2
         assert f"exceeds the bound {MAX_LEVELS}" in capsys.readouterr().err
+
+    def test_help_lists_every_symbolic_base(self, capsys, monkeypatch):
+        # an added base shows up in the help without a second edit
+        monkeypatch.setattr(cli, "SYMBOLIC_BASES", {**SYMBOLIC_BASES, "henselian": 1})
+        monkeypatch.setenv("COLUMNS", "400")  # keep argparse from wrapping at a hyphen
+        code, out = run(capsys, "tower", "--help")
+        assert code == 0
+        for base in cli.SYMBOLIC_BASES:
+            assert f'"{base}"' in out
 
     def test_even_base_flags_surjection(self, capsys):
         code, report = run_json(capsys, "tower", "--base", "2", "--levels", "1")

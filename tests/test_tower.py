@@ -12,7 +12,13 @@ from blochtower.tower import (
 
 
 def statuses(tower):
-    return {h.index: h.status for h in check_hypotheses(tower)}
+    return {int(c["name"].removeprefix("hypothesis_")): c["status"] for c in check_hypotheses(tower)}
+
+
+def decomposition(tower):
+    *_, deco = predict(tower)
+    assert deco["name"] == "decomposition"
+    return deco
 
 
 class TestHypotheses:
@@ -43,101 +49,129 @@ class TestHypotheses:
             TowerSpec(field(5), -1)
 
 
+THREE = AbelianInvariants((3,), 0).to_json()
+
+
 class TestPredict:
     def test_f5_one_level(self):
-        rep = predict(TowerSpec(field(5), 1))
-        kinds = [(s.kind, s.multiplicity) for s in rep.summands]
+        deco = decomposition(TowerSpec(field(5), 1))
+        kinds = [(s["kind"], s["multiplicity"]) for s in deco["summands"]]
         assert kinds == [("K3ind-symbolic", 1), ("prebloch-numeric", 1)]
-        assert rep.summands[1].invariants == AbelianInvariants((3,), 0)
-        assert rep.exponents == (1,)
+        assert deco["summands"][1]["invariants"] == THREE
+        assert deco["exponents"] == [1]
 
     def test_f5_two_levels_shape(self):
-        rep = predict(TowerSpec(field(5), 2))
-        assert rep.exponents == (2, 1)
-        assert not rep.surjection_only
-        numeric = [s for s in rep.summands if s.kind == "prebloch-numeric"]
-        symbolic = [s for s in rep.summands if s.kind == "prebloch-symbolic"]
-        assert len(numeric) == 1 and numeric[0].multiplicity == 2
-        assert numeric[0].invariants == AbelianInvariants((3,), 0)
-        assert len(symbolic) == 1 and symbolic[0].multiplicity == 1
-        assert symbolic[0].field_label == "F5((t1))"
-        assert symbolic[0].invariants is None  # never fabricated
+        deco = decomposition(TowerSpec(field(5), 2))
+        assert deco["exponents"] == [2, 1]
+        assert not deco["surjection_only"]
+        numeric = [s for s in deco["summands"] if s["kind"] == "prebloch-numeric"]
+        symbolic = [s for s in deco["summands"] if s["kind"] == "prebloch-symbolic"]
+        assert len(numeric) == 1 and numeric[0]["multiplicity"] == 2
+        assert numeric[0]["invariants"] == THREE
+        assert len(symbolic) == 1 and symbolic[0]["multiplicity"] == 1
+        assert symbolic[0]["field"] == "F5((t1))"
+        assert "invariants" not in symbolic[0]  # never fabricated
 
     def test_no_levels_degenerates(self):
-        rep = predict(TowerSpec(field(5), 0))
-        assert len(rep.summands) == 1
-        assert rep.summands[0].kind == "K3ind-symbolic"
-        assert rep.exponents == ()
+        deco = decomposition(TowerSpec(field(5), 0))
+        assert len(deco["summands"]) == 1
+        assert deco["summands"][0]["kind"] == "K3ind-symbolic"
+        assert deco["exponents"] == []
 
     def test_real_closed_symbolic_report(self):
-        rep = predict(TowerSpec("real-closed", 2))
-        assert rep.exponents == (2, 1)
-        assert all(s.invariants is None for s in rep.summands)
-        assert [s.multiplicity for s in rep.summands[1:]] == [2, 1]
+        deco = decomposition(TowerSpec("real-closed", 2))
+        assert deco["exponents"] == [2, 1]
+        assert all("invariants" not in s for s in deco["summands"])
+        assert [s["multiplicity"] for s in deco["summands"][1:]] == [2, 1]
 
     def test_prime_base_two_levels_is_padic_shape(self):
         # the p-adic double-Laurent example: symbolic level 1 plus base squared
-        rep = predict(TowerSpec(field(7), 2))
-        assert [s.kind for s in rep.summands] == [
+        deco = decomposition(TowerSpec(field(7), 2))
+        assert [s["kind"] for s in deco["summands"]] == [
             "K3ind-symbolic",
             "prebloch-numeric",
             "prebloch-symbolic",
         ]
-        assert rep.exponents == (2, 1)
+        assert deco["exponents"] == [2, 1]
 
     def test_surjection_flag_for_even_base(self):
-        rep = predict(TowerSpec(field(2), 1))
-        assert rep.surjection_only
-        assert any("surjection" in n for n in rep.notes)
+        deco = decomposition(TowerSpec(field(2), 1))
+        assert deco["surjection_only"]
+        assert any("surjection" in n for n in deco["notes"])
 
     def test_exactly_one_k3_summand(self):
         for spec in (TowerSpec(field(5), 0), TowerSpec(field(5), 3), TowerSpec("quadratically-closed", 2)):
-            rep = predict(spec)
-            assert sum(s.kind == "K3ind-symbolic" for s in rep.summands) == 1
+            deco = decomposition(spec)
+            assert sum(s["kind"] == "K3ind-symbolic" for s in deco["summands"]) == 1
+
+    def test_checks_are_the_hypotheses_then_the_decomposition(self):
+        spec = TowerSpec(field(5), 2)
+        assert [c["name"] for c in predict(spec)] == [f"hypothesis_{i}" for i in range(1, 7)] + ["decomposition"]
+        assert predict(spec)[:-1] == check_hypotheses(spec)
+
+
+# square-class rank of each base: odd q has the nonsquare class, even q none
+BASE_RANKS = [(2, 0), (3, 1), (4, 0), (5, 1), (7, 1), (9, 1), ("real-closed", 1), ("quadratically-closed", 0)]
+
+
+@pytest.mark.parametrize("levels", range(5))
+@pytest.mark.parametrize("base,rank", BASE_RANKS)
+def test_construction_guarantees(base, rank, levels):
+    spec = TowerSpec(field_from_q(base) if isinstance(base, int) else base, levels)
+    summands = decomposition(spec)["summands"]
+    for s in summands:
+        m = s["multiplicity"]
+        assert m >= 1 and m & (m - 1) == 0, f"multiplicity not a power of two: {s}"
+        assert ("invariants" in s) == (s["kind"] == "prebloch-numeric"), f"invariants misplaced: {s}"
+    assert [s["kind"] for s in summands].count("K3ind-symbolic") == 1
+    ledger = eigenspace_ledger(spec)
+    assert len(ledger["basis"]) == rank + levels
+    assert len(ledger["characters"]) == 2 ** (rank + levels)
+    assert census_matches_exponents(predict(spec), ledger)
 
 
 class TestRsqChain:
     def test_f5_chain_doubles(self):
-        assert predict(TowerSpec(field(5), 2)).rsq_order == 4
-        assert predict(TowerSpec(field(5), 3)).rsq_order == 8
+        assert decomposition(TowerSpec(field(5), 2))["rsq_order"] == 4
+        assert decomposition(TowerSpec(field(5), 3))["rsq_order"] == 8
 
     def test_f7_chain_withheld(self):
         # sqrt(-3) lives in F_7, so the doubling argument does not apply
-        rep = predict(TowerSpec(field(7), 2))
-        assert rep.rsq_order is None
-        assert "not asserted" in rep.rsq_note
+        deco = decomposition(TowerSpec(field(7), 2))
+        assert deco["rsq_order"] is None
+        assert "not asserted" in deco["rsq_note"]
 
     def test_char3_withheld(self):
-        assert predict(TowerSpec(field(3), 1)).rsq_order is None
+        assert decomposition(TowerSpec(field(3), 1))["rsq_order"] is None
 
     def test_base_only(self):
-        assert predict(TowerSpec(field(7), 0)).rsq_order == 1
+        assert decomposition(TowerSpec(field(7), 0))["rsq_order"] == 1
 
     def test_constant_module_dimension(self):
-        rep = predict(TowerSpec(field(5), 2))
-        assert rep.constant_module_dimension == 4
-        assert predict(TowerSpec(field(7), 2)).constant_module_dimension is None
+        deco = decomposition(TowerSpec(field(5), 2))
+        assert deco["constant_module_dimension"] == 4
+        assert decomposition(TowerSpec(field(7), 2))["constant_module_dimension"] is None
 
 
 class TestLedger:
     def test_f5_one_level_census(self):
         ledger = eigenspace_ledger(TowerSpec(field(5), 1))
-        assert len(ledger.rows) == 4
-        targets = [r.target for r in ledger.rows]
+        assert len(ledger["characters"]) == 4
+        targets = [c["target"] for c in ledger["characters"]]
         assert targets.count("coinvariants") == 1
         assert targets.count("level 0") == 1
         assert targets.count("residue-nontrivial") == 2
-        assert ledger.census == {0: 1}
+        assert ledger["census"] == {"0": 1}
 
     def test_f5_two_levels_census(self):
         ledger = eigenspace_ledger(TowerSpec(field(5), 2))
-        assert len(ledger.rows) == 8
-        assert ledger.census == {0: 2, 1: 1}
+        assert len(ledger["characters"]) == 8
+        assert ledger["census"] == {"0": 2, "1": 1}
 
     def test_no_levels(self):
         ledger = eigenspace_ledger(TowerSpec(field(5), 0))
-        assert ledger.census == {}
-        assert len(ledger.rows) == 2  # trivial + the residue sign character
+        assert ledger["census"] == {}
+        assert len(ledger["characters"]) == 2  # trivial + the residue sign character
 
     @pytest.mark.parametrize(
         "base,levels",
@@ -151,6 +185,12 @@ class TestLedger:
     def test_census_matches_exponents_symbolic(self, base):
         spec = TowerSpec(base, 2)
         assert census_matches_exponents(predict(spec), eigenspace_ledger(spec))
+
+    def test_census_disagreeing_with_exponents_fails(self):
+        spec = TowerSpec(field(5), 2)
+        ledger = eigenspace_ledger(spec)
+        ledger["census"]["1"] = 2
+        assert not census_matches_exponents(predict(spec), ledger)
 
     def test_level_labels(self):
         spec = TowerSpec(field(3, 2), 2)
