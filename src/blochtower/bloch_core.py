@@ -54,7 +54,6 @@ from .exact_linalg import (
 from .finite_field import (
     FieldSpec,
     has_root_x2_minus_x_plus_1,
-    plus_minus_norm_codes,
     square_class_code,
 )
 from .group_ring import (
@@ -327,8 +326,7 @@ def _lambda_two_matrix(F: FieldSpec) -> IntMatrix:
 @lru_cache(maxsize=None)
 def bloch_group(F: FieldSpec) -> FpPresentation:
     """The Bloch group: kernel of lambda_two on the pre-Bloch group."""
-    pres, _ = kernel_with_embedding(prebloch_presentation(F), asym2_presentation(F), _lambda_two_matrix(F))
-    return pres
+    return kernel_with_embedding(prebloch_presentation(F), asym2_presentation(F), _lambda_two_matrix(F))
 
 
 @lru_cache(maxsize=None)
@@ -362,18 +360,14 @@ def refined_bloch(F: FieldSpec) -> dict[Character, AbelianInvariants]:
             # whose kernel on the pre-Bloch group is the Bloch group.
             out[chi] = bloch_invariants(F).odd_part()
             continue
-        kernel, _ = kernel_with_embedding(character_presentation(F, chi), codomain, _refined_lambda_matrix(F, chi))
+        kernel = kernel_with_embedding(character_presentation(F, chi), codomain, _refined_lambda_matrix(F, chi))
         out[chi] = kernel.invariants().odd_part()
     return out
 
 
-def rb0(F: FieldSpec) -> dict[Character, AbelianInvariants]:
-    """The nontrivial-character part: kernel of refined Bloch -> Bloch, odd."""
-    return {chi: inv for chi, inv in refined_bloch(F).items() if not chi.is_trivial}
-
-
 def rb0_is_trivial(F: FieldSpec) -> bool:
-    return all(inv.is_trivial() for inv in rb0(F).values())
+    """Is the kernel of refined Bloch -> Bloch (the nontrivial characters' odd parts) trivial?"""
+    return all(inv.is_trivial() for chi, inv in refined_bloch(F).items() if not chi.is_trivial)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +534,7 @@ def _df_checks(F: FieldSpec) -> DfModuleReport:
         if not lat.vanishes(img):
             df1_int = False
     df2 = True
-    for code in sorted(plus_minus_norm_codes(F)):
+    for code in F.units():
         twisted = _double_twist(consts.c, square_class_code(F, code))
         if not lat.is_member(twisted, invert_two=True):
             df2 = False
@@ -554,7 +548,7 @@ def df_module(F: FieldSpec) -> DfModuleReport:
     (1) psi_1(x) - psi_2(x) = <<x>> c for every x (after inverting 2; the
         integral outcome is recorded separately rather than asserted).
     (2) <<x>> c = 0 whenever x is, up to sign, a norm from F(zeta3); over a
-        finite field that is every x (``plus_minus_norm_codes``).
+        finite field that is every x (``rsq_order``).
 
     A failed check is fatal: these identities hold for every field, so a
     failure means the implementation is wrong.
@@ -724,8 +718,6 @@ def verify_constants(F: FieldSpec) -> SweepResult:
     except InternalConsistencyError as exc:
         return SweepResult("constants", 1, (str(exc),))
     checked = consts.constancy_checked + 2
-    if 6 % consts.b_order:
-        failures.append(f"order of b is {consts.b_order}, not a divisor of 6")
     solvable = has_root_x2_minus_x_plus_1(F)
     if solvable and consts.c_order != 1:
         failures.append("X^2-X+1 solvable but c != 0")
@@ -736,7 +728,7 @@ def verify_constants(F: FieldSpec) -> SweepResult:
 
 def verify_df_identities(F: FieldSpec) -> SweepResult:
     report = _df_checks(F)
-    checked = (F.q - 1) + len(plus_minus_norm_codes(F))
+    checked = 2 * (F.q - 1)
     return SweepResult("difference_identity", checked, tuple(report.failures))
 
 

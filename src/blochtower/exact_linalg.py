@@ -599,25 +599,25 @@ class Lattice:
 # kernels of maps between presented groups
 
 
-def kernel_with_embedding(
-    domain: FpPresentation, codomain: FpPresentation, map_matrix: IntMatrix
-) -> tuple[FpPresentation, IntMatrix]:
-    """Kernel presentation plus the matrix embedding its generators in the domain.
+def kernel_with_embedding(domain: FpPresentation, codomain: FpPresentation, map_matrix: IntMatrix) -> FpPresentation:
+    """Presentation of the kernel of the induced map on presented groups.
 
-    ``map_matrix`` sends domain generators (rows) to codomain coordinate
-    vectors.  The kernel generators come from one lattice of
-    [map_matrix | I ; codomain basis | 0]: its Hermite rows with zero
-    codomain part are the Hermite basis of the preimage of the codomain
-    relation lattice.  Both relation lattices are the presentations' own
-    (``FpPresentation.lattice``), so neither relation matrix is eliminated
-    again.  The kernel's relations are the coordinates, over the kernel
-    generators, of the domain's relation Hermite basis rather than of every
-    domain relation: the same lattice, so the same group, with at most
-    ``domain.generators`` relation rows.  A basis row outside the preimage
-    of the codomain relation lattice means the map is not well defined; the
-    InconsistentMapError then names the first domain relation outside the
-    preimage, reading the relations anew: a relation lies in the preimage
-    exactly when its image lies in the codomain relation lattice.
+    The name is the one ``perfbench/traced_cli.py`` spans; only the kernel
+    presentation is returned.  ``map_matrix`` sends domain generators
+    (rows) to codomain coordinate vectors.  The kernel generators come from
+    one lattice of [map_matrix | I ; codomain basis | 0]: its Hermite rows
+    with zero codomain part are the Hermite basis of the preimage of the
+    codomain relation lattice.  Both relation lattices are the
+    presentations' own (``FpPresentation.lattice``), so neither relation
+    matrix is eliminated again.  The kernel's relations are the coordinates,
+    over the kernel generators, of the domain's relation Hermite basis
+    rather than of every domain relation: the same lattice, so the same
+    group, with at most ``domain.generators`` relation rows.  A basis row
+    outside the preimage of the codomain relation lattice means the map is
+    not well defined; the InconsistentMapError then names the first domain
+    relation outside the preimage, reading the relations anew: a relation
+    lies in the preimage exactly when its image lies in the codomain
+    relation lattice.
     """
     if map_matrix.rows != domain.generators or map_matrix.cols != codomain.generators:
         raise DimensionMismatchError("map matrix shape must be domain gens x codomain gens")
@@ -625,9 +625,8 @@ def kernel_with_embedding(
     stacked = _with_identity(map_matrix._rows + codomain.lattice.basis_rows(), width, domain.generators)
     basis = [{j - width: v for j, v in row.items()} for row in Lattice(stacked).basis_rows() if min(row) >= width]
     pivot_cols = [min(row) for row in basis]  # a Hermite row starts at its pivot
-    embedding = IntMatrix.from_sparse_rows(basis, domain.generators)
-    # The embedding rows are a Hermite basis, so the reduction quotients of a
-    # domain relation are its coordinates over the kernel generators.
+    # The basis is a Hermite basis, so the reduction quotients of a domain
+    # relation are its coordinates over the kernel generators.
     rel_rows = []
     for row in domain.lattice.basis_rows():
         rem, coords = _reduce(basis, pivot_cols, row)
@@ -635,11 +634,4 @@ def kernel_with_embedding(
             idx = next(i for i, rel in enumerate(domain.relations._rows) if _reduce(basis, pivot_cols, rel)[0])
             raise InconsistentMapError(f"domain relation {idx} does not map into the relation lattice")
         rel_rows.append(coords)
-    relations = IntMatrix.from_rows(rel_rows, cols=embedding.rows)
-    return FpPresentation(embedding.rows, relations), embedding
-
-
-def map_kernel(domain: FpPresentation, codomain: FpPresentation, map_matrix: IntMatrix) -> FpPresentation:
-    """Presentation of the kernel of the induced map on presented groups."""
-    return kernel_with_embedding(domain, codomain, map_matrix)[0]
-
+    return FpPresentation(len(basis), IntMatrix.from_rows(rel_rows, cols=len(basis)))

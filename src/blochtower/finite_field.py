@@ -10,8 +10,8 @@ code sum(c_i * p^i).  Element ordering used for deterministic choices
 through cached discrete-log tables, which also serve the antisymmetric
 pairing needed elsewhere.
 
-Besides the arithmetic there are the square-class map and norm-group
-computations for the quotient F^x / +-N_{F(zeta3)/F}(F(zeta3)^x).
+Besides the arithmetic there are the square-class map and the order of the
+quotient F^x / +-N_{F(zeta3)/F}(F(zeta3)^x), which is 1.
 """
 
 from __future__ import annotations
@@ -38,21 +38,6 @@ def max_field_size() -> int:
         return int(raw)
     except ValueError as exc:
         raise ValueError(f"{MAX_Q_ENV} must be an integer, got {raw!r}") from exc
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -174,7 +159,7 @@ class FieldSpec:
     def __init__(self, p: int, m: int = 1):
         if p >= 2:
             _check_bound(p, m)  # before the trial division, which is slow for a large p
-        if not _is_prime(p):
+        if factorize(p) != {p: 1}:
             raise ValueError(f"{p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
@@ -270,16 +255,12 @@ class FieldSpec:
     def mul_code(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.m == 1:
-            return (a * b) % self.p
         self._ensure_log_tables()
         return self._exp[(self._dlog[a] + self._dlog[b]) % (self.q - 1)]
 
     def inv_code(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
         self._ensure_log_tables()
         return self._exp[(-self._dlog[a]) % (self.q - 1)]
 
@@ -299,27 +280,14 @@ class FieldSpec:
             self._generator = 1
             return 1
         prime_divisors = list(factorize(n))
+        modulus = list(self.modulus)
         for cand in range(2, self.q):
-            ok = True
-            for ell in prime_divisors:
-                if self._pow_bootstrap(cand, n // ell) == 1:
-                    ok = False
-                    break
-            if ok:
+            # powers as polynomials: the log tables are built from the generator
+            coeffs = list(self.coeffs_of(cand))
+            if all(_poly_powmod(coeffs, n // ell, modulus, self.p) != [1] for ell in prime_divisors):
                 self._generator = cand
                 return cand
         raise AssertionError("multiplicative group has no generator")  # pragma: no cover
-
-    def _pow_bootstrap(self, a: int, e: int) -> int:
-        # used before the log tables exist
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_code_poly(result, base)
-            base = self._mul_code_poly(base, base)
-            e >>= 1
-        return result
 
 
 def _check_bound(p: int, m: int = 1) -> None:
@@ -404,17 +372,11 @@ def has_sqrt_minus3(F: FieldSpec) -> bool:
     return F.p <= 3 or (F.q - 1) % 3 == 0
 
 
-def plus_minus_norm_codes(F: FieldSpec) -> frozenset[int]:
-    """The subgroup <-1> * N_{E/F}(E^x) of F^x, E = F(zeta3), as codes.
-
-    The norm of a finite extension of finite fields is onto (on the cyclic
-    group E^x it is the power map x -> x^(|E^x| / |F^x|)), so the subgroup is
-    the whole unit group.
-    """
-    return frozenset(F.units())
-
-
 def rsq_order(F: FieldSpec) -> int:
-    """Order of F^x / (<-1> * norms from F(zeta3)); 1 for every finite field."""
-    subgroup = plus_minus_norm_codes(F)
-    return (F.q - 1) // len(subgroup)
+    """Order of F^x / (<-1> * N_{E/F}(E^x)), E = F(zeta3): 1 for every finite field.
+
+    E is F or F_{q^2}.  The norm of a finite extension of finite fields is
+    onto: on the cyclic group E^x it is the power map x -> x^(|E^x| / |F^x|),
+    whose image has |F^x| elements.  So the subgroup is all of F^x.
+    """
+    return 1

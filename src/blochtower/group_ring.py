@@ -134,11 +134,6 @@ class GroupRingElement:
     def one(cls, group: SquareClassGroup) -> "GroupRingElement":
         return cls(group, {0: 1})
 
-    @classmethod
-    def of(cls, group: SquareClassGroup, elem: int) -> "GroupRingElement":
-        """The group element <a> as a ring element."""
-        return cls(group, {elem: 1})
-
     # -- ring structure --------------------------------------------------------
 
     def _check(self, other: "GroupRingElement") -> None:
@@ -200,7 +195,7 @@ class GroupRingElement:
 
 def bracket(group: SquareClassGroup, elem: int) -> GroupRingElement:
     """<a>: the group element as a ring element."""
-    return GroupRingElement.of(group, elem)
+    return GroupRingElement(group, {elem: 1})
 
 
 def double_bracket(group: SquareClassGroup, elem: int) -> GroupRingElement:

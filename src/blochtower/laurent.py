@@ -31,7 +31,16 @@ import random
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .bloch_core import _combine, _symbol_index, _twist, constant_b, generator_count, reduced_lattice, square_class_group
+from .bloch_core import (
+    _combine,
+    _symbol,
+    _twist,
+    constant_b,
+    generator_count,
+    reduced_lattice,
+    square_class_group,
+    symbol_generators,
+)
 from .exact_linalg import DimensionMismatchError
 from .finite_field import FieldSpec, square_class_code
 from .record import Record
@@ -112,18 +121,15 @@ class SpecializationTarget:
         self.total = 2 * self.width
         self.lattice = reduced_lattice(residue_field, "ic")
         b = constant_b(residue_field).b
-        self._index = _symbol_index(residue_field)
         # The quotient map is additive and each coset half is tested against
         # the same lattice, so every coset-0 symbol is imaged once per
-        # residue twist rc, which sends column k to k ^ rc: a unit by its
-        # column ([1] has none, its symbol is zero) and the valuations by
-        # (-b, +b), indexed by v > 0.
-        coords = [self.lattice.image({i: 1}) for i in range(self.width)]
+        # residue twist rc: a unit by its symbol <rc>[unit] ([1] has none,
+        # its symbol is zero) and the valuations by (-b, +b), indexed by v > 0.
         self._unit_images = []
         self._b_images = []
         for rc in (0, 1):
             self._unit_images.append(
-                {code: coords[(i * self.group_size) ^ rc] for code, i in self._index.items()}
+                {code: self.lattice.image(_symbol(residue_field, code, rc)) for code in symbol_generators(residue_field)}
             )
             twisted = _twist(b, rc)
             self._b_images.append((self.lattice.image(_combine((-1, twisted))), self.lattice.image(twisted)))
@@ -165,14 +171,6 @@ class SpecializationTarget:
 @lru_cache(maxsize=None)
 def specialization_target(residue_field: FieldSpec) -> SpecializationTarget:
     return SpecializationTarget(residue_field)
-
-
-class RelationCheckOutcome(Record):
-    __slots__ = ("status", "reason")
-
-    def __init__(self, status: str, reason: str = ""):
-        self.status = status  # "pass" | "fail" | "inconclusive"
-        self.reason = reason
 
 
 def _first_deviation(a: TruncatedLaurentSeries) -> tuple[int, int]:
@@ -230,29 +228,6 @@ def five_term_heads(x: TruncatedLaurentSeries, y: TruncatedLaurentSeries) -> tup
         (-1, (n4[0], F.neg_code(n4[1])), ratio(n4, d4)),
         (1, n5, ratio(n5, d5)),
     )
-
-
-def relation_specialization_check(
-    target: SpecializationTarget, x: TruncatedLaurentSeries, y: TruncatedLaurentSeries
-) -> RelationCheckOutcome:
-    """Push the twisted five-term relation at (x, y) through specialization.
-
-    The relation's terms (``five_term_heads``) must vanish in the induced
-    fully-reduced residue module, up to odd torsion (``terms_vanish``).  A
-    1-unit with no term past its lead in the tracked window is reported as
-    inconclusive, never as failure.
-    """
-    F = target.field
-    for name, a in (("x", x), ("y", y)):
-        if a.base != F:
-            raise ValueError(f"{name} is a series over a different residue field")
-    try:
-        terms = five_term_heads(x, y)
-    except PrecisionExhaustedError as exc:
-        return RelationCheckOutcome("inconclusive", str(exc))
-    if target.terms_vanish(terms):
-        return RelationCheckOutcome("pass")
-    return RelationCheckOutcome("fail", f"nonzero image for x={x!r}, y={y!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +301,12 @@ def fuzz_specialization(
 ) -> FuzzReport:
     """Run seeded random five-term specialization checks.
 
-    Each sample index derives its own generator from (seed, index, attempt),
-    so runs are reproducible and samples independent.  Inconclusive draws
-    (precision exhaustion, coincident samples) are resampled and counted.
+    A draw (x, y) passes when the relation's terms (``five_term_heads``)
+    vanish in the induced module up to odd torsion (``terms_vanish``).  Each
+    sample index derives its own generator from (seed, index, attempt), so
+    runs are reproducible and samples independent.  Inconclusive draws
+    (coincident samples, or a 1-unit with no term past its lead in the
+    tracked window) are resampled and counted, never reported as failures.
     """
     target = specialization_target(residue_field)
     failures: list[str] = []
@@ -343,12 +321,13 @@ def fuzz_specialization(
             if x == y:
                 inconclusive += 1
                 continue
-            outcome = relation_specialization_check(target, x, y)
-            if outcome.status == "inconclusive":
+            try:
+                terms = five_term_heads(x, y)
+            except PrecisionExhaustedError:
                 inconclusive += 1
                 continue
-            if outcome.status == "fail":
-                failures.append(f"sample {i} attempt {attempt}: {outcome.reason}")
+            if not target.terms_vanish(terms):
+                failures.append(f"sample {i} attempt {attempt}: nonzero image for x={x!r}, y={y!r}")
             break
         else:
             failures.append(f"sample {i}: exhausted {MAX_RETRIES} retries without a conclusive draw")

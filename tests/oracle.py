@@ -56,7 +56,7 @@ from blochtower.group_ring import (
     double_bracket,
     z_expand,
 )
-from blochtower.laurent import PrecisionExhaustedError, RelationCheckOutcome, TruncatedLaurentSeries as TLS
+from blochtower.laurent import PrecisionExhaustedError, TruncatedLaurentSeries as TLS
 from blochtower.record import Record
 
 
@@ -681,6 +681,16 @@ def specialize(target, a):
     if a.base != target.field:
         raise ValueError("series over a different residue field")
     return symbol(target, a.valuation, a.coeffs[0])
+
+
+class RelationCheckOutcome(Record):
+    """The result of one relation check: "pass", "fail" or "inconclusive", and why."""
+
+    __slots__ = ("status", "reason")
+
+    def __init__(self, status, reason=""):
+        self.status = status
+        self.reason = reason
 
 
 def relation_check_by_series(target, x, y, exact_precision=64):

@@ -375,6 +375,17 @@ class TestConstants:
         result = bc.verify_constants(field_from_q(q))
         assert result.ok, result.failures
 
+    def test_order_not_dividing_6_is_the_sweeps_one_failure(self, monkeypatch):
+        # constant_b refuses such an order, and the sweep reports the refusal
+        F = field_from_q(7)
+        b = bc.constant_b(F).b
+        order = exact_linalg.Lattice.order
+        monkeypatch.setattr(exact_linalg.Lattice, "order", lambda self, v: 4 if v == b else order(self, v))
+        bc.constant_b.cache_clear()
+        result = bc.verify_constants(F)
+        assert result.checked == 1 and len(result.failures) == 1
+        assert "order dividing 6, got 4" in result.failures[0]
+
 
 class TestDfModule:
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
@@ -437,7 +448,7 @@ class TestEigenspaceReconstruction:
         # the integral kernel of the invariant pair, computed on the
         # scalar-restricted presentation, must rebuild (away from 2) from
         # the per-character kernels
-        from blochtower.exact_linalg import FpPresentation, IntMatrix, map_kernel
+        from blochtower.exact_linalg import FpPresentation, IntMatrix, kernel_with_embedding
         from blochtower.group_ring import z_expand
 
         F = field_from_q(q)
@@ -451,7 +462,7 @@ class TestEigenspaceReconstruction:
         for lam1, lam2 in zip(bc._lambda_one_table(F), bc._lambda_two_table(F)):
             for e in G.elements():
                 rows.append((bracket(G, e) * lam1).to_int_vector() + [lam2])
-        kernel = map_kernel(domain, codomain, IntMatrix.from_rows(rows, cols=G.size + 1))
+        kernel = kernel_with_embedding(domain, codomain, IntMatrix.from_rows(rows, cols=G.size + 1))
         integral_odd = kernel.invariants().odd_part()
         merged = oracle.direct_sum(*bc.refined_bloch(F).values())
         assert oracle.direct_sum(integral_odd) == merged

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blochtower import bloch_core as bc, laurent
 from blochtower.exact_linalg import DimensionMismatchError, IntMatrix, Lattice
 from blochtower.finite_field import field, field_from_q
 from blochtower.laurent import (
@@ -11,7 +12,6 @@ from blochtower.laurent import (
     TruncatedLaurentSeries as TLS,
     five_term_heads,
     fuzz_specialization,
-    relation_specialization_check,
     specialization_target,
     _one_minus_head,
     _sample_series,
@@ -42,6 +42,17 @@ from oracle import (
 
 F5 = field(5)
 F7 = field(7)
+
+
+def heads_check(target, x, y):
+    """The check ``fuzz_specialization`` makes of one draw, as the oracle's outcome record."""
+    try:
+        terms = five_term_heads(x, y)
+    except PrecisionExhaustedError as exc:
+        return oracle.RelationCheckOutcome("inconclusive", str(exc))
+    if target.terms_vanish(terms):
+        return oracle.RelationCheckOutcome("pass")
+    return oracle.RelationCheckOutcome("fail", f"nonzero image for x={x!r}, y={y!r}")
 
 
 def rand_series(F, rng, precision, vmin=-3, vmax=3):
@@ -209,7 +220,7 @@ class TestSpecialize:
         u = TLS(F5, 0, (3, 1, 4))
         twisted = act(tgt, (0, 1), specialize(tgt, u))
         direct = [0] * tgt.total
-        idx = tgt._index[3] * tgt.group_size
+        idx = bc._symbol_index(F5)[3] * tgt.group_size
         direct[idx ^ 1] = 1
         assert twisted == direct
 
@@ -229,19 +240,19 @@ class TestRelationCheck:
         tgt = specialization_target(F5)
         x = TLS(F5, 0, (2,) + (0,) * 15)
         y = TLS(F5, 0, (3,) + (1,) * 15)
-        assert relation_specialization_check(tgt, x, y).status == "pass"
+        assert heads_check(tgt, x, y).status == "pass"
 
     def test_t_and_t_squared(self):
         tgt = specialization_target(F5)
         x = truncate(uniformizer(F5), 64)
         y = truncate(uniformizer(F5, 2), 64)
-        assert relation_specialization_check(tgt, x, y).status == "pass"
+        assert heads_check(tgt, x, y).status == "pass"
 
     def test_one_unit_input_inconclusive(self):
         tgt = specialization_target(F5)
         x = TLS(F5, 0, (1, 0, 0, 0))  # 1 to precision: 1 - x^-1 dies
         y = TLS(F5, 0, (3, 1, 2, 4))
-        assert relation_specialization_check(tgt, x, y).status == "inconclusive"
+        assert heads_check(tgt, x, y).status == "inconclusive"
 
     def test_mixed_valuations_sample(self):
         tgt = specialization_target(F5)
@@ -250,7 +261,7 @@ class TestRelationCheck:
         for _ in range(40):
             x = rand_series(F5, rng, 32)
             y = rand_series(F5, rng, 32)
-            out = relation_specialization_check(tgt, x, y)
+            out = heads_check(tgt, x, y)
             assert out.status in ("pass", "inconclusive")
             passes += out.status == "pass"
         assert passes > 30
@@ -286,7 +297,7 @@ class TestRelationHeads:
         x = data.draw(relation_arguments(F))
         y = data.draw(relation_arguments(F))
         tgt = specialization_target(F)
-        assert relation_specialization_check(tgt, x, y) == oracle.relation_check_by_series(tgt, x, y)
+        assert heads_check(tgt, x, y) == oracle.relation_check_by_series(tgt, x, y)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -308,14 +319,9 @@ class TestRelationHeads:
     def test_series_agreeing_with_one_is_inconclusive(self):
         tgt = specialization_target(F5)
         y = truncate(one(F5), 6)
-        outcome = relation_specialization_check(tgt, constant(F5, 2), y)
+        outcome = heads_check(tgt, constant(F5, 2), y)
         assert outcome.status == "inconclusive"
         assert outcome.reason == "cancellation consumed the tracked window"
-
-    def test_other_field_rejected(self):
-        tgt = specialization_target(F5)
-        with pytest.raises(ValueError, match="^x is a series over a different residue field"):
-            relation_specialization_check(tgt, constant(F7, 2), constant(F5, 2))
 
 
 HEAD_FIELDS = (3, 5, 7, 9, 13, 25, 27, 31)
@@ -437,6 +443,24 @@ class TestFuzz:
     def test_f3_supported(self):
         report = fuzz_specialization(field(3), 32, 40, seed=5)
         assert not report.failures
+
+    def test_inconclusive_draw_resampled_and_failure_named(self, monkeypatch):
+        heads = five_term_heads
+        raised = []
+
+        def exhausted_once(x, y):
+            if not raised:
+                raised.append(1)
+                raise PrecisionExhaustedError("cancellation consumed the tracked window")
+            return heads(x, y)
+
+        monkeypatch.setattr(laurent, "five_term_heads", exhausted_once)
+        monkeypatch.setattr(laurent.SpecializationTarget, "terms_vanish", lambda self, terms: False)
+        report = fuzz_specialization(F5, 8, 1, seed=3)
+        rng = random.Random("3:0:1")
+        x, y = _sample_series(F5, rng, 8), _sample_series(F5, rng, 8)
+        assert (report.attempts, report.inconclusive) == (2, 1)
+        assert report.failures == (f"sample 0 attempt 1: nonzero image for x={x!r}, y={y!r}",)
 
     def test_no_lattice_image_per_draw(self, monkeypatch):
         F = field_from_q(31)

@@ -32,7 +32,6 @@ NOT_ENTERED = {
     # and IntMatrix.diagonal are reached only through smith_normal_form
     "exact_linalg.smith_normal_form",
     "exact_linalg.hermite_normal_form",
-    "exact_linalg.map_kernel",
     "exact_linalg.IntMatrix.__init__",
     "exact_linalg.IntMatrix.diagonal",
     "exact_linalg.IntMatrix.to_rows",

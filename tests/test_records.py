@@ -13,7 +13,7 @@ from blochtower.bloch_core import SweepResult
 from blochtower.exact_linalg import AbelianInvariants
 from blochtower.finite_field import field_from_q
 from blochtower.group_ring import Character, SquareClassGroup
-from blochtower.laurent import FuzzReport, RelationCheckOutcome, TruncatedLaurentSeries
+from blochtower.laurent import FuzzReport, TruncatedLaurentSeries
 
 F5 = field_from_q(5)
 
@@ -33,7 +33,6 @@ CASES = {
         (1, (2, 3)),
         [(0, (2, 3)), (1, (2, 4))],
     ),
-    "RelationCheckOutcome": (RelationCheckOutcome, ("fail", "x"), [("pass", "x"), ("fail", "y")]),
     "FuzzReport": (
         FuzzReport,
         ("5", 64, 10, 1, (), 0, 10),
@@ -71,5 +70,5 @@ def test_one_differing_field_unequal(name):
 
 
 def test_records_of_different_classes_unequal():
-    assert SquareClassGroup(1) != RelationCheckOutcome(1)
+    assert SquareClassGroup(1) != AbelianInvariants((), 1)
     assert Character(group(), 1) != (group(), 1)
