@@ -88,7 +88,7 @@ def check_hypotheses(tower: TowerSpec) -> list[dict]:
         else:
             char3 = True, f"base characteristic {base.p} != 3"
         kernel = rb0_is_trivial(base), "computed from the nontrivial character eigenspaces"
-        norms = order == 1, f"norm-group enumeration gives quotient order {order}"
+        norms = order == 1, f"the norm of a finite extension of finite fields is onto: quotient order {order}"
     else:
         perfect = char3 = True, "characteristic 0"
         kernel = True, f"standard for a {base} base"
