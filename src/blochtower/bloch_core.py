@@ -49,6 +49,7 @@ from .exact_linalg import (
     FpPresentation,
     IntMatrix,
     Lattice,
+    _combine,
     kernel_with_embedding,
 )
 from .finite_field import (
@@ -85,8 +86,6 @@ def square_class_group(F: FieldSpec) -> SquareClassGroup:
 @lru_cache(maxsize=None)
 def symbol_generators(F: FieldSpec) -> tuple[int, ...]:
     """Codes indexing the symbol generators: F^x without 1, ascending."""
-    if F.q == 2:
-        return ()
     return tuple(c for c in F.units() if c != 1)
 
 
@@ -111,15 +110,6 @@ def _symbol(F: FieldSpec, code: int, twist: int = 0) -> dict[int, int]:
     if code == 1:
         return {}
     return {_symbol_index(F)[code] * square_class_group(F).size + twist: 1}
-
-
-def _combine(*terms: tuple[int, Mapping[int, int]]) -> dict[int, int]:
-    """The sum of coeff * v over (coeff, v) terms, zero entries dropped."""
-    out: dict[int, int] = {}
-    for coeff, v in terms:
-        for k, c in v.items():
-            out[k] = out.get(k, 0) + coeff * c
-    return {k: c for k, c in out.items() if c}
 
 
 def _twist(v: Mapping[int, int], t: int) -> dict[int, int]:
@@ -315,25 +305,6 @@ def _lambda_values(F: FieldSpec, rows: Iterable[Iterable[tuple[int, int, int]]])
 # Bloch groups
 
 
-def asym2_presentation(F: FieldSpec) -> FpPresentation:
-    return FpPresentation(1, IntMatrix.from_rows([[asym2_modulus(F)]]))
-
-
-def _lambda_two_matrix(F: FieldSpec) -> IntMatrix:
-    return IntMatrix.from_rows([[v] for v in _lambda_two_table(F)], cols=1)
-
-
-@lru_cache(maxsize=None)
-def bloch_group(F: FieldSpec) -> FpPresentation:
-    """The Bloch group: kernel of lambda_two on the pre-Bloch group."""
-    return kernel_with_embedding(prebloch_presentation(F), asym2_presentation(F), _lambda_two_matrix(F))
-
-
-@lru_cache(maxsize=None)
-def bloch_invariants(F: FieldSpec) -> AbelianInvariants:
-    return bloch_group(F).invariants()
-
-
 def _refined_lambda_matrix(F: FieldSpec, chi: Character) -> IntMatrix:
     """Per-character matrix of (lambda_one, lambda_two) into Z + asym2."""
     rows = [[lam.apply_character(chi), two] for lam, two in zip(_lambda_one_table(F), _lambda_two_table(F))]
@@ -341,28 +312,30 @@ def _refined_lambda_matrix(F: FieldSpec, chi: Character) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def refined_bloch(F: FieldSpec) -> dict[Character, AbelianInvariants]:
-    """Odd invariants of the refined Bloch group, one entry per character.
+def eigenspace_kernel(F: FieldSpec, chi: Character) -> FpPresentation:
+    """Kernel of the chi-specialized invariant map (lambda_one, lambda_two) into Z + asym2.
 
-    Characters split the 2-inverted module into eigenspaces, so each entry is
-    the odd part of the kernel of the specialized invariant map.  The trivial
-    entry is the odd part of the plain Bloch group, taken from
-    ``bloch_invariants``; each nontrivial entry is computed from the
-    specialized relation rows.
+    Characters split the 2-inverted refined module into eigenspaces; the odd
+    part of this kernel is the chi eigenspace of the refined Bloch group.
+    The trivial character specializes to the pre-Bloch presentation, whose
+    lattice is shared, and lambda_one lies in I^2, so its trivial
+    specialization is 0: the trivial kernel is the Bloch group.
     """
+    pres = prebloch_presentation(F) if chi.is_trivial else character_presentation(F, chi)
     codomain = FpPresentation(2, IntMatrix.from_rows([[0, asym2_modulus(F)]]))
-    out: dict[Character, AbelianInvariants] = {}
-    for chi in square_class_group(F).characters():
-        if chi.is_trivial:
-            # The trivial specialization matrix is the pre-Bloch matrix, and
-            # lambda_one lies in I^2, so its augmentation (its trivial
-            # specialization) is 0: the specialized map is lambda_two alone,
-            # whose kernel on the pre-Bloch group is the Bloch group.
-            out[chi] = bloch_invariants(F).odd_part()
-            continue
-        kernel = kernel_with_embedding(character_presentation(F, chi), codomain, _refined_lambda_matrix(F, chi))
-        out[chi] = kernel.invariants().odd_part()
-    return out
+    return kernel_with_embedding(pres, codomain, _refined_lambda_matrix(F, chi))
+
+
+@lru_cache(maxsize=None)
+def bloch_invariants(F: FieldSpec) -> AbelianInvariants:
+    """Invariants of the Bloch group: the kernel of lambda_two on the pre-Bloch group."""
+    return eigenspace_kernel(F, square_class_group(F).character(0)).invariants()
+
+
+@lru_cache(maxsize=None)
+def refined_bloch(F: FieldSpec) -> dict[Character, AbelianInvariants]:
+    """Odd invariants of the refined Bloch group, one entry per character eigenspace."""
+    return {chi: eigenspace_kernel(F, chi).invariants().odd_part() for chi in square_class_group(F).characters()}
 
 
 def rb0_is_trivial(F: FieldSpec) -> bool:
@@ -668,8 +641,6 @@ def verify_suslin_lambda_one(F: FieldSpec) -> SweepResult:
 def verify_two_torsion(F: FieldSpec) -> SweepResult:
     """2([x] + [x^-1]) dies in the plain pre-Bloch group."""
     failures = []
-    if F.q == 2:
-        return SweepResult("inversion_two_torsion", 0, ())
     index = _symbol_index(F)
     lat = prebloch_lattice(F)
     for x in symbol_generators(F):
@@ -693,7 +664,7 @@ def verify_suslin_image_lattice(F: FieldSpec) -> SweepResult:
             if any(shifted):
                 left_rows.append(shifted)
     right_rows = []
-    minus_one_cls = square_class_code(F, F.neg_code(1)) if F.q > 2 else 0
+    minus_one_cls = square_class_code(F, F.neg_code(1))
     p_minus = GroupRingElement.one(G) + bracket(G, minus_one_cls)
     for a in G.elements():
         for e in G.elements():
@@ -739,8 +710,6 @@ def verify_reduced_identities(F: FieldSpec) -> SweepResult:
     in the full quotient:   [1-x] = -<-1>[x].
     """
     failures = []
-    if F.q == 2:
-        return SweepResult("reduced_quotient_identities", 0, ())
     ic, c = reduced_lattice(F, "ic"), reduced_lattice(F, "c")
     minus_one = square_class_code(F, F.neg_code(1))
     for x in symbol_generators(F):
@@ -768,7 +737,7 @@ SWEEPS = {
 def run_suite(F: FieldSpec, suite: str) -> list[SweepResult]:
     """Run one named verification suite, or all of them."""
     if suite == "all":
-        names = ("lambda", "suslin", "constants", "df", "pb")
+        names = tuple(SWEEPS)
     elif suite in SWEEPS:
         names = (suite,)
     else:

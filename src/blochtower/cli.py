@@ -21,7 +21,7 @@ import time
 from typing import Optional
 
 from . import __version__
-from .bloch_core import bloch_invariants, prebloch_presentation, refined_bloch, run_suite
+from .bloch_core import SWEEPS, bloch_invariants, prebloch_presentation, refined_bloch, run_suite
 from .finite_field import SYMBOLIC_BASES, FieldBoundError, FieldSpec, parse_field_spec
 from .laurent import DEFAULT_SEED, MAX_PRECISION, MAX_SAMPLES, fuzz_specialization
 
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--suite",
         default="all",
-        choices=("all", "lambda", "suslin", "constants", "df", "pb"),
+        choices=("all", *SWEEPS),
         help="which sweep to run",
     )
     v.set_defaults(func=_cmd_verify)

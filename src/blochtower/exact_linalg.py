@@ -235,7 +235,7 @@ class FpPresentation:
 # sparse row operations
 
 
-def _row_addmul(target: dict[int, int], source: dict[int, int], q: int) -> None:
+def _row_addmul(target: dict[int, int], source: Mapping[int, int], q: int) -> None:
     if not q:
         return
     for c, v in source.items():
@@ -244,6 +244,14 @@ def _row_addmul(target: dict[int, int], source: dict[int, int], q: int) -> None:
             target[c] = nv
         else:
             target.pop(c, None)
+
+
+def _combine(*terms: tuple[int, Mapping[int, int]]) -> dict[int, int]:
+    """The sparse row sum of coeff * v over (coeff, v) terms, zero entries dropped."""
+    out: dict[int, int] = {}
+    for coeff, v in terms:
+        _row_addmul(out, v, coeff)
+    return out
 
 
 def _hermite_basis(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
@@ -401,44 +409,34 @@ def _transpose(rows: list[dict[int, int]], cols: int) -> list[dict[int, int]]:
     return out
 
 
-def _combine(x: dict[int, int], a: int, y: dict[int, int], b: int) -> dict[int, int]:
-    """The sparse row a*x + b*y."""
-    out = {j: a * v for j, v in x.items()} if a else {}
-    _row_addmul(out, y, b)
-    return out
-
-
 def _smith_core(basis: list[dict[int, int]], cols: int):
-    """Smith diagonal of a k-row echelon basis of rank k, with its transforms.
+    """Smith diagonal of a k-row echelon basis B of rank k, with its column transform.
 
-    Entries before ``cols`` are the matrix B; entries from ``cols`` on (the
-    identity columns of a Hermite transform) are the rows of U.  Returns
-    (diag, rows of U still shifted by cols, rows of V) with U*B*V = D.
-    Hermite bases of the columns and of the rows are taken in turn (Kannan
-    and Bachem, SIAM J. Comput. 8, 1979), each carrying its transform as
-    columns from ``cols`` on: the rows of V^T on the column side, the rows
-    of U on the row side.  The first, on the cols columns, leaves a k x k
-    head on top of cols - k rows of V^T that the head vanishes on (the free
-    coordinates); the turns end once every head row has one entry.  Each
-    pair of diagonal entries a, b with a not dividing b then becomes
-    (gcd, lcm) by one unimodular 2 x 2 step on rows i, j of U and V^T, so
-    the diagonal ends a divisibility chain.
+    Returns (diag, rows of V) with U*B*V = D for some unimodular U, which is
+    not kept.  Hermite bases of the columns and of the rows are taken in
+    turn (Kannan and Bachem, SIAM J. Comput. 8, 1979); the column side
+    carries the rows of V^T as columns from ``cols`` on.  The first turn
+    leaves a k x k head on top of cols - k rows of V^T that the head
+    vanishes on (the free coordinates); the turns end once every head row
+    has one entry.  Each pair of diagonal entries a, b with a not dividing b
+    then becomes (gcd, lcm) by one unimodular 2 x 2 step on rows i, j of
+    V^T, so the diagonal ends a divisibility chain.
     """
     k = len(basis)
-    heads = _transpose([{j: x for j, x in row.items() if j < cols} for row in basis], cols)
-    sides = [[{cols + j: 1} for j in range(cols)], [{j: x for j, x in row.items() if j >= cols} for row in basis]]
-    turn = 0
+    heads = _transpose(basis, cols)
+    vt = [{cols + j: 1} for j in range(cols)]
+    column_turn = True
     while True:
-        rows = [{**h, **t} for h, t in zip(heads, sides[turn])]
+        rows = [{**h, **t} for h, t in zip(heads, vt)] if column_turn else heads
         rows = _hermite_basis(sorted(filter(None, rows), key=min, reverse=True))
         heads = [{j: x for j, x in row.items() if j < k} for row in rows[:k]]
-        # only the first turn has rows past k: the V^T rows of the free coordinates
-        sides[turn][:len(rows)] = [{j: x for j, x in row.items() if j >= k} for row in rows]
+        if column_turn:
+            # only the first turn has rows past k: the V^T rows of the free coordinates
+            vt[:len(rows)] = [{j: x for j, x in row.items() if j >= k} for row in rows]
         if all(len(h) == 1 for h in heads):
             break
         heads = _transpose(heads, k)
-        turn ^= 1
-    vt, u = sides
+        column_turn = not column_turn
     diag = [h[i] for i, h in enumerate(heads)]
     for i in range(k):
         for j in range(i + 1, k):
@@ -448,26 +446,24 @@ def _smith_core(basis: list[dict[int, int]], cols: int):
                 g = math.gcd(a, b)
                 s = pow(a // g, -1, b // g)
                 t = (g - s * a) // b
-                u[i], u[j] = _combine(u[i], s, u[j], t), _combine(u[i], -(b // g), u[j], a // g)
-                vt[i], vt[j] = _combine(vt[i], 1, vt[j], 1), _combine(vt[i], -t * (b // g), vt[j], s * (a // g))
+                vt[i], vt[j] = _combine((1, vt[i]), (1, vt[j])), _combine((-t * (b // g), vt[i]), (s * (a // g), vt[j]))
                 diag[i], diag[j] = g, a // g * b
-    return diag, u, _transpose([{j - cols: x for j, x in row.items()} for row in vt], cols)
+    return diag, _transpose([{j - cols: x for j, x in row.items()} for row in vt], cols)
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: returns (D, U, V) with U*M*V = D.
 
     U and V are unimodular; the diagonal of D is nonnegative and forms a
-    divisibility chain.  Total on all integer matrices.  The Smith core runs
-    on the Hermite rows of [M | I] with nonzero M part, which carry their U
-    columns; the other rows' U columns (the left kernel of M) follow them.
+    divisibility chain.  Total on all integer matrices.  V comes from the
+    Smith core on the Hermite basis of M's rows, and U is the Hermite
+    transform of M*V: M*V = U^-1 D has the row lattice of D, and D (its
+    entries positive, nothing above them) is its own reduced Hermite basis.
     """
-    basis = Lattice(_with_identity(M._rows, M.cols, M.rows)).basis_rows()
-    k = sum(min(row) < M.cols for row in basis)
-    diag, u, v = _smith_core(basis[:k], M.cols)
-    D = IntMatrix.diagonal(diag, M.rows, M.cols)
-    U = IntMatrix.from_sparse_rows(({j - M.cols: x for j, x in row.items()} for row in u + basis[k:]), M.rows)
-    return D, U, IntMatrix._of(v, M.cols)
+    _, v = _smith_core(Lattice(M).basis_rows(), M.cols)
+    V = IntMatrix._of(v, M.cols)
+    D, U = hermite_normal_form(M @ V)
+    return D, U, V
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +478,7 @@ def _smith_quotient(basis: list[dict[int, int]], cols: int) -> QuotientMap:
     V restricted to their columns), so row r holds what the r-th unit vector
     adds to each coordinate of an image.
     """
-    diag, _, v = _smith_core(basis, cols)
+    diag, v = _smith_core(basis, cols)
     diag += [0] * (cols - len(diag))
     kept = [i for i, d in enumerate(diag) if d != 1]
     return tuple(diag[i] for i in kept), [tuple(row.get(i, 0) for i in kept) for row in v]

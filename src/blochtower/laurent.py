@@ -32,7 +32,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .bloch_core import (
-    _combine,
     _symbol,
     _twist,
     constant_b,
@@ -41,7 +40,7 @@ from .bloch_core import (
     square_class_group,
     symbol_generators,
 )
-from .exact_linalg import DimensionMismatchError
+from .exact_linalg import DimensionMismatchError, _combine
 from .finite_field import FieldSpec, square_class_code
 from .record import Record
 

@@ -42,7 +42,7 @@ def _checked_smith_quotient(smith_quotient):
             image = [sum(x * vrows[r][i] for r, x in row.items()) for i in range(len(moduli))]
             if any(y % d if d else y for y, d in zip(image, moduli)):
                 raise AssertionError("a basis row has a nonzero quotient image")
-        diag, _, v = exact_linalg._smith_core(basis, cols)
+        diag, v = exact_linalg._smith_core(basis, cols)
         kept = [i for i in range(cols) if i >= len(diag) or diag[i] != 1]
         if vrows != [tuple(row.get(i, 0) for i in kept) for row in v]:
             raise AssertionError("the quotient map is not read from the Smith transform")

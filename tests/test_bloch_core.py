@@ -176,10 +176,16 @@ class TestBlochGroups:
 
     @pytest.mark.parametrize("q", UNIT_TEST_FIELDS)
     def test_refined_trivial_character_matches_bloch(self, q):
+        # the Bloch group as the kernel of lambda_two alone, through the oracle:
+        # the trivial eigenspace kernel drops lambda_one, whose augmentation is 0
         F = field_from_q(q)
+        lam2 = IntMatrix.from_rows([[v] for v in bc._lambda_two_table(F)], cols=1)
+        asym2 = FpPresentation(1, IntMatrix.from_rows([[bc.asym2_modulus(F)]]))
+        bloch, _ = oracle.kernel_with_all_relation_rows(bc.prebloch_presentation(F), asym2, lam2)
+        assert bc.bloch_invariants(F) == bloch.invariants()
         per_char = bc.refined_bloch(F)
         trivial_entry = next(invs for chi, invs in per_char.items() if chi.is_trivial)
-        assert trivial_entry == bc.bloch_invariants(F).odd_part()
+        assert trivial_entry == bloch.invariants().odd_part()
 
     @pytest.mark.parametrize("q,expected", [(5, inv(3)), (13, inv(7)), (4, inv(5))])
     def test_refined_bloch_examples(self, q, expected):
@@ -507,7 +513,7 @@ class TestCertifiedLattices:
     @pytest.mark.parametrize("q", [7, 9, 13])
     def test_presentation_invariants_match_textbook_smith(self, q):
         F = field_from_q(q)
-        for P in (bc.prebloch_presentation(F), bc.bloch_group(F)):
+        for P in (bc.prebloch_presentation(F), bc.eigenspace_kernel(F, bc.square_class_group(F).character(0))):
             diag = oracle.smith_diagonal(P.relations.to_rows())
             factors, rank = oracle.invariants_from_diagonal(diag, P.generators)
             assert P.invariants() == AbelianInvariants(tuple(factors), rank)

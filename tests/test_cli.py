@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,14 @@ class TestVerify:
 
     def test_unknown_suite_exits_2(self):
         assert main(["verify", "--q", "5", "--suite", "bogus"]) == 2
+
+    def test_help_lists_every_sweep(self, capsys, monkeypatch):
+        # an added sweep shows up in the help without a second edit
+        monkeypatch.setattr(cli, "SWEEPS", {**cli.SWEEPS, "extra": ()})
+        code, out = run(capsys, "verify", "--help")
+        assert code == 0
+        choices = re.search(r"--suite \{([^}]*)\}", out).group(1).split(",")
+        assert choices == ["all", *cli.SWEEPS]
 
 
 class TestLaurentFuzz:

@@ -28,8 +28,9 @@ PACKAGE = Path(blochtower.__file__).resolve().parent
 
 # Qualified names (module.qualname) no command enters, one comment per reason.
 NOT_ENTERED = {
-    # public API the acceptance suite and its tests use; IntMatrix.__init__
-    # and IntMatrix.diagonal are reached only through smith_normal_form
+    # public API the acceptance suite and its tests use; smith_normal_form
+    # reaches hermite_normal_form and IntMatrix.__matmul__, and only tests
+    # reach IntMatrix.__init__ and IntMatrix.diagonal
     "exact_linalg.smith_normal_form",
     "exact_linalg.hermite_normal_form",
     "exact_linalg.IntMatrix.__init__",
