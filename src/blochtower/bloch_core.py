@@ -31,9 +31,10 @@ Downstream of the presentations: the invariant maps lambda_one (into the
 square of the augmentation ideal) and lambda_two (into the antisymmetric
 square of F^x), their joint kernel (the refined Bloch group, computed per
 character after inverting 2), the inversion elements psi_1/psi_2, the
-constant elements b and c = 2b, the cyclic submodule generated by c, the
-reduced quotient presentations, and the verification sweeps for all the
-identities these objects satisfy.
+constant elements b and c = 2b, the reduced quotient presentations, and the
+verification sweeps for the identities these objects satisfy.  Each
+identity has one checker, its sweep: the cyclic submodule generated by c,
+for one, is read only through its defining identities in the ``df`` sweep.
 
 Only lattices and the order they insert rows in (4 bytes a row) are cached
 per field, never a relation row; all that is observable is a function of F.
@@ -78,9 +79,7 @@ class InternalConsistencyError(AssertionError):
 
 @lru_cache(maxsize=None)
 def square_class_group(F: FieldSpec) -> SquareClassGroup:
-    if F.q % 2 == 0:
-        return SquareClassGroup(0)
-    return SquareClassGroup(1)
+    return SquareClassGroup(F.q % 2)
 
 
 @lru_cache(maxsize=None)
@@ -240,9 +239,7 @@ def asym2_pairing(F: FieldSpec, a: int, b: int) -> int:
     The antisymmetric square of the cyclic group F_q^x is Z/gcd(2, q-1) on
     the generator g o g, and g^a o g^b = ab * (g o g).
     """
-    if asym2_modulus(F) == 1:
-        return 0
-    return (F.dlog_code(a) * F.dlog_code(b)) % 2
+    return F.dlog_code(a) * F.dlog_code(b) % asym2_modulus(F)
 
 
 def lambda_two(F: FieldSpec, code: int) -> int:
@@ -463,73 +460,7 @@ def prebloch_lattice(F: FieldSpec) -> Lattice:
 
 
 # ---------------------------------------------------------------------------
-# the cyclic module on c and the reduced quotients
-
-
-class DfModuleReport:
-    """Verification data for the cyclic module generated by c."""
-
-    __slots__ = (
-        "c_order",
-        "difference_identity_two_inverted",
-        "difference_identity_integral",
-        "norm_annihilation_two_inverted",
-        "failures",
-    )
-
-    def __init__(
-        self,
-        c_order: int,
-        difference_identity_two_inverted: bool,
-        difference_identity_integral: bool,
-        norm_annihilation_two_inverted: bool,
-        failures: tuple[str, ...],
-    ):
-        self.c_order = c_order
-        self.difference_identity_two_inverted = difference_identity_two_inverted
-        self.difference_identity_integral = difference_identity_integral
-        self.norm_annihilation_two_inverted = norm_annihilation_two_inverted
-        self.failures = failures
-
-
-def _df_checks(F: FieldSpec) -> DfModuleReport:
-    consts = constant_b(F)
-    lat = rp_lattice(F)
-    failures: list[str] = []
-    df1_half = True
-    df1_int = True
-    for code in F.units():
-        twisted = _double_twist(consts.c, square_class_code(F, code))
-        img = lat.image(_combine((1, suslin_element(F, 1, code)), (-1, suslin_element(F, 2, code)), (-1, twisted)))
-        if not lat.vanishes(img, invert_two=True):
-            df1_half = False
-            failures.append(f"difference identity fails at x={code} even with 2 inverted")
-        if not lat.vanishes(img):
-            df1_int = False
-    df2 = True
-    for code in F.units():
-        twisted = _double_twist(consts.c, square_class_code(F, code))
-        if not lat.is_member(twisted, invert_two=True):
-            df2 = False
-            failures.append(f"norm annihilation fails at x={code}")
-    return DfModuleReport(consts.c_order, df1_half, df1_int, df2, tuple(failures))
-
-
-def df_module(F: FieldSpec) -> DfModuleReport:
-    """Check the defining identities of the module generated by c.
-
-    (1) psi_1(x) - psi_2(x) = <<x>> c for every x (after inverting 2; the
-        integral outcome is recorded separately rather than asserted).
-    (2) <<x>> c = 0 whenever x is, up to sign, a norm from F(zeta3); over a
-        finite field that is every x (``rsq_order``).
-
-    A failed check is fatal: these identities hold for every field, so a
-    failure means the implementation is wrong.
-    """
-    report = _df_checks(F)
-    if report.failures:
-        raise InternalConsistencyError("; ".join(report.failures))
-    return report
+# the reduced quotients
 
 
 @lru_cache(maxsize=None)
@@ -654,7 +585,6 @@ def verify_suslin_image_lattice(F: FieldSpec) -> SweepResult:
     """lambda_one of the inversion submodule spans (1 + <-1>) * augmentation ideal."""
     G = square_class_group(F)
     size = G.size
-    failures = []
     left_rows = []
     psis = (_terms(F, suslin_element(F, i, x)) for i in (1, 2) for x in F.units())
     for val, _ in _lambda_values(F, psis):
@@ -671,14 +601,11 @@ def verify_suslin_image_lattice(F: FieldSpec) -> SweepResult:
             val = bracket(G, e) * (p_minus * double_bracket(G, a))
             if not val.is_zero():
                 right_rows.append(val.to_int_vector())
-    # every row is nonzero, so none lies in the lattice of no rows
     left = Lattice(IntMatrix.from_rows(left_rows, cols=size))
     right = Lattice(IntMatrix.from_rows(right_rows, cols=size))
-    if not all(right.is_member(row) for row in left_rows):
-        failures.append("inversion image not inside (1+<-1>)*I")
-    if not all(left.is_member(row) for row in right_rows):
-        failures.append("(1+<-1>)*I not inside inversion image")
-    return SweepResult("suslin_lambda_one_image", len(left_rows) + len(right_rows), tuple(failures))
+    # a reduced Hermite basis is unique, so the lattices are equal exactly when their bases are
+    failures = ("inversion image differs from (1+<-1>)*I",) if left.basis_rows() != right.basis_rows() else ()
+    return SweepResult("suslin_lambda_one_image", len(left_rows) + len(right_rows), failures)
 
 
 def verify_constants(F: FieldSpec) -> SweepResult:
@@ -698,9 +625,24 @@ def verify_constants(F: FieldSpec) -> SweepResult:
 
 
 def verify_df_identities(F: FieldSpec) -> SweepResult:
-    report = _df_checks(F)
-    checked = 2 * (F.q - 1)
-    return SweepResult("difference_identity", checked, tuple(report.failures))
+    """The defining identities of the module generated by c, after inverting 2:
+
+    psi_1(x) - psi_2(x) = <<x>> c and <<x>> c = 0 for every x.  The second
+    holds when x is, up to sign, a norm from F(zeta3), which over a finite
+    field is every x (``rsq_order``).
+    """
+    c = constant_b(F).c
+    lat = rp_lattice(F)
+    twisted = {x: _double_twist(c, square_class_code(F, x)) for x in F.units()}
+    failures = []
+    for x, cx in twisted.items():
+        difference = _combine((1, suslin_element(F, 1, x)), (-1, suslin_element(F, 2, x)), (-1, cx))
+        if not lat.is_member(difference, invert_two=True):
+            failures.append(f"difference identity fails at x={x} even with 2 inverted")
+    for x, cx in twisted.items():
+        if not lat.is_member(cx, invert_two=True):
+            failures.append(f"norm annihilation fails at x={x}")
+    return SweepResult("difference_identity", 2 * (F.q - 1), tuple(failures))
 
 
 def verify_reduced_identities(F: FieldSpec) -> SweepResult:

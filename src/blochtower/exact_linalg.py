@@ -65,22 +65,10 @@ class IntMatrix:
     indices against the shape.  The row dicts are the only storage: a
     relation matrix is written row by row (``from_sparse_rows`` takes rows
     as they are produced) and ``Lattice`` eliminates those rows as they
-    are.  ``entries`` is the ``(i, j)``-keyed view, derived on each read;
-    ``IntMatrix(rows, cols, {(i, j): v})`` still builds a matrix from one.
+    are.  ``entries`` is the ``(i, j)``-keyed view, derived on each read.
     """
 
     __slots__ = ("rows", "cols", "_rows")
-
-    def __init__(self, rows: int, cols: int, entries=None):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        data: list[dict[int, int]] = [{} for _ in range(rows)]
-        for (i, j), v in (entries or {}).items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise DimensionMismatchError(f"entry index {(i, j)} out of range")
-            if v:
-                data[i][j] = int(v)
-        self.rows, self.cols, self._rows = rows, cols, data
 
     @classmethod
     def _of(cls, data: list[dict[int, int]], cols: int) -> "IntMatrix":
@@ -116,13 +104,6 @@ class IntMatrix:
                 raise DimensionMismatchError(f"entry index {(i, j)} out of range")
             data.append({j: int(v) for j, v in row.items() if v})
         return cls._of(data, cols)
-
-    @classmethod
-    def diagonal(cls, diag: Sequence[int], rows: Optional[int] = None, cols: Optional[int] = None) -> "IntMatrix":
-        n = len(diag)
-        rows = n if rows is None else rows
-        cols = n if cols is None else cols
-        return cls(rows, cols, {(i, i): d for i, d in enumerate(diag) if d})
 
     @property
     def entries(self) -> dict[tuple[int, int], int]:

@@ -7,8 +7,8 @@ determined by p and m and every run constructs the same tables.
 Elements are encoded as integers in [0, q): the element sum(c_i * X^i) has
 code sum(c_i * p^i).  Element ordering used for deterministic choices
 (generators, roots) is the ascending code order.  Multiplication goes
-through cached discrete-log tables, which also serve the antisymmetric
-pairing needed elsewhere.
+through discrete-log tables built with the field, which also serve the
+antisymmetric pairing needed elsewhere.
 
 Besides the arithmetic there are the square-class map and the order of the
 quotient F^x / +-N_{F(zeta3)/F}(F(zeta3)^x), which is 1.
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from typing import Optional
 
 DEFAULT_MAX_Q = 1 << 16
 
@@ -152,9 +151,9 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 class FieldSpec:
-    """A small finite field F_q with canonical modulus and cached tables."""
+    """A small finite field F_q with canonical modulus and discrete-log tables."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_dlog", "_generator")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_dlog")
 
     def __init__(self, p: int, m: int = 1):
         if p >= 2:
@@ -168,9 +167,14 @@ class FieldSpec:
         self.m = m
         self.q = q
         self.modulus = _canonical_modulus(p, m)
-        self._exp: Optional[list[int]] = None
-        self._dlog: Optional[list[int]] = None
-        self._generator: Optional[int] = None
+        g = self.generator_code()
+        self._exp = [1] * (q - 1)
+        self._dlog = [0] * q
+        cur = 1
+        for k in range(q - 1):
+            self._exp[k] = cur
+            self._dlog[cur] = k
+            cur = self._mul_code_poly(cur, g)
 
     # -- identity ----------------------------------------------------------
 
@@ -238,54 +242,31 @@ class FieldSpec:
         pb = list(self.coeffs_of(b))
         return self.code_of(_poly_mulmod(pa, pb, list(self.modulus), self.p) + [0] * self.m)
 
-    def _ensure_log_tables(self) -> None:
-        if self._exp is not None:
-            return
-        g = self.generator_code()
-        exp = [1] * (self.q - 1)
-        dlog = [0] * self.q
-        cur = 1
-        for k in range(self.q - 1):
-            exp[k] = cur
-            dlog[cur] = k
-            cur = self._mul_code_poly(cur, g)
-        self._exp = exp
-        self._dlog = dlog
-
     def mul_code(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        self._ensure_log_tables()
         return self._exp[(self._dlog[a] + self._dlog[b]) % (self.q - 1)]
 
     def inv_code(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        self._ensure_log_tables()
         return self._exp[(-self._dlog[a]) % (self.q - 1)]
 
     def dlog_code(self, a: int) -> int:
         """Discrete log base the canonical generator; a must be nonzero."""
         if a == 0:
             raise ZeroDivisionError("discrete log of zero")
-        self._ensure_log_tables()
         return self._dlog[a]
 
     def generator_code(self) -> int:
         """Code of the least multiplicative generator of F^x."""
-        if self._generator is not None:
-            return self._generator
         n = self.q - 1
-        if n == 1:
-            self._generator = 1
-            return 1
         prime_divisors = list(factorize(n))
         modulus = list(self.modulus)
-        for cand in range(2, self.q):
+        for cand in range(1, self.q):
             # powers as polynomials: the log tables are built from the generator
             coeffs = list(self.coeffs_of(cand))
             if all(_poly_powmod(coeffs, n // ell, modulus, self.p) != [1] for ell in prime_divisors):
-                self._generator = cand
                 return cand
         raise AssertionError("multiplicative group has no generator")  # pragma: no cover
 
@@ -300,7 +281,7 @@ def _check_bound(p: int, m: int = 1) -> None:
 
 @lru_cache(maxsize=None)
 def field(p: int, m: int = 1) -> FieldSpec:
-    """Shared FieldSpec instances, so cached tables are reused."""
+    """Shared FieldSpec instances, so each field builds its tables once."""
     return FieldSpec(p, m)
 
 

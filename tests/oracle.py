@@ -24,9 +24,11 @@ makes each row from discrete logs as a lattice inserts it.  The element
 oracles build psi_1, psi_2, C(x), b, c, the reduced-quotient rows and
 lambda of a vector as group-ring elements from the paper's formulas, where
 the package writes z-coordinate ints with twists (``z_flatten`` maps
-between the two).  The sweep oracles check one pair or relation row at a
-time with these and a fresh membership query, and take a mutated element
-or relation row from the test that mutates the package.  The matrix and
+between the two).  The sweep oracles check one pair, relation row or
+element at a time with these and a fresh membership query, and take a
+mutated element or relation row from the test that mutates the package;
+the image oracle tests both containments row by row, where the package
+compares two Hermite bases.  The matrix and
 quotient oracles z-expand group-ring relations, where the package writes
 ints from the relation rows and adds translates to the refined basis.  The
 norm oracle counts the norms x^(q+1) of F_{q^2} by walking its whole unit
@@ -784,10 +786,7 @@ def kernel_with_all_relation_rows(domain, codomain, map_matrix):
     projected = [row[: domain.generators] for row in U[rank:]]
     basis = Lattice(IntMatrix.from_rows(projected, cols=domain.generators)).basis_rows()
     pivot_cols = [min(row) for row in basis]
-    embedding = IntMatrix(
-        len(basis), domain.generators,
-        {(i, j): v for i, row in enumerate(basis) for j, v in row.items()},
-    )
+    embedding = IntMatrix.from_sparse_rows(basis, domain.generators)
     rel_rows = []
     for row in dom_rows:
         rem, coords = _reduce(basis, pivot_cols, row)
@@ -1085,6 +1084,39 @@ def suslin_cocycle_sweep(F, psi_of=psi):
                 if not lat.is_member(z_flatten(G, diff)):
                     failures.append(f"psi_{i} cocycle fails at x={x}, y={y}")
     return bc.SweepResult("suslin_cocycle", checked, tuple(failures))
+
+
+def df_sweep(F, psi_of=psi):
+    """psi_1(x) - psi_2(x) = <<x>> c and <<x>> c = 0 after inverting 2, one membership query per element."""
+    G = bc.square_class_group(F)
+    lat = bc.rp_lattice(F)
+    twisted = {x: scale_vector(c_element(F), double_bracket(G, square_class_code(F, x))) for x in F.units()}
+    failures = []
+    for x, cx in twisted.items():
+        diff = add_vectors(psi_of(F, 1, x), scale_vector(psi_of(F, 2, x), -1), scale_vector(cx, -1))
+        if not lat.is_member(z_flatten(G, diff), invert_two=True):
+            failures.append(f"difference identity fails at x={x} even with 2 inverted")
+    for x, cx in twisted.items():
+        if not lat.is_member(z_flatten(G, cx), invert_two=True):
+            failures.append(f"norm annihilation fails at x={x}")
+    return bc.SweepResult("difference_identity", 2 * len(twisted), tuple(failures))
+
+
+def suslin_image_sweep(F, psi_of=psi):
+    """lambda_one of the inversion elements spans (1 + <-1>) I: both containments, each row by ``member``."""
+    G = bc.square_class_group(F)
+    values = [lambda_of_vector(F, psi_of(F, i, x))[0] for i in (1, 2) for x in F.units()]
+    p_minus = GroupRingElement.one(G) + _class_bracket(F, F.neg_code(1))
+    ideal = [p_minus * double_bracket(G, a) for a in G.elements()]
+
+    def translates(elements):
+        """Every nonzero <e> v as an int vector, e in G."""
+        rows = [(bracket(G, e) * v).to_int_vector() for v in elements for e in G.elements()]
+        return [row for row in rows if any(row)]
+
+    left, right = translates(values), translates(ideal)
+    same = all(member(right, row) for row in left) and all(member(left, row) for row in right)
+    return bc.SweepResult("suslin_lambda_one_image", len(left) + len(right), () if same else ("inversion image differs from (1+<-1>)*I",))
 
 
 def lambda_well_defined_sweep(F, rows=None):

@@ -94,13 +94,11 @@ def test_criterion_5_constants():
 
 
 def test_criterion_6_difference_identity():
-    integral = {}
     for q in (5, 7, 11, 13):
-        report = bc.df_module(field_from_q(q))
-        if not report.difference_identity_two_inverted:
-            _report(6, False, f"q={q}: identity fails after inverting 2")
-        integral[q] = report.difference_identity_integral
-    _report(6, True, f"psi_1 - psi_2 = <<x>>c after inverting 2 for q in (5, 7, 11, 13); integral status {integral}")
+        result = bc.verify_df_identities(field_from_q(q))
+        if not result.ok:
+            _report(6, False, f"q={q}: {result.failures[:3]}")
+    _report(6, True, "psi_1 - psi_2 = <<x>>c and <<x>>c = 0 after inverting 2 for q in (5, 7, 11, 13)")
 
 
 def test_criterion_7_specialization_fuzz():

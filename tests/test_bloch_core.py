@@ -251,6 +251,35 @@ class TestLambdaWellDefined:
 
 SWEEP_ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27]
 
+# the package's inversion elements, kept for the mutated forms below, which
+# tests put in their place
+suslin_element = bc.suslin_element
+
+
+def untwisted_psi_two(F, i, code):
+    """psi_2(x) without its <1-x> factor, <x>[x] + [x^-1]; psi_1 as it is."""
+    if i == 1 or code == 1:
+        return suslin_element(F, i, code)
+    return bc._combine((1, bc._symbol(F, code, square_class_code(F, code))), (1, bc._symbol(F, F.inv_code(code))))
+
+
+def untwisted_psi_two_oracle(F, i, code):
+    if i == 1 or code == 1:
+        return oracle.psi(F, i, code)
+    twist = bracket(bc.square_class_group(F), square_class_code(F, code))
+    return oracle.add_vectors(oracle.symbol_vector(F, code, twist), oracle.symbol_vector(F, F.inv_code(code)))
+
+
+def bare_psi_one(F, i, code):
+    """psi_1(x) = [x] without its <-1>[x^-1] term; psi_2 as it is."""
+    if i == 2 or code == 1:
+        return suslin_element(F, i, code)
+    return bc._symbol(F, code)
+
+
+def bare_psi_one_oracle(F, i, code):
+    return oracle.psi(F, i, code) if i == 2 or code == 1 else oracle.symbol_vector(F, code)
+
 
 class TestSweepOracles:
     """The image-sum and integer sweeps against the per-pair, per-row oracles."""
@@ -284,27 +313,44 @@ class TestSweepOracles:
         F = field_from_q(q)
         assert bc.verify_lambda_well_defined(F) == oracle.lambda_well_defined_sweep(F)
 
+    @pytest.mark.parametrize("q", SWEEP_ORACLE_FIELDS)
+    def test_df_sweep_matches_oracle(self, q):
+        F = field_from_q(q)
+        assert bc.verify_df_identities(F) == oracle.df_sweep(F)
+
+    @pytest.mark.parametrize("q", SWEEP_ORACLE_FIELDS)
+    def test_image_sweep_matches_oracle(self, q):
+        F = field_from_q(q)
+        assert bc.verify_suslin_image_lattice(F) == oracle.suslin_image_sweep(F)
+
     @pytest.mark.parametrize("q", [5, 9, 13])
     def test_dropped_psi_two_twist_fails_alike(self, q, monkeypatch):
-        # psi_2(x) without its <1-x> factor, <x>[x] + [x^-1], on both sides
-        original = bc.suslin_element
-
-        def untwisted(F, i, code):
-            if i == 1 or code == 1:
-                return original(F, i, code)
-            return bc._combine((1, bc._symbol(F, code, square_class_code(F, code))), (1, bc._symbol(F, F.inv_code(code))))
-
-        def untwisted_oracle(F, i, code):
-            if i == 1 or code == 1:
-                return oracle.psi(F, i, code)
-            twist = bracket(bc.square_class_group(F), square_class_code(F, code))
-            return oracle.add_vectors(oracle.symbol_vector(F, code, twist), oracle.symbol_vector(F, F.inv_code(code)))
-
-        monkeypatch.setattr(bc, "suslin_element", untwisted)
+        # psi_2(x) without its <1-x> factor, on both sides
+        monkeypatch.setattr(bc, "suslin_element", untwisted_psi_two)
         F = field_from_q(q)
-        mine, expected = bc.verify_suslin_identities(F), oracle.suslin_cocycle_sweep(F, untwisted_oracle)
+        mine, expected = bc.verify_suslin_identities(F), oracle.suslin_cocycle_sweep(F, untwisted_psi_two_oracle)
         assert mine == expected
         assert mine.failures and all(f.startswith("psi_2 ") for f in mine.failures)
+
+    @pytest.mark.parametrize("q", [5, 9, 13])
+    def test_dropped_psi_two_twist_fails_df_alike(self, q, monkeypatch):
+        monkeypatch.setattr(bc, "suslin_element", untwisted_psi_two)
+        F = field_from_q(q)
+        mine, expected = bc.verify_df_identities(F), oracle.df_sweep(F, untwisted_psi_two_oracle)
+        assert mine == expected
+        assert mine.failures and all(f.startswith("difference identity fails at x=") for f in mine.failures)
+        if q == 5:
+            assert mine.failures == ("difference identity fails at x=3 even with 2 inverted",)
+
+    @pytest.mark.parametrize("q,fails", [(5, False), (7, True), (11, True)])
+    def test_bare_psi_one_fails_image_sweep_alike(self, q, fails, monkeypatch):
+        # psi_1(x) = [x]: at q = 3 mod 4, (1+<-1>)I = 0 but some lambda_one[x]
+        # is not; at q = 1 mod 4 the lambda_one[x] alone span 2I = (1+<-1>)I
+        monkeypatch.setattr(bc, "suslin_element", bare_psi_one)
+        F = field_from_q(q)
+        mine, expected = bc.verify_suslin_image_lattice(F), oracle.suslin_image_sweep(F, bare_psi_one_oracle)
+        assert mine == expected
+        assert mine.failures == (("inversion image differs from (1+<-1>)*I",) if fails else ())
 
     @pytest.mark.parametrize("q", [5, 7, 9, 13])
     def test_perturbed_relation_row_fails_alike(self, q, monkeypatch):
@@ -396,17 +442,22 @@ class TestConstants:
 class TestDfModule:
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
     def test_difference_identity_two_inverted(self, q):
-        report = bc.df_module(field_from_q(q))
-        assert report.difference_identity_two_inverted
-        assert report.norm_annihilation_two_inverted
+        result = bc.verify_df_identities(field_from_q(q))
+        assert result.ok, result.failures
+        assert result.checked == 2 * (q - 1)
 
     @pytest.mark.parametrize("q", [5, 7, 11, 13])
     def test_integral_status_recorded_true(self, q):
-        # observed outcome on these fields; recorded, not required
-        assert bc.df_module(field_from_q(q)).difference_identity_integral
+        # observed outcome on these fields, without inverting 2; recorded, not required
+        F = field_from_q(q)
+        c = bc.constant_b(F).c
+        for x in F.units():
+            twisted = bc._double_twist(c, square_class_code(F, x))
+            v = bc._combine((1, bc.suslin_element(F, 1, x)), (-1, bc.suslin_element(F, 2, x)), (-1, twisted))
+            assert bc.rp_lattice(F).is_member(v), x
 
     def test_f7_module_trivial(self):
-        assert bc.df_module(field(7)).c_order == 1
+        assert bc.constant_b(field(7)).c_order == 1
 
 
 class TestReducedQuotients:

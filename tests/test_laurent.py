@@ -389,12 +389,8 @@ class TestInducedMembership:
         tgt = specialization_target(field_from_q(q))
         rows = tgt.lattice.basis_rows()
         w = tgt.width
-        entries = {}
-        for coset in (0, 1):
-            for i, row in enumerate(rows):
-                for j, v in row.items():
-                    entries[(coset * len(rows) + i, coset * w + j)] = v
-        doubled = Lattice(IntMatrix(2 * len(rows), tgt.total, entries))
+        blocks = [{coset * w + j: v for j, v in row.items()} for coset in (0, 1) for row in rows]
+        doubled = Lattice(IntMatrix.from_sparse_rows(blocks, tgt.total))
         rng = random.Random(q)
         outcomes = set()
         for _ in range(300):

@@ -29,18 +29,14 @@ PACKAGE = Path(blochtower.__file__).resolve().parent
 # Qualified names (module.qualname) no command enters, one comment per reason.
 NOT_ENTERED = {
     # public API the acceptance suite and its tests use; smith_normal_form
-    # reaches hermite_normal_form and IntMatrix.__matmul__, and only tests
-    # reach IntMatrix.__init__ and IntMatrix.diagonal
+    # reaches hermite_normal_form and IntMatrix.__matmul__
     "exact_linalg.smith_normal_form",
     "exact_linalg.hermite_normal_form",
-    "exact_linalg.IntMatrix.__init__",
-    "exact_linalg.IntMatrix.diagonal",
     "exact_linalg.IntMatrix.to_rows",
     "exact_linalg.IntMatrix.__matmul__",
     "exact_linalg.IntMatrix.__eq__",
     "group_ring.idempotent",
     "group_ring.group_idempotent",
-    "bloch_core.df_module",
     # read by name by perfbench/traced_cli.py
     "bloch_core.refined_presentation",
     "group_ring.character_specialize",
